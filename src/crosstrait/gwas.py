@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfc
-from scipy.stats import rankdata
 
 from . import kernels
 from .errors import ParameterError
@@ -133,6 +132,9 @@ def screen_metrics(
     m = int(causal.sum())
     if m == 0 or m == stats.p:
         raise ParameterError("need at least one causal and one null SNP")
+
+    # scipy.stats costs about a second to import and nothing else needs it
+    from scipy.stats import rankdata
 
     a = np.abs(stats.tstat)
     ranks = rankdata(a)

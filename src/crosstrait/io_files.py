@@ -30,6 +30,12 @@ TOOLKIT_VERSION = "0.1.0"
 GENO_MAGIC = b"XTGT"
 GENO_VERSION = 1
 
+# the four 2-bit codes of every byte value, low bits first, read as one <u4
+# per byte so that unpacking is a single table lookup (as in PLINK's decoder)
+_UNPACK_LUT = (
+    (np.arange(256, dtype=np.uint8)[:, None] >> np.array([0, 2, 4, 6], dtype=np.uint8)) & 3
+).view("<u4")[:, 0]
+
 
 def fmt(x: float) -> str:
     return format(float(x), ".17g")
@@ -263,10 +269,10 @@ def pack_codes(codes: np.ndarray) -> np.ndarray:
 
 
 def unpack_codes(packed: np.ndarray, p: int) -> np.ndarray:
+    """Inverse of ``pack_codes``: an (n, p) uint8 array of 2-bit fields."""
     n = packed.shape[0]
-    shifts = np.array([0, 2, 4, 6], dtype=np.uint8)
-    expanded = (packed[:, :, None] >> shifts) & 3
-    return expanded.reshape(n, -1)[:, :p].astype(np.uint8)
+    expanded = _UNPACK_LUT.take(packed).view(np.uint8).reshape(n, 4 * packed.shape[1])
+    return np.ascontiguousarray(expanded[:, :p])
 
 
 def write_genotype_bin(path: str, G: GenotypeMatrix) -> None:

@@ -6,6 +6,13 @@ walk fixed-size column blocks in index order, so results are reproducible
 bit-for-bit for a given block size.  Per-column reductions (``crossprod``)
 do not depend on the block size at all; the accumulating matvec does, which
 is why the block size is part of the recorded configuration.
+
+When a matvec block's columns are one ascending run (all SNPs, or any
+contiguous range), the block is a slice copied in Fortran order rather than a
+fancy-index gather.  A gather of columns from the row-major codes yields an
+F-ordered block, and BLAS takes a different path (with different rounding in
+the last bits) for a C-ordered operand, so the F-ordered slice is what keeps
+both paths bitwise equal while skipping the gather.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ import numpy as np
 
 DEFAULT_BLOCK_SIZE = 2048
 
-__all__ = ["DEFAULT_BLOCK_SIZE", "column_stats", "std_crossprod", "std_matvec"]
+__all__ = ["DEFAULT_BLOCK_SIZE", "column_stats", "stats_from_counts", "std_crossprod", "std_matvec"]
 
 
 def column_stats(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -24,10 +31,17 @@ def column_stats(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``x_std.T @ x_std == n`` exactly, which in turn makes the marginal OLS
     slope equal ``x_std.T @ y / n`` with no correction factor.
     """
-    n = codes.shape[0]
     s = codes.sum(axis=0, dtype=np.int64)
-    # for values in {0,1,2}: x^2 = x + 2*[x == 2]
     n2 = np.count_nonzero(codes == 2, axis=0)
+    return stats_from_counts(s, n2, codes.shape[0])
+
+
+def stats_from_counts(s: np.ndarray, n2: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column mean and 1/n SD from the code sums ``s`` and the counts of 2s.
+
+    For values in {0, 1, 2}, x^2 = x + 2*[x == 2], so the sum of squares is
+    ``s + 2 * n2`` and no second pass over the codes is needed.
+    """
     mean = s / n
     var = (s + 2.0 * n2) / n - mean * mean
     return mean, np.sqrt(np.maximum(var, 0.0))
@@ -72,7 +86,9 @@ def std_matvec(
 
     ``weights`` is aligned with ``indices`` when given, else with all p
     columns.  Computed as ``codes[:, idx] @ (w / sd) - sum(w * mean / sd)``,
-    accumulating over column blocks in fixed index order.
+    accumulating over column blocks in fixed index order.  A block whose
+    columns form one ascending run is sliced instead of gathered (see the
+    module docstring for why the copy is F-ordered).
     """
     n, p = codes.shape
     weights = np.asarray(weights, dtype=np.float64)
@@ -87,7 +103,12 @@ def std_matvec(
     out = np.zeros(n, dtype=np.float64)
     for k0 in range(0, len(indices), block_size):
         k1 = min(k0 + block_size, len(indices))
-        blk = codes[:, indices[k0:k1]].astype(np.float64)
+        cols = indices[k0:k1]
+        a = int(cols[0])
+        if a >= 0 and np.all(np.diff(cols) == 1):
+            blk = codes[:, a : a + len(cols)].astype(np.float64, order="F")
+        else:
+            blk = codes[:, cols].astype(np.float64)
         out += blk @ v[k0:k1]
     out -= offset
     return out

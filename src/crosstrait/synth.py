@@ -28,6 +28,9 @@ from .rng import substream
 MAF_LOW = 0.05
 MAF_HIGH = 0.45
 MAX_RESAMPLE_ATTEMPTS = 100
+# rows per generation tile: a tile's per-column code sum, at most 2 * 127 = 254,
+# fits in uint8
+TILE_ROWS = 127
 
 TRAITS = ("alpha", "beta", "eta")
 
@@ -114,37 +117,66 @@ def default_snp_ids(p: int) -> np.ndarray:
     return np.array([f"snp{j:07d}" for j in range(p)])
 
 
-def _draw_codes(n: int, maf: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One block of Hardy-Weinberg codes via a single uniform per cell."""
-    f = np.asarray(maf, dtype=np.float64)
-    u = rng.random((n, f.shape[0]))
-    c0 = (1.0 - f) ** 2  # P(code = 0)
-    c1 = 1.0 - f**2      # P(code <= 1)
-    return (u >= c0).view(np.uint8) + (u >= c1).view(np.uint8)
+def _gen_codes(
+    n: int, maf: np.ndarray, rng: np.random.Generator, block_size: int = kernels.DEFAULT_BLOCK_SIZE
+) -> GenotypeMatrix:
+    """Genotype matrix for all p SNPs, with its column statistics, in one pass.
 
-
-def _gen_codes(n: int, maf: np.ndarray, rng: np.random.Generator, block_size: int = 2048) -> tuple[np.ndarray, int]:
-    """Codes for all p SNPs; monomorphic columns are redrawn, keeping p fixed."""
+    Each cell takes one uniform u: code = [u >= P(code = 0)] + [u >= P(code <= 1)].
+    Each column block is drawn in row tiles of at most ``TILE_ROWS`` rows.
+    Consecutive ``rng.random((r, k))`` calls continue one stream, so the
+    uniforms equal those of a single ``rng.random((n, k))`` per block.  While
+    a tile is in cache its per-column code sums and counts of 2s are taken
+    (as uint8, then added to int64 totals); they give the monomorphic test
+    and the mean and SD without a second scan of the codes.  Monomorphic
+    columns are redrawn one at a time, in column order, keeping p fixed; the
+    redraw count is recorded.
+    """
+    maf = np.asarray(maf, dtype=np.float64)
     p = maf.shape[0]
+    c0 = (1.0 - maf) ** 2  # P(code = 0)
+    c1 = 1.0 - maf**2      # P(code <= 1)
     codes = np.empty((n, p), dtype=np.uint8)
-    resamples = 0
+    s = np.zeros(p, dtype=np.int64)   # sum of codes
+    n2 = np.zeros(p, dtype=np.int64)  # number of 2s
     for j0 in range(0, p, block_size):
         j1 = min(j0 + block_size, p)
-        codes[:, j0:j1] = _draw_codes(n, maf[j0:j1], rng)
-    bad = np.flatnonzero(codes.max(axis=0) == codes.min(axis=0))
-    for j in bad:
+        for i0 in range(0, n, TILE_ROWS):
+            i1 = min(i0 + TILE_ROWS, n)
+            u = rng.random((i1 - i0, j1 - j0))
+            is2 = (u >= c1[j0:j1]).view(np.uint8)
+            tile = codes[i0:i1, j0:j1]
+            np.add((u >= c0[j0:j1]).view(np.uint8), is2, out=tile)
+            s[j0:j1] += tile.sum(axis=0, dtype=np.uint8)
+            n2[j0:j1] += is2.sum(axis=0, dtype=np.uint8)
+    resamples = 0
+    # a column is constant iff n * sum(x^2) == sum(x)^2, with sum(x^2) = s + 2 * n2
+    for j in np.flatnonzero(n * (s + 2 * n2) == s * s):
         for attempt in range(MAX_RESAMPLE_ATTEMPTS):
-            col = _draw_codes(n, maf[j : j + 1], rng)[:, 0]
+            u = rng.random((n, 1))[:, 0]
+            col = (u >= c0[j]).view(np.uint8) + (u >= c1[j]).view(np.uint8)
             resamples += 1
             if col.max() != col.min():
                 codes[:, j] = col
+                s[j] = col.sum(dtype=np.int64)
+                n2[j] = np.count_nonzero(col == 2)
                 break
         else:
             raise GenerationError(
                 f"column {j} stayed monomorphic after {MAX_RESAMPLE_ATTEMPTS} redraws; "
                 f"n={n} is too small for maf={maf[j]:.4f}"
             )
-    return codes, resamples
+    mean, sd = kernels.stats_from_counts(s, n2, n)
+    return GenotypeMatrix(
+        n=n, p=p, codes=codes, maf=maf, col_mean=mean, col_sd=sd, resample_count=resamples
+    )
+
+
+def _gen_cohort(gseed: int, label: str, n: int, maf: np.ndarray) -> GenotypeMatrix | None:
+    """Codes of one cohort block from its own substream; None when n == 0."""
+    if n == 0:
+        return None
+    return _gen_codes(n, maf, substream(gseed, f"cohorts/{label}"))
 
 
 def gen_genotypes(n: int, p: int, seed: int, maf: np.ndarray | None = None) -> GenotypeMatrix:
@@ -169,8 +201,7 @@ def gen_genotypes(n: int, p: int, seed: int, maf: np.ndarray | None = None) -> G
             raise ParameterError("maf vector length must equal p")
         if np.any((maf <= 0.0) | (maf >= 0.5)):
             raise ParameterError("maf must lie in (0, 0.5)")
-    codes, resamples = _gen_codes(n, maf, rng)
-    return GenotypeMatrix.from_codes(codes, maf=maf, resample_count=resamples)
+    return _gen_codes(n, maf, rng)
 
 
 def stack_genotypes(*blocks: GenotypeMatrix) -> GenotypeMatrix:
@@ -189,8 +220,7 @@ def stack_genotypes(*blocks: GenotypeMatrix) -> GenotypeMatrix:
         if b.p != p or not np.array_equal(b.maf, blocks[0].maf):
             raise ParameterError("cohort blocks disagree on SNPs")
     if len(blocks) == 1:
-        b = blocks[0]
-        return GenotypeMatrix.from_codes(b.codes, maf=b.maf, resample_count=b.resample_count)
+        return blocks[0]
     codes = np.vstack([b.codes for b in blocks])
     return GenotypeMatrix.from_codes(codes, maf=blocks[0].maf)
 
@@ -540,21 +570,14 @@ def gen_independent_cohorts(
         design=OverlapDesign(n_s=0, pair="discovery_discovery"), arch=arch, effects=effects
     )
 
-    def cohort(label: str, n: int) -> GenotypeMatrix | None:
-        if n == 0:
-            return None
-        rng = substream(gseed, f"cohorts/{label}")
-        codes, resamples = _gen_codes(n, maf, rng)
-        return GenotypeMatrix.from_codes(codes, maf=maf, resample_count=resamples)
-
     if "alpha" in traits and sizes.n1:
-        bundle.disc_alpha = cohort("X", sizes.n1)
+        bundle.disc_alpha = _gen_cohort(gseed, "X", sizes.n1, maf)
         bundle.y_alpha = gen_phenotype(bundle.disc_alpha, effects["alpha"], arch.h2_alpha, seed)
     if "beta" in traits and sizes.n2:
-        bundle.disc_beta = cohort("Z", sizes.n2)
+        bundle.disc_beta = _gen_cohort(gseed, "Z", sizes.n2, maf)
         bundle.y_beta = gen_phenotype(bundle.disc_beta, effects["beta"], arch.h2_beta, seed)
     if sizes.n3:
-        bundle.target = cohort("W", sizes.n3)
+        bundle.target = _gen_cohort(gseed, "W", sizes.n3, maf)
         if "eta" in traits:
             bundle.y_eta = gen_phenotype(bundle.target, effects["eta"], arch.h2_eta, seed)
     return bundle
@@ -592,13 +615,6 @@ def gen_overlapping_cohorts(
     rng_maf = substream(gseed, "cohorts/maf")
     maf = rng_maf.uniform(MAF_LOW, MAF_HIGH, size=arch.p)
 
-    def block(label: str, n: int) -> GenotypeMatrix | None:
-        if n == 0:
-            return None
-        rng = substream(gseed, f"cohorts/{label}")
-        codes, resamples = _gen_codes(n, maf, rng)
-        return GenotypeMatrix.from_codes(codes, maf=maf, resample_count=resamples)
-
     effects = gen_effects(arch, seed=seed, dist=dist)
     sd_ea = np.sqrt(arch.sigma2_eps("alpha"))
     sd_eb = np.sqrt(arch.sigma2_eps("beta"))
@@ -612,22 +628,22 @@ def gen_overlapping_cohorts(
             raise ParameterError("full_overlap requires n_s == n1 (or 0 meaning the whole cohort)")
         if n1 < 2:
             raise ParameterError("full_overlap needs n1 >= 2")
-        X = block("X", n1)
+        X = _gen_cohort(gseed, "X", n1, maf)
         e_a, e_b = _correlated_errors(rng_eps, n1, sd_ea, sd_eb, design.rho_eps)
         bundle.disc_alpha = X
         bundle.disc_beta = X
         bundle.y_alpha = gen_phenotype(X, effects["alpha"], arch.h2_alpha, seed, epsilon=e_a)
         bundle.y_beta = gen_phenotype(X, effects["beta"], arch.h2_beta, seed, epsilon=e_b)
-        bundle.target = block("W", n3)
+        bundle.target = _gen_cohort(gseed, "W", n3, maf)
         return bundle
 
-    S = block("S", ns)
+    S = _gen_cohort(gseed, "S", ns, maf)
 
     if design.pair == "discovery_target":
         if n1 + ns < 2 or n3 + ns < 2:
             raise ParameterError("each cohort needs at least 2 samples")
-        X = block("X", n1)
-        W = block("W", n3)
+        X = _gen_cohort(gseed, "X", n1, maf)
+        W = _gen_cohort(gseed, "W", n3, maf)
         disc = stack_genotypes(*(b for b in (X, S) if b is not None))
         targ = stack_genotypes(*(b for b in (W, S) if b is not None))
         e_as, e_es = _correlated_errors(rng_eps, ns, sd_ea, sd_ee, design.rho_eps)
@@ -646,8 +662,8 @@ def gen_overlapping_cohorts(
     # discovery_discovery
     if n1 + ns < 2 or n2 + ns < 2:
         raise ParameterError("each discovery cohort needs at least 2 samples")
-    X = block("X", n1)
-    Z = block("Z", n2)
+    X = _gen_cohort(gseed, "X", n1, maf)
+    Z = _gen_cohort(gseed, "Z", n2, maf)
     disc_a = stack_genotypes(*(b for b in (X, S) if b is not None))
     disc_b = stack_genotypes(*(b for b in (Z, S) if b is not None))
     e_as, e_bs = _correlated_errors(rng_eps, ns, sd_ea, sd_eb, design.rho_eps)
@@ -661,5 +677,5 @@ def gen_overlapping_cohorts(
     bundle.y_beta = gen_phenotype(
         disc_b, effects["beta"], arch.h2_beta, seed, epsilon=np.concatenate([e_bz, e_bs])
     )
-    bundle.target = block("W", n3)
+    bundle.target = _gen_cohort(gseed, "W", n3, maf)
     return bundle

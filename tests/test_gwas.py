@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import crosstrait
 from crosstrait.errors import ParameterError
 from crosstrait.gwas import (
     MIN_PVALUE,
@@ -239,3 +244,11 @@ class TestThresholdSelect:
         stats, _ = self._setup()
         sel = threshold_select(stats, ScreenRule())
         assert sel.q == stats.p
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes about a second to import; only screen_metrics needs it
+    src = os.path.dirname(os.path.dirname(crosstrait.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, crosstrait; sys.exit('scipy.stats' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

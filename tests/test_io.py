@@ -79,6 +79,12 @@ class TestExternalSchema:
             io_files.read_summary_table(str(path), schema)
 
 
+def shift_unpack(packed, p):
+    """Reference 2-bit decoder: shift and mask each of the four fields."""
+    fields = (packed[:, :, None] >> np.array([0, 2, 4, 6], dtype=np.uint8)) & 3
+    return fields.reshape(packed.shape[0], -1)[:, :p].astype(np.uint8)
+
+
 class TestGenotypeContainers:
     @given(st.integers(0, 10**6), st.integers(1, 9), st.integers(2, 12))
     @settings(max_examples=30, deadline=None)
@@ -86,6 +92,27 @@ class TestGenotypeContainers:
         rng = np.random.default_rng(seed)
         codes = rng.integers(0, 3, size=(n, p), dtype=np.uint8)
         assert np.array_equal(io_files.unpack_codes(io_files.pack_codes(codes), p), codes)
+
+    @pytest.mark.parametrize("p", [4, 5, 6, 7, 400, 401, 402, 403])
+    def test_unpack_matches_shift_decoder(self, p):
+        packed = np.random.default_rng(p).integers(0, 256, size=(9, -(-p // 4)), dtype=np.uint8)
+        got = io_files.unpack_codes(packed, p)
+        assert got.dtype == np.uint8 and got.flags.c_contiguous
+        assert np.array_equal(got, shift_unpack(packed, p))
+
+    def test_unpack_every_byte_value(self):
+        packed = np.arange(256, dtype=np.uint8).reshape(4, 64)
+        assert np.array_equal(io_files.unpack_codes(packed, 256), shift_unpack(packed, 256))
+
+    def test_corrupt_code_rejected(self, tmp_path):
+        G = gen_genotypes(6, 5, seed=4)
+        path = tmp_path / "geno.xtg"
+        io_files.write_genotype_bin(str(path), G)
+        data = bytearray(path.read_bytes())
+        data[24] |= 0b11  # first code of the first row becomes 3
+        path.write_bytes(bytes(data))
+        with pytest.raises(DataFormatError, match="value 3"):
+            io_files.read_genotype_bin(str(path))
 
     def test_binary_round_trip_bit_exact(self, tmp_path):
         G = gen_genotypes(37, 23, seed=5)

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from crosstrait import kernels
 from crosstrait.errors import GenerationError, ParameterError
 from crosstrait.synth import (
+    TILE_ROWS,
     CohortSizes,
     GenotypeMatrix,
     OverlapDesign,
@@ -77,6 +81,96 @@ class TestGenotypes:
             gen_genotypes(10, 0, seed=0)
         with pytest.raises(ParameterError):
             gen_genotypes(10, 3, seed=0, maf=np.array([0.1, 0.6, 0.2]))
+
+
+def reference_generation(n, maf, rng, block_size=kernels.DEFAULT_BLOCK_SIZE):
+    """Untiled oracle: one ``rng.random((n, k))`` per column block, then
+    single-column redraws of constant columns in column order, then a
+    separate ``column_stats`` scan."""
+    p = maf.shape[0]
+    c0 = (1.0 - maf) ** 2
+    c1 = 1.0 - maf**2
+    codes = np.empty((n, p), dtype=np.uint8)
+    for j0 in range(0, p, block_size):
+        j1 = min(j0 + block_size, p)
+        u = rng.random((n, j1 - j0))
+        codes[:, j0:j1] = (u >= c0[j0:j1]).view(np.uint8) + (u >= c1[j0:j1]).view(np.uint8)
+    resamples = 0
+    for j in np.flatnonzero(codes.max(axis=0) == codes.min(axis=0)):
+        while True:
+            u = rng.random((n, 1))[:, 0]
+            col = (u >= c0[j]).view(np.uint8) + (u >= c1[j]).view(np.uint8)
+            resamples += 1
+            if col.max() != col.min():
+                codes[:, j] = col
+                break
+    mean, sd = kernels.column_stats(codes)
+    return codes, mean, sd, resamples
+
+
+def assert_matches_reference(n, p, seed):
+    maf = np.random.default_rng(seed).uniform(0.05, 0.45, size=p)
+    G = _gen_codes(n, maf, np.random.default_rng(seed + 1))
+    codes, mean, sd, resamples = reference_generation(n, maf, np.random.default_rng(seed + 1))
+    assert np.array_equal(G.codes, codes)
+    assert np.array_equal(G.col_mean, mean)
+    assert np.array_equal(G.col_sd, sd)
+    assert G.resample_count == resamples
+    assert (G.n, G.p) == (n, p)
+
+
+class TestTiledGeneration:
+    @given(st.integers(2, 300), st.integers(1, 4500), st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_bit_identical_to_untiled_draws(self, n, p, seed):
+        assert_matches_reference(n, p, seed)
+
+    @pytest.mark.parametrize(
+        "n, p",
+        [
+            (TILE_ROWS, kernels.DEFAULT_BLOCK_SIZE),
+            (TILE_ROWS + 1, kernels.DEFAULT_BLOCK_SIZE + 1),
+            (2 * TILE_ROWS, 2 * kernels.DEFAULT_BLOCK_SIZE + 1),
+            (1000, 3000),
+            (37, 5000),
+            (2, 300),
+        ],
+    )
+    def test_bit_identical_at_tile_and_block_edges(self, n, p):
+        assert_matches_reference(n, p, seed=n * p)
+
+    def test_counts_survive_all_twos(self):
+        # every cell a 2 (u >= c1 always) except one 1 per column: tile code
+        # sums hit 2 * TILE_ROWS - 1 and must not wrap in uint8
+        class NearOneRng:
+            def __init__(self):
+                self.calls = 0
+
+            def random(self, shape):
+                u = np.full(shape, 0.999999)
+                if self.calls == 0:
+                    u[0] = 0.5
+                self.calls += 1
+                return u
+
+        n = 3 * TILE_ROWS + 5
+        G = _gen_codes(n, np.full(4, 0.3), NearOneRng())
+        mean, sd = kernels.column_stats(G.codes)
+        assert np.array_equal(G.col_mean, mean) and np.array_equal(G.col_sd, sd)
+        assert G.resample_count == 0
+        assert np.all(G.col_mean == (2.0 * n - 1.0) / n)
+
+    def test_generators_skip_the_rescan(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("statistics rescanned")
+
+        monkeypatch.setattr(kernels, "column_stats", fail)
+        monkeypatch.setattr(GenotypeMatrix, "from_codes", classmethod(fail))
+        gen_genotypes(20, 30, seed=1)
+        arch = TraitArchitecture.shared_causal(30, 5, phi=0.5)
+        gen_independent_cohorts(arch, CohortSizes(20, 20, 20), seed=2)
+        design = OverlapDesign(n_s=0, pair="discovery_target")
+        gen_overlapping_cohorts(design, arch, CohortSizes(n1=20, n3=20), seed=3)
 
 
 class TestArchitecture:
@@ -275,6 +369,16 @@ class TestOverlappingCohorts:
             gen_overlapping_cohorts(
                 OverlapDesign(10, "full_overlap"), arch, CohortSizes(n1=50), seed=0
             )
+
+    def test_stack_single_block_keeps_its_statistics(self):
+        G = gen_genotypes(2, 40, seed=8)
+        assert G.resample_count > 0
+        S = stack_genotypes(G)
+        F = GenotypeMatrix.from_codes(G.codes, maf=G.maf)
+        assert np.array_equal(S.codes, F.codes)
+        assert np.array_equal(S.col_mean, F.col_mean)
+        assert np.array_equal(S.col_sd, F.col_sd)
+        assert S.resample_count == G.resample_count
 
     def test_stack_requires_same_snps(self):
         a = gen_genotypes(10, 5, seed=1)
