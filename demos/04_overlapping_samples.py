@@ -9,22 +9,30 @@ heritability the estimator is unbiased on its own.
 
 from crosstrait import DesignMeta, ExperimentConfig, overlap_factor_case_i, run
 
-n = 1500
-p = 3000
-m = 600
-phi = 0.6
 
-config = ExperimentConfig(
-    scenario="fig4_overlap", p=p, n1=n, n2=n, n3=n, n_s=n, m=m, h2=1.0,
-    phi_grid=(phi,), replicates=25, master_seed=404,
-)
-print(f"half-overlap design: n1=n2=n3=n_s={n}, p={p}, true correlation {phi}")
-result = run(config)
+# run() uses a process pool, which under the spawn start method re-imports
+# this file; the guard keeps that import from starting the study again
+def main() -> None:
+    n = 1500
+    p = 3000
+    m = 600
+    phi = 0.6
 
-meta = DesignMeta(case_tag="overlap_case_i", p=p, n1=n, n3=n, n_s=n,
-                  h2_alpha=1.0, h2_eta=1.0, h_alpha_eta=1.0)
-print(f"case i theoretical factor: {overlap_factor_case_i(meta):.4f} "
-      f"-> expected raw {overlap_factor_case_i(meta) * phi:.4f}")
-for row in result.aggregate_rows:
-    print(f"{row.estimator:20s} mean={row.mean:+.4f} sd={row.sd:.4f}")
-print("\ncorrected rows for both cases should recover", phi)
+    config = ExperimentConfig(
+        scenario="fig4_overlap", p=p, n1=n, n2=n, n3=n, n_s=n, m=m, h2=1.0,
+        phi_grid=(phi,), replicates=25, master_seed=404,
+    )
+    print(f"half-overlap design: n1=n2=n3=n_s={n}, p={p}, true correlation {phi}")
+    result = run(config)
+
+    meta = DesignMeta(case_tag="overlap_case_i", p=p, n1=n, n3=n, n_s=n,
+                      h2_alpha=1.0, h2_eta=1.0, h_alpha_eta=1.0)
+    print(f"case i theoretical factor: {overlap_factor_case_i(meta):.4f} "
+          f"-> expected raw {overlap_factor_case_i(meta) * phi:.4f}")
+    for row in result.aggregate_rows:
+        print(f"{row.estimator:20s} mean={row.mean:+.4f} sd={row.sd:.4f}")
+    print("\ncorrected rows for both cases should recover", phi)
+
+
+if __name__ == "__main__":
+    main()

@@ -10,6 +10,8 @@ Closed-form moment oracles and a replicable Monte-Carlo experiment runner
 validate every correction.
 """
 
+__version__ = "0.1.0"
+
 from .errors import (
     CorrectionUnavailableError,
     CrosstraitError,
@@ -59,5 +61,3 @@ from .synth import (
     gen_overlapping_cohorts,
     gen_phenotype,
 )
-
-__version__ = "0.1.0"

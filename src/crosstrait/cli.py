@@ -256,7 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--out", required=True)
     p_sim.add_argument("--workers", type=int, default=None,
-                       help=f"worker processes (default: ${experiments.WORKERS_ENV} or 1)")
+                       help=f"worker processes, each with single-threaded BLAS (default: "
+                            f"${experiments.WORKERS_ENV}, else one per usable core, at most "
+                            "one per task)")
     p_sim.add_argument("--seed", type=int, default=None, help="override master_seed")
     p_sim.set_defaults(func=cmd_simulate)
 

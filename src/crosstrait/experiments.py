@@ -21,6 +21,9 @@ custom              alias of fig2_all_snp (fully driven by the config)
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -29,7 +32,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import kernels
-from .errors import DegenerateScoreError, ExperimentError, ParameterError
+from .errors import CrosstraitError, DegenerateScoreError, ExperimentError, ParameterError
 from .estimators import DesignMeta, correct, raw_cosine, screened_factor_ae
 from .gwas import marginal_gwas, screen_metrics, threshold_select
 from .prs import RULE_NONE, ScreenRule, score
@@ -158,6 +161,8 @@ class ExperimentResult:
     replicate_rows: list
     aggregate_rows: list
     failures: list
+    workers: int = 1
+    blas_threads_per_worker: str = "unpinned"
 
 
 def genetic_share(arch: TraitArchitecture, rho_eps: float, pair: str) -> float:
@@ -475,17 +480,56 @@ def _run_task(args):
     _, rep_fn = _SCENARIO_IMPL[config.scenario]
     try:
         return ("ok", rep_fn(config, point, rep))
-    except Exception as exc:  # recorded, counted, excluded from aggregates
+    except CrosstraitError as exc:  # recorded, counted, excluded from aggregates
         return ("fail", (point["point_id"], rep, f"{type(exc).__name__}: {exc}"))
 
 
-def resolve_workers(workers: int | None) -> int:
+@functools.cache
+def _openblas():
+    """``(set_num_threads, get_num_threads)`` of numpy's bundled OpenBLAS, or None.
+
+    Wheels ship it as ``numpy.libs/lib*openblas*`` (``numpy/.dylibs`` on
+    macOS); opening that file returns the copy numpy already loaded.
+    """
+    site = os.path.dirname(os.path.dirname(np.__file__))
+    for pattern in ("numpy.libs/*openblas*", "numpy/.dylibs/*openblas*"):
+        for path in sorted(glob.glob(os.path.join(site, pattern))):
+            try:
+                lib = ctypes.CDLL(path)
+            except OSError:
+                continue
+            for prefix in ("scipy_openblas_", "openblas_"):
+                for suffix in ("64_", ""):
+                    set_threads = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+                    get_threads = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+                    if set_threads and get_threads:
+                        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                        return set_threads, get_threads
+    return None
+
+
+def _pin_blas():
+    """Pool initializer: one BLAS thread per worker, so workers do not
+    oversubscribe the cores; a no-op without a bundled OpenBLAS."""
+    blas = _openblas()
+    if blas is not None:
+        blas[0](1)
+
+
+def resolve_workers(workers: int | None, n_tasks: int) -> int:
+    """``workers``, else $CROSSTRAIT_WORKERS, else one per usable core but no
+    more than there are tasks."""
     if workers is not None:
         return max(1, int(workers))
     env = os.environ.get(WORKERS_ENV)
     if env:
         return max(1, int(env))
-    return 1
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API (macOS, Windows)
+        cores = os.cpu_count() or 1
+    return max(1, min(cores, n_tasks))
 
 
 def aggregate(rows: list) -> list:
@@ -527,18 +571,22 @@ def run(
 ) -> ExperimentResult:
     """Execute a scenario; optionally persist replicate/aggregate TSVs.
 
-    Replicate failures are recorded with their reason and excluded from the
-    aggregates; the run aborts if more than 5% of tasks fail.
+    Replicate failures (a ``CrosstraitError`` raised by a replicate) are
+    recorded with their reason and excluded from the aggregates; the run
+    aborts if more than 5% of tasks fail.  Any other exception is a bug and
+    propagates.  Pool workers run BLAS single-threaded; the serial path
+    leaves BLAS threading as it is.
     """
     points_fn, _ = _SCENARIO_IMPL[config.scenario]
     points = points_fn(config)
     tasks = [(config, point, rep) for point in points for rep in range(config.replicates)]
 
-    nworkers = resolve_workers(workers)
+    nworkers = resolve_workers(workers, len(tasks))
+    pinned = nworkers > 1 and _openblas() is not None
     if nworkers == 1:
         outcomes = [_run_task(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
+        with ProcessPoolExecutor(max_workers=nworkers, initializer=_pin_blas) as pool:
             outcomes = list(pool.map(_run_task, tasks, chunksize=1))
 
     rows, failures = [], []
@@ -555,7 +603,8 @@ def run(
 
     aggs = aggregate(rows)
     result = ExperimentResult(config=config, replicate_rows=rows,
-                              aggregate_rows=aggs, failures=failures)
+                              aggregate_rows=aggs, failures=failures, workers=nworkers,
+                              blas_threads_per_worker="1" if pinned else "unpinned")
     if out_dir is not None:
         from . import io_files
 

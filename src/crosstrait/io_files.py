@@ -19,13 +19,12 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+from . import __version__
 from .errors import DataFormatError
 from .experiments import AggregateRow, ExperimentResult, ReplicateRow
 from .gwas import SummaryStats
 from .moments import MomentCheckReport
 from .synth import GenotypeMatrix
-
-TOOLKIT_VERSION = "0.1.0"
 
 GENO_MAGIC = b"XTGT"
 GENO_VERSION = 1
@@ -478,15 +477,17 @@ class RunManifest:
     """Provenance record emitted next to every output.
 
     Outputs are a pure function of (config_hash, master_seed, inputs); the
-    timestamp is informational and excluded from the hash, so reruns with an
-    identical manifest reproduce outputs byte for byte.
+    timestamp and the ``info`` lines (how the run was executed) are
+    informational and excluded from the hash, so reruns with an identical
+    manifest reproduce outputs byte for byte.
     """
 
     config_hash: str
     master_seed: int
-    toolkit_version: str = TOOLKIT_VERSION
+    toolkit_version: str = __version__
     created_utc: str = ""
     input_digests: dict = field(default_factory=dict)
+    info: dict = field(default_factory=dict)
 
     def text(self) -> str:
         lines = [
@@ -495,17 +496,21 @@ class RunManifest:
             f"master_seed={self.master_seed}",
             f"created_utc={self.created_utc}",
         ]
+        lines += [f"{k}={v}" for k, v in self.info.items()]
         for name in sorted(self.input_digests):
             lines.append(f"input_digest:{name}={self.input_digests[name]}")
         return "\n".join(lines) + "\n"
 
 
-def write_manifest(path: str, cfg: dict, master_seed: int, inputs: dict | None = None) -> RunManifest:
+def write_manifest(
+    path: str, cfg: dict, master_seed: int, inputs: dict | None = None, info: dict | None = None
+) -> RunManifest:
     manifest = RunManifest(
         config_hash=config_hash(cfg),
         master_seed=master_seed,
         created_utc=datetime.now(timezone.utc).isoformat(),
         input_digests={k: file_digest(v) for k, v in (inputs or {}).items()},
+        info=info or {},
     )
     atomic_write_text(path, manifest.text())
     return manifest
@@ -516,7 +521,10 @@ def persist_experiment(out_dir: str, result: ExperimentResult) -> None:
     write_replicates_tsv(os.path.join(out_dir, "replicates.tsv"), result.replicate_rows)
     write_aggregates_tsv(os.path.join(out_dir, "aggregates.tsv"), result.aggregate_rows)
     cfg = result.config.to_dict()
-    write_manifest(os.path.join(out_dir, "manifest.txt"), cfg, result.config.master_seed)
+    info = {"workers": result.workers,
+            "blas_threads_per_worker": result.blas_threads_per_worker}
+    write_manifest(os.path.join(out_dir, "manifest.txt"), cfg, result.config.master_seed,
+                   info=info)
     if result.failures:
         lines = ["point_id\treplicate\treason"]
         lines += [f"{p}\t{r}\t{msg}" for p, r, msg in result.failures]

@@ -1,0 +1,55 @@
+"""Pinned ``replicates.tsv`` digests: one fixed config per scenario.
+
+Any change to an RNG stream, a kernel's rounding or the TSV format changes
+a digest; a change that must keep every byte keeps all of them, with one
+worker and with two.  The digests are the first 16 hex digits of sha256.
+"""
+
+import hashlib
+
+import pytest
+
+from crosstrait.experiments import ExperimentConfig, run
+
+C = ExperimentConfig
+PINNED = {
+    "fig1_gwas_properties": (
+        C(scenario="fig1_gwas_properties", p=301, n1=9, sigma2=0.5,
+          sparsity_grid=(0.1, 1.0), replicates=3, master_seed=11),
+        "ce87036224c72137"),
+    # p = 2101 spans two column blocks of 2048
+    "fig2_all_snp": (
+        C(scenario="fig2_all_snp", p=2101, n1=60, n2=60, n3=60, m=50,
+          phi_grid=(0.3, 0.8), replicates=3, master_seed=12),
+        "7ea96f4ea2e750b0"),
+    "fig3_screening": (
+        C(scenario="fig3_screening", p=400, n1=200, n3=200, phi_grid=(0.8,),
+          sparsity_grid=(0.02, 0.5), replicates=3, master_seed=13),
+        "4b95e3169d4bf611"),
+    "fig4_overlap_ns40": (
+        C(scenario="fig4_overlap", p=200, n1=80, n2=80, n3=80, n_s=40, m=40, h2=0.5,
+          rho_eps=0.2, phi_grid=(0.5,), replicates=3, master_seed=14),
+        "4624f6c2f4b3badd"),
+    # no shared samples: every stack holds one block
+    "fig4_overlap_ns0": (
+        C(scenario="fig4_overlap", p=200, n1=80, n2=80, n3=80, n_s=0, m=40,
+          phi_grid=(0.5,), replicates=3, master_seed=15),
+        "6003c4754effa894"),
+    "figS2_sparsity": (
+        C(scenario="figS2_sparsity", p=300, n1=150, n3=150, phi_grid=(0.6,),
+          sparsity_grid=(0.05, 0.5), replicates=3, master_seed=16),
+        "d12c9d4f386837cc"),
+    "figS5_summary_only": (
+        C(scenario="figS5_summary_only", p=300, n1=150, n2=150, m=60,
+          phi_grid=(0.2, 0.7), replicates=3, master_seed=17),
+        "0a00a999418941c7"),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_replicates_digest_pinned(tmp_path, name, workers):
+    cfg, digest = PINNED[name]
+    run(cfg, workers=workers, out_dir=str(tmp_path))
+    data = (tmp_path / "replicates.tsv").read_bytes()
+    assert hashlib.sha256(data).hexdigest()[:16] == digest

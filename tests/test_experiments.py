@@ -1,13 +1,20 @@
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
-from crosstrait.errors import ExperimentError, ParameterError
+from crosstrait import experiments
+from crosstrait.errors import ExperimentError, GenerationError, ParameterError
 from crosstrait.experiments import (
+    WORKERS_ENV,
     ExperimentConfig,
     ReplicateRow,
     _SCENARIO_IMPL,
     aggregate,
     genetic_share,
+    resolve_workers,
     run,
 )
 from crosstrait.synth import TraitArchitecture
@@ -121,16 +128,13 @@ class TestRun:
         assert names == {"G_ae", "G_ab", "phi_ab_summary"}
         assert all(np.isfinite(r.raw) for r in res.replicate_rows)
 
-    def test_failure_budget_enforced(self):
+    def test_failure_budget_enforced(self, monkeypatch):
         def broken(config, point, rep):
-            raise RuntimeError("boom")
+            raise GenerationError("boom")
 
-        _SCENARIO_IMPL["custom"] = (_SCENARIO_IMPL["fig2_all_snp"][0], broken)
-        try:
-            with pytest.raises(ExperimentError):
-                run(tiny_fig2(scenario="custom"))
-        finally:
-            _SCENARIO_IMPL["custom"] = _SCENARIO_IMPL["fig2_all_snp"]
+        monkeypatch.setitem(_SCENARIO_IMPL, "custom", (_SCENARIO_IMPL["fig2_all_snp"][0], broken))
+        with pytest.raises(ExperimentError):
+            run(tiny_fig2(scenario="custom"), workers=1)
 
     def test_fig3_rows_track_thresholds(self):
         cfg = ExperimentConfig(
@@ -179,6 +183,119 @@ class TestRun:
                 means.append(a.mean)
         slope = np.polyfit(phis, means, 1)[0]
         assert abs(slope - 0.5) < 0.03  # factor sqrt(1/2 * 1/2)
+
+
+needs_fork = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="patched scenario functions reach pool workers only under fork",
+)
+WORKER_COUNTS = [1, pytest.param(2, marks=needs_fork)]
+
+
+def _patch_replicate(monkeypatch, rep_fn):
+    monkeypatch.setitem(_SCENARIO_IMPL, "custom", (_SCENARIO_IMPL["fig2_all_snp"][0], rep_fn))
+
+
+def _blas_threads():
+    return experiments._openblas()[1]()
+
+
+class TestReplicateFailures:
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_bug_in_replicate_propagates(self, monkeypatch, workers):
+        # one task in 40 is within the failure budget, so only propagation fails the run
+        def buggy(config, point, rep):
+            if rep == 3:
+                raise RuntimeError("bug in a replicate")
+            return []
+
+        _patch_replicate(monkeypatch, buggy)
+        with pytest.raises(RuntimeError, match="bug in a replicate") as info:
+            run(tiny_fig2(scenario="custom", replicates=40), workers=workers)
+        assert type(info.value) is RuntimeError
+
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_generation_error_recorded(self, monkeypatch, workers):
+        def flaky(config, point, rep):
+            if rep == 3:
+                raise GenerationError("resampling cap hit")
+            return []
+
+        _patch_replicate(monkeypatch, flaky)
+        res = run(tiny_fig2(scenario="custom", replicates=40), workers=workers)
+        assert res.failures == [("phi=0.5", 3, "GenerationError: resampling cap hit")]
+
+
+class TestWorkers:
+    def test_default_is_usable_cores_capped_by_tasks(self, monkeypatch):
+        monkeypatch.delenv(WORKERS_ENV, raising=False)
+        cores = len(os.sched_getaffinity(0))
+        assert resolve_workers(None, 1000) == cores
+        assert resolve_workers(None, 1) == 1
+
+    def test_explicit_and_environment_override(self, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV, "3")
+        assert resolve_workers(None, 1) == 3
+        assert resolve_workers(5, 1) == 5
+
+    @needs_fork
+    def test_pool_workers_run_one_blas_thread(self, monkeypatch):
+        if experiments._openblas() is None:
+            pytest.skip("numpy's BLAS is not a bundled OpenBLAS")
+
+        def report_threads(config, point, rep):
+            return [ReplicateRow(config.scenario, point["point_id"], "blas_threads", rep,
+                                 float(_blas_threads()), float("nan"), float("nan"))]
+
+        _patch_replicate(monkeypatch, report_threads)
+        parent = _blas_threads()
+        pooled = run(tiny_fig2(scenario="custom"), workers=2)
+        assert {r.raw for r in pooled.replicate_rows} == {1.0}
+        assert pooled.blas_threads_per_worker == "1"
+        serial = run(tiny_fig2(scenario="custom"), workers=1)
+        assert {r.raw for r in serial.replicate_rows} == {float(parent)}
+        assert serial.blas_threads_per_worker == "unpinned"
+        assert _blas_threads() == parent
+
+    @pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+    def test_initializer_under_start_method(self, method):
+        if experiments._openblas() is None:
+            pytest.skip("numpy's BLAS is not a bundled OpenBLAS")
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"start method {method} is not available")
+        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context(method),
+                                 initializer=experiments._pin_blas) as pool:
+            assert pool.submit(_blas_threads).result() == 1
+
+    def test_manifest_records_workers_outside_config_hash(self, tmp_path):
+        cfg = tiny_fig2()
+        run(cfg, workers=1, out_dir=str(tmp_path / "w1"))
+        run(cfg, workers=2, out_dir=str(tmp_path / "w2"))
+        lines = {
+            w: dict(line.split("=", 1)
+                    for line in (tmp_path / w / "manifest.txt").read_text().splitlines())
+            for w in ("w1", "w2")
+        }
+        assert lines["w1"]["config_hash"] == lines["w2"]["config_hash"]
+        assert (lines["w1"]["workers"], lines["w2"]["workers"]) == ("1", "2")
+        assert lines["w1"]["blas_threads_per_worker"] == "unpinned"
+        pinned = "1" if experiments._openblas() is not None else "unpinned"
+        assert lines["w2"]["blas_threads_per_worker"] == pinned
+
+    @pytest.mark.parametrize("cfg", [
+        ExperimentConfig(scenario="fig2_all_snp", p=1000, n1=1000, n2=1000, n3=1000,
+                         m=100, phi_grid=(0.3, 0.8), replicates=2, master_seed=31),
+        ExperimentConfig(scenario="fig3_screening", p=1000, n1=1000, n3=1000,
+                         phi_grid=(0.8,), sparsity_grid=(0.01, 0.2), replicates=2,
+                         master_seed=32),
+    ], ids=["fig2_all_snp", "fig3_screening"])
+    def test_serial_parallel_identical_at_threaded_blas_size(self, tmp_path, cfg):
+        # n = p = 1000 is above OpenBLAS's threading threshold for GEMV, so the
+        # serial path multiplies with several threads and the workers with one
+        run(cfg, workers=1, out_dir=str(tmp_path / "serial"))
+        run(cfg, workers=2, out_dir=str(tmp_path / "parallel"))
+        serial = (tmp_path / "serial" / "replicates.tsv").read_bytes()
+        assert serial == (tmp_path / "parallel" / "replicates.tsv").read_bytes()
 
 
 class TestGeneticShare:

@@ -224,6 +224,13 @@ class TestConfigAndManifest:
         assert "master_seed=42" in text
         assert "input_digest:input=" in text
 
+    def test_manifest_version_is_package_version(self, tmp_path):
+        import crosstrait
+
+        m = io_files.write_manifest(str(tmp_path / "manifest.txt"), {}, 0)
+        assert m.toolkit_version == crosstrait.__version__
+        assert f"toolkit_version={crosstrait.__version__}\n" in (tmp_path / "manifest.txt").read_text()
+
     def test_atomic_write_replaces(self, tmp_path):
         path = str(tmp_path / "f.txt")
         io_files.atomic_write_text(path, "one")
