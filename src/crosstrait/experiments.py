@@ -219,6 +219,46 @@ def _estimate_row(
                         est.corrected, est.bias_factor, flag)
 
 
+def _all_snp_scores(W, stats_list, block_size) -> np.ndarray:
+    """All-SNP scores of several simulated scans on one target, each block of
+    the target converted once; row i is bitwise equal to
+    ``score(W, stats_list[i]).scores`` (simulated SNPs align by position)."""
+    effects = np.column_stack([st.effect for st in stats_list])
+    return kernels.std_matvec(W.codes, W.col_mean, W.col_sd, effects, block_size=block_size).T
+
+
+def _pvalue_bins(pvalue: np.ndarray, cuts: np.ndarray) -> list:
+    """SNP indices, ascending, of each bin ``cuts[b-1] < pvalue <= cuts[b]`` of
+    the sorted, distinct cutoffs; SNPs above the largest cutoff are in none.
+    So the bins up to b hold exactly the SNPs with ``pvalue <= cuts[b]``."""
+    bins = np.searchsorted(cuts, pvalue, side="left")
+    order = np.argsort(bins, kind="stable")
+    edges = np.concatenate(([0], np.cumsum(np.bincount(bins, minlength=len(cuts)))))
+    return [order[edges[b]:edges[b + 1]] for b in range(len(cuts))]
+
+
+def _ladder_scores(W, stats, thresholds, block_size=kernels.DEFAULT_BLOCK_SIZE) -> dict:
+    """Screened scores for a ladder of p-value cutoffs, in one pass over the SNPs.
+
+    The rungs are nested (``pvalue <= cutoff``), so each SNP falls in one bin
+    between consecutive cutoffs.  Each non-empty bin is scored once; a rung's
+    score is the running sum of the bin scores from the strictest cutoff up
+    to its own.  Returns ``{cutoff: score}`` for the distinct cutoffs; a rung
+    that keeps no SNP gets zeros.  Equal to ``score(W, stats,
+    ScreenRule("pvalue_cutoff", cutoff))`` up to rounding.
+    """
+    cuts = np.unique(np.asarray(thresholds, dtype=np.float64))
+    running = np.zeros(W.n)
+    out = {}
+    for cut, idx in zip(cuts, _pvalue_bins(stats.pvalue, cuts)):
+        if idx.size:
+            running = running + kernels.std_matvec(
+                W.codes, W.col_mean, W.col_sd, stats.effect[idx], indices=idx,
+                block_size=block_size)
+        out[float(cut)] = running
+    return out
+
+
 # ---------------------------------------------------------------------------
 # scenario implementations
 # ---------------------------------------------------------------------------
@@ -246,21 +286,23 @@ def _rep_fig2(config: ExperimentConfig, point: dict, rep: int) -> list:
     )
     stats_a = marginal_gwas(bundle.disc_alpha, bundle.y_alpha.y, config.standardize_y,
                             trait_tag="alpha", block_size=config.block_size)
-    prs_a = score(bundle.target, stats_a, RULE_NONE, block_size=config.block_size)
+    if config.n2:
+        stats_b = marginal_gwas(bundle.disc_beta, bundle.y_beta.y, config.standardize_y,
+                                trait_tag="beta", block_size=config.block_size)
+        prs_a, prs_b = _all_snp_scores(bundle.target, (stats_a, stats_b), config.block_size)
+    else:
+        (prs_a,) = _all_snp_scores(bundle.target, (stats_a,), config.block_size)
     rows = [
         _estimate_row(
-            config, pid, rep, "G_ae", bundle.y_eta.y, prs_a.scores,
+            config, pid, rep, "G_ae", bundle.y_eta.y, prs_a,
             DesignMeta(case_tag="indep_ae", p=config.p, n1=config.n1, n3=config.n3,
                        h2_alpha=config.h2, h2_eta=config.h2),
         )
     ]
     if config.n2:
-        stats_b = marginal_gwas(bundle.disc_beta, bundle.y_beta.y, config.standardize_y,
-                                trait_tag="beta", block_size=config.block_size)
-        prs_b = score(bundle.target, stats_b, RULE_NONE, block_size=config.block_size)
         rows.append(
             _estimate_row(
-                config, pid, rep, "G_ab", prs_b.scores, prs_a.scores,
+                config, pid, rep, "G_ab", prs_b, prs_a,
                 DesignMeta(case_tag="indep_ab", p=config.p, n1=config.n1, n2=config.n2,
                            n3=config.n3, h2_alpha=config.h2, h2_beta=config.h2),
             )
@@ -350,6 +392,7 @@ def _rep_fig3(config, point, rep):
     stats = marginal_gwas(bundle.disc_alpha, bundle.y_alpha.y, config.standardize_y)
     meta = DesignMeta(case_tag="screened_ae", p=config.p, n1=config.n1, n3=config.n3,
                       h2_alpha=config.h2, h2_eta=config.h2)
+    scores = _ladder_scores(bundle.target, stats, config.thresholds, config.block_size)
     rows = []
     for thr in config.thresholds:
         rule = ScreenRule("pvalue_cutoff", thr)
@@ -361,9 +404,8 @@ def _rep_fig3(config, point, rep):
             rows.append(ReplicateRow(config.scenario, pid, name, rep, 0.0, float("nan"),
                                      0.0, "empty_selection;" + flag_counts))
             continue
-        prs = score(bundle.target, stats, rule)
         try:
-            raw = raw_cosine(bundle.y_eta.y, prs.scores)
+            raw = raw_cosine(bundle.y_eta.y, scores[thr])
         except DegenerateScoreError:
             rows.append(ReplicateRow(config.scenario, pid, name, rep, 0.0, float("nan"),
                                      0.0, "degenerate_score;" + flag_counts))
@@ -422,12 +464,11 @@ def _rep_fig4(config, point, rep):
                                 block_size=config.block_size)
         stats_b = marginal_gwas(b.disc_beta, b.y_beta.y, config.standardize_y,
                                 block_size=config.block_size)
-        prs_a = score(b.target, stats_a, RULE_NONE, block_size=config.block_size)
-        prs_b = score(b.target, stats_b, RULE_NONE, block_size=config.block_size)
+        prs_a, prs_b = _all_snp_scores(b.target, (stats_a, stats_b), config.block_size)
         meta_ii = DesignMeta(case_tag="overlap_case_ii", p=config.p, n1=config.n1, n2=config.n2,
                              n3=config.n3, n_s=config.n_s, h2_alpha=config.h2, h2_beta=config.h2,
                              h_alpha_beta=genetic_share(arch_ii, config.rho_eps, "ab"))
-        rows.append(_estimate_row(config, pid, rep, "G_S_ab", prs_b.scores, prs_a.scores, meta_ii))
+        rows.append(_estimate_row(config, pid, rep, "G_S_ab", prs_b, prs_a, meta_ii))
     return rows
 
 

@@ -179,22 +179,14 @@ def threshold_select(
 ) -> Selection:
     """Apply a screening rule and count what it kept.
 
-    The rule is either a p-value cutoff (keep ``pvalue <= cutoff``; cutoff
-    1.0 keeps everything) or an absolute-effect cutoff (keep
-    ``|effect| > cutoff``, matching the strict inequality of the score
-    construction).  An empty selection is legal and returned as such.
+    The SNPs kept are those of ``rule.mask``, the rule the score applies too.
+    An empty selection is legal and returned as such.
     """
     from .prs import ScreenRule  # local import to avoid a cycle
 
     if not isinstance(rule, ScreenRule):
         raise ParameterError("rule must be a ScreenRule")
-    if rule.kind == "none":
-        mask = np.ones(stats.p, dtype=bool)
-    elif rule.kind == "pvalue_cutoff":
-        mask = stats.pvalue <= rule.cutoff
-    else:  # effect_cutoff
-        mask = np.abs(stats.effect) > rule.cutoff
-    idx = np.flatnonzero(mask)
+    idx = np.flatnonzero(rule.mask(stats))
     sel = Selection(indices=idx, q=int(idx.shape[0]))
     if truth is not None:
         causal = truth.causal_mask()

@@ -21,7 +21,14 @@ import numpy as np
 
 DEFAULT_BLOCK_SIZE = 2048
 
-__all__ = ["DEFAULT_BLOCK_SIZE", "column_stats", "stats_from_counts", "std_crossprod", "std_matvec"]
+__all__ = [
+    "DEFAULT_BLOCK_SIZE",
+    "column_counts",
+    "column_stats",
+    "stats_from_counts",
+    "std_crossprod",
+    "std_matvec",
+]
 
 
 def column_stats(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -31,9 +38,13 @@ def column_stats(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``x_std.T @ x_std == n`` exactly, which in turn makes the marginal OLS
     slope equal ``x_std.T @ y / n`` with no correction factor.
     """
-    s = codes.sum(axis=0, dtype=np.int64)
-    n2 = np.count_nonzero(codes == 2, axis=0)
-    return stats_from_counts(s, n2, codes.shape[0])
+    return stats_from_counts(*column_counts(codes), codes.shape[0])
+
+
+def column_counts(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column int64 code sums and counts of 2s: exact, so the counts of
+    row blocks add up to those of the stacked codes."""
+    return codes.sum(axis=0, dtype=np.int64), np.count_nonzero(codes == 2, axis=0).astype(np.int64, copy=False)
 
 
 def stats_from_counts(s: np.ndarray, n2: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -82,13 +93,17 @@ def std_matvec(
     indices: np.ndarray | None = None,
     block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> np.ndarray:
-    """Return ``X_std[:, indices] @ weights`` (length n).
+    """Return ``X_std[:, indices] @ weights``: length n, or (n, k) for (q, k) weights.
 
     ``weights`` is aligned with ``indices`` when given, else with all p
     columns.  Computed as ``codes[:, idx] @ (w / sd) - sum(w * mean / sd)``,
     accumulating over column blocks in fixed index order.  A block whose
     columns form one ascending run is sliced instead of gathered (see the
-    module docstring for why the copy is F-ordered).
+    module docstring for why the copy is F-ordered).  With k weight columns
+    each block is converted once and multiplied by one GEMV per column, not
+    one GEMM: a GEMM's rounding depends on the BLAS thread count, so pool
+    workers and the serial path would disagree in the last bits.  Each
+    column of the result is bitwise equal to a call with that column alone.
     """
     n, p = codes.shape
     weights = np.asarray(weights, dtype=np.float64)
@@ -96,11 +111,14 @@ def std_matvec(
         indices = np.arange(p)
     else:
         indices = np.asarray(indices, dtype=np.intp)
-    if weights.shape != indices.shape:
-        raise ValueError("weights and indices must have equal length")
-    v = weights / col_sd[indices]
-    offset = float(np.dot(v, col_mean[indices]))
-    out = np.zeros(n, dtype=np.float64)
+    if weights.ndim not in (1, 2) or weights.shape[0] != indices.shape[0]:
+        raise ValueError("weights must have one row per index")
+    w = weights[:, None] if weights.ndim == 1 else weights
+    # one contiguous row of scaled weights, and of output, per score
+    v = np.ascontiguousarray((w / col_sd[indices][:, None]).T)
+    mean = col_mean[indices]
+    offsets = np.array([np.dot(vc, mean) for vc in v])
+    out = np.zeros((v.shape[0], n), dtype=np.float64)
     for k0 in range(0, len(indices), block_size):
         k1 = min(k0 + block_size, len(indices))
         cols = indices[k0:k1]
@@ -109,6 +127,7 @@ def std_matvec(
             blk = codes[:, a : a + len(cols)].astype(np.float64, order="F")
         else:
             blk = codes[:, cols].astype(np.float64)
-        out += blk @ v[k0:k1]
-    out -= offset
-    return out
+        for vc, oc in zip(v, out):
+            oc += blk @ vc[k0:k1]
+    out -= offsets[:, None]
+    return out[0] if weights.ndim == 1 else out.T

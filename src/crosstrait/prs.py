@@ -37,6 +37,15 @@ class ScreenRule:
         if self.kind == "effect_cutoff" and self.cutoff < 0.0:
             raise ParameterError("effect cutoff must be >= 0")
 
+    def mask(self, stats: SummaryStats) -> np.ndarray:
+        """Which summary rows pass: all, ``pvalue <= cutoff`` (cutoff 1 keeps
+        everything), or ``|effect| > cutoff`` (strict)."""
+        if self.kind == "none":
+            return np.ones(stats.p, dtype=bool)
+        if self.kind == "pvalue_cutoff":
+            return stats.pvalue <= self.cutoff
+        return np.abs(stats.effect) > self.cutoff
+
 
 RULE_NONE = ScreenRule()
 
@@ -84,12 +93,7 @@ def score(
     """Build the (optionally screened) risk score on the target samples."""
     w_idx, s_idx, _ = align_snps(W, stats)
     effect = stats.effect[s_idx]
-    if rule.kind == "none":
-        keep = np.ones(effect.shape[0], dtype=bool)
-    elif rule.kind == "pvalue_cutoff":
-        keep = stats.pvalue[s_idx] <= rule.cutoff
-    else:
-        keep = np.abs(effect) > rule.cutoff
+    keep = rule.mask(stats)[s_idx]
     n_selected = int(keep.sum())
     if n_selected == 0:
         return PrsVector(

@@ -28,9 +28,12 @@ from .rng import substream
 MAF_LOW = 0.05
 MAF_HIGH = 0.45
 MAX_RESAMPLE_ATTEMPTS = 100
-# rows per generation tile: a tile's per-column code sum, at most 2 * 127 = 254,
-# fits in uint8
-TILE_ROWS = 127
+# rows per generation tile: a multiple of 4, so that every tile but a block's
+# last one uses whole 64-bit raw draws; a tile's per-column code sum, at most
+# 2 * 124 = 248, fits in uint8
+TILE_ROWS = 124
+# genotype class probabilities are drawn at this resolution (16-bit uniforms)
+DRAW_LEVELS = 1 << 16
 
 TRAITS = ("alpha", "beta", "eta")
 
@@ -62,6 +65,9 @@ class GenotypeMatrix:
     columns have exact unit sample variance (see kernels.column_stats).
     ``maf`` holds the generating minor allele frequencies (or the sample
     estimate when the matrix was read from a file that lacks them).
+    ``code_sum`` / ``twos`` are the int64 per-column code sums and counts of
+    2s that the statistics come from; None when the matrix was read with
+    stored statistics.
     """
 
     n: int
@@ -72,6 +78,8 @@ class GenotypeMatrix:
     col_sd: np.ndarray
     snp_ids: np.ndarray | None = None
     resample_count: int = 0
+    code_sum: np.ndarray | None = None
+    twos: np.ndarray | None = None
 
     @classmethod
     def from_codes(
@@ -87,7 +95,8 @@ class GenotypeMatrix:
         n, p = codes.shape
         if codes.max(initial=0) > 2:
             raise ParameterError("genotype codes must be in {0, 1, 2}")
-        mean, sd = kernels.column_stats(codes)
+        s, n2 = kernels.column_counts(codes)
+        mean, sd = kernels.stats_from_counts(s, n2, n)
         if np.any(sd == 0.0):
             raise ParameterError("monomorphic column in genotype codes")
         if maf is None:
@@ -101,6 +110,8 @@ class GenotypeMatrix:
             col_sd=sd,
             snp_ids=snp_ids,
             resample_count=resample_count,
+            code_sum=s,
+            twos=n2,
         )
 
     def standardized(self) -> np.ndarray:
@@ -117,25 +128,37 @@ def default_snp_ids(p: int) -> np.ndarray:
     return np.array([f"snp{j:07d}" for j in range(p)])
 
 
+def _uniforms16(rng: np.random.Generator, r: int, k: int) -> np.ndarray:
+    """An (r, k) array of uniforms on {0, ..., 2^16 - 1}: the first r * k of the
+    16-bit lanes (little-endian order) of ceil(r * k / 4) raw 64-bit draws."""
+    raw = rng.bit_generator.random_raw(-(-r * k // 4))
+    return raw.astype("<u8", copy=False).view("<u2")[: r * k].reshape(r, k)
+
+
 def _gen_codes(
     n: int, maf: np.ndarray, rng: np.random.Generator, block_size: int = kernels.DEFAULT_BLOCK_SIZE
 ) -> GenotypeMatrix:
     """Genotype matrix for all p SNPs, with its column statistics, in one pass.
 
-    Each cell takes one uniform u: code = [u >= P(code = 0)] + [u >= P(code <= 1)].
-    Each column block is drawn in row tiles of at most ``TILE_ROWS`` rows.
-    Consecutive ``rng.random((r, k))`` calls continue one stream, so the
-    uniforms equal those of a single ``rng.random((n, k))`` per block.  While
-    a tile is in cache its per-column code sums and counts of 2s are taken
-    (as uint8, then added to int64 totals); they give the monomorphic test
-    and the mean and SD without a second scan of the codes.  Monomorphic
-    columns are redrawn one at a time, in column order, keeping p fixed; the
-    redraw count is recorded.
+    Each cell takes one 16-bit uniform u: code = [u >= t0] + [u >= t1] with
+    t = round(P * 2^16) for P = P(code = 0) and P(code <= 1), so the
+    Hardy-Weinberg class probabilities are those multiples of 2^-16.  The
+    comparisons are made as u > t - 1 in uint16: a threshold that rounds to
+    2^16 ("never") stays in range instead of wrapping to 0 ("always").
+    Each column block is drawn in row tiles of at most ``TILE_ROWS`` rows; as
+    the tile height is a multiple of 4, the block's uniforms are the first
+    n * k lanes of ceil(n * k / 4) raw draws, whatever the tiling.  While a
+    tile is in cache its per-column code sums and counts of 2s are taken (as
+    uint8, then added to int64 totals); they give the monomorphic test and the
+    mean and SD without a second scan of the codes.  Monomorphic columns are
+    redrawn one at a time, in column order, keeping p fixed; the redraw count
+    is recorded.
     """
     maf = np.asarray(maf, dtype=np.float64)
     p = maf.shape[0]
-    c0 = (1.0 - maf) ** 2  # P(code = 0)
-    c1 = 1.0 - maf**2      # P(code <= 1)
+    # t - 1 for the thresholds of P(code = 0) and P(code <= 1)
+    lim0 = (np.rint((1.0 - maf) ** 2 * DRAW_LEVELS) - 1).astype(np.uint16)
+    lim1 = (np.rint((1.0 - maf**2) * DRAW_LEVELS) - 1).astype(np.uint16)
     codes = np.empty((n, p), dtype=np.uint8)
     s = np.zeros(p, dtype=np.int64)   # sum of codes
     n2 = np.zeros(p, dtype=np.int64)  # number of 2s
@@ -143,18 +166,18 @@ def _gen_codes(
         j1 = min(j0 + block_size, p)
         for i0 in range(0, n, TILE_ROWS):
             i1 = min(i0 + TILE_ROWS, n)
-            u = rng.random((i1 - i0, j1 - j0))
-            is2 = (u >= c1[j0:j1]).view(np.uint8)
+            u = _uniforms16(rng, i1 - i0, j1 - j0)
+            is2 = (u > lim1[j0:j1]).view(np.uint8)
             tile = codes[i0:i1, j0:j1]
-            np.add((u >= c0[j0:j1]).view(np.uint8), is2, out=tile)
+            np.add((u > lim0[j0:j1]).view(np.uint8), is2, out=tile)
             s[j0:j1] += tile.sum(axis=0, dtype=np.uint8)
             n2[j0:j1] += is2.sum(axis=0, dtype=np.uint8)
     resamples = 0
     # a column is constant iff n * sum(x^2) == sum(x)^2, with sum(x^2) = s + 2 * n2
     for j in np.flatnonzero(n * (s + 2 * n2) == s * s):
         for attempt in range(MAX_RESAMPLE_ATTEMPTS):
-            u = rng.random((n, 1))[:, 0]
-            col = (u >= c0[j]).view(np.uint8) + (u >= c1[j]).view(np.uint8)
+            u = _uniforms16(rng, n, 1)[:, 0]
+            col = (u > lim0[j]).view(np.uint8) + (u > lim1[j]).view(np.uint8)
             resamples += 1
             if col.max() != col.min():
                 codes[:, j] = col
@@ -168,7 +191,8 @@ def _gen_codes(
             )
     mean, sd = kernels.stats_from_counts(s, n2, n)
     return GenotypeMatrix(
-        n=n, p=p, codes=codes, maf=maf, col_mean=mean, col_sd=sd, resample_count=resamples
+        n=n, p=p, codes=codes, maf=maf, col_mean=mean, col_sd=sd, resample_count=resamples,
+        code_sum=s, twos=n2,
     )
 
 
@@ -210,7 +234,10 @@ def stack_genotypes(*blocks: GenotypeMatrix) -> GenotypeMatrix:
     The blocks must describe the same SNPs (equal maf vectors).  Used to
     assemble a cohort that contains a shared sample block: the codes of the
     shared block are reused bit-identically in every cohort that contains
-    it, while each cohort standardizes its own stacked matrix.
+    it, while each cohort standardizes its own stacked matrix.  The stack's
+    statistics come from the sum of the blocks' integer code sums and counts
+    of 2s, so they equal those of a scan of the stacked codes bit for bit; a
+    block read with stored statistics is counted from its codes.
     """
     blocks = tuple(b for b in blocks if b is not None)
     if not blocks:
@@ -221,8 +248,19 @@ def stack_genotypes(*blocks: GenotypeMatrix) -> GenotypeMatrix:
             raise ParameterError("cohort blocks disagree on SNPs")
     if len(blocks) == 1:
         return blocks[0]
-    codes = np.vstack([b.codes for b in blocks])
-    return GenotypeMatrix.from_codes(codes, maf=blocks[0].maf)
+    counts = [
+        (b.code_sum, b.twos) if b.code_sum is not None else kernels.column_counts(b.codes)
+        for b in blocks
+    ]
+    s = np.sum([c[0] for c in counts], axis=0)
+    n2 = np.sum([c[1] for c in counts], axis=0)
+    n = sum(b.n for b in blocks)
+    mean, sd = kernels.stats_from_counts(s, n2, n)
+    return GenotypeMatrix(
+        n=n, p=p, codes=np.vstack([b.codes for b in blocks]), maf=blocks[0].maf,
+        col_mean=mean, col_sd=sd, resample_count=sum(b.resample_count for b in blocks),
+        code_sum=s, twos=n2,
+    )
 
 
 @dataclass

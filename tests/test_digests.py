@@ -16,33 +16,33 @@ PINNED = {
     "fig1_gwas_properties": (
         C(scenario="fig1_gwas_properties", p=301, n1=9, sigma2=0.5,
           sparsity_grid=(0.1, 1.0), replicates=3, master_seed=11),
-        "ce87036224c72137"),
+        "dc2e7f672049e3d1"),
     # p = 2101 spans two column blocks of 2048
     "fig2_all_snp": (
         C(scenario="fig2_all_snp", p=2101, n1=60, n2=60, n3=60, m=50,
           phi_grid=(0.3, 0.8), replicates=3, master_seed=12),
-        "7ea96f4ea2e750b0"),
+        "caf3606ad4e055f1"),
     "fig3_screening": (
         C(scenario="fig3_screening", p=400, n1=200, n3=200, phi_grid=(0.8,),
           sparsity_grid=(0.02, 0.5), replicates=3, master_seed=13),
-        "4b95e3169d4bf611"),
+        "e8f547dfbf49372d"),
     "fig4_overlap_ns40": (
         C(scenario="fig4_overlap", p=200, n1=80, n2=80, n3=80, n_s=40, m=40, h2=0.5,
           rho_eps=0.2, phi_grid=(0.5,), replicates=3, master_seed=14),
-        "4624f6c2f4b3badd"),
+        "c31e6ba31552cfe6"),
     # no shared samples: every stack holds one block
     "fig4_overlap_ns0": (
         C(scenario="fig4_overlap", p=200, n1=80, n2=80, n3=80, n_s=0, m=40,
           phi_grid=(0.5,), replicates=3, master_seed=15),
-        "6003c4754effa894"),
+        "a029f812f83c1a37"),
     "figS2_sparsity": (
         C(scenario="figS2_sparsity", p=300, n1=150, n3=150, phi_grid=(0.6,),
           sparsity_grid=(0.05, 0.5), replicates=3, master_seed=16),
-        "d12c9d4f386837cc"),
+        "e66b89be25a17e3a"),
     "figS5_summary_only": (
         C(scenario="figS5_summary_only", p=300, n1=150, n2=150, m=60,
           phi_grid=(0.2, 0.7), replicates=3, master_seed=17),
-        "0a00a999418941c7"),
+        "fafc153fd58217cb"),
 }
 
 

@@ -17,7 +17,9 @@ from crosstrait.experiments import (
     resolve_workers,
     run,
 )
-from crosstrait.synth import TraitArchitecture
+from crosstrait.gwas import marginal_gwas, threshold_select
+from crosstrait.prs import ScreenRule, score
+from crosstrait.synth import CohortSizes, TraitArchitecture, gen_independent_cohorts
 
 
 def tiny_fig2(**overrides) -> ExperimentConfig:
@@ -314,3 +316,52 @@ class TestGeneticShare:
         arch = TraitArchitecture.shared_causal(100, 20, phi=0.5, h2=0.5)
         with pytest.raises(ParameterError):
             genetic_share(arch, -0.9, "ae")
+
+
+class TestLadder:
+    @staticmethod
+    def _screened(n, p, sparsity, seed):
+        arch = TraitArchitecture.shared_causal(p, max(1, round(sparsity * p)), phi=0.8,
+                                               h2=0.5, traits=("alpha", "eta"))
+        b = gen_independent_cohorts(arch, CohortSizes(n1=n, n3=n), seed,
+                                    traits=("alpha", "eta"))
+        return b, marginal_gwas(b.disc_alpha, b.y_alpha.y)
+
+    def test_bins_give_the_threshold_selection(self):
+        _, stats = self._screened(200, 300, 0.05, seed=3)
+        # unsorted, repeated cutoffs, two of them equal to a p-value
+        ties = sorted(stats.pvalue)[::97][:2]
+        thresholds = (0.05, 1.0, ties[1], 1e-8, 0.05, ties[0], 0.3)
+        cuts = np.unique(thresholds)
+        bins = experiments._pvalue_bins(stats.pvalue, cuts)
+        for thr in thresholds:
+            r = int(np.searchsorted(cuts, thr))
+            got = np.sort(np.concatenate(bins[: r + 1]))
+            sel = threshold_select(stats, ScreenRule("pvalue_cutoff", thr))
+            assert np.array_equal(got, sel.indices)
+
+    @pytest.mark.parametrize("sparsity", [0.01, 0.8])
+    def test_ladder_matches_per_rung_score(self, sparsity):
+        b, stats = self._screened(2000, 2000, sparsity, seed=7)
+        ladder = experiments._ladder_scores(b.target, stats, experiments.DEFAULT_THRESHOLDS)
+        assert set(ladder) == set(experiments.DEFAULT_THRESHOLDS)
+        for thr in experiments.DEFAULT_THRESHOLDS:
+            want = score(b.target, stats, ScreenRule("pvalue_cutoff", thr)).scores
+            got = ladder[thr]
+            scale = np.abs(want).max()
+            if scale == 0.0:  # empty rung
+                assert np.all(got == 0.0)
+            else:
+                assert np.abs(got - want).max() <= 1e-12 * scale
+
+    def test_unsorted_repeated_thresholds_keep_config_order(self):
+        base = dict(scenario="fig3_screening", p=200, n1=150, n3=150, phi_grid=(0.8,),
+                    sparsity_grid=(0.05,), replicates=2, master_seed=5)
+        res = run(ExperimentConfig(thresholds=(0.05, 1.0, 0.05, 1e-8), **base), workers=1)
+        ref = run(ExperimentConfig(thresholds=(1e-8, 0.05, 1.0), **base), workers=1)
+        by_name = {(r.estimator, r.replicate): r for r in ref.replicate_rows}
+        for rep in range(2):
+            rows = [r for r in res.replicate_rows if r.replicate == rep]
+            assert [r.estimator for r in rows] == ["G_T@0.05", "G_T@1", "G_T@0.05", "G_T@1e-08"]
+            for r in rows:
+                assert repr(r) == repr(by_name[(r.estimator, rep)])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from crosstrait.errors import ParameterError
-from crosstrait.gwas import SummaryStats, marginal_gwas
+from crosstrait.gwas import SummaryStats, marginal_gwas, threshold_select
 from crosstrait.prs import ScreenRule, align_snps, score
 from crosstrait.synth import (
     CohortSizes,
@@ -112,6 +112,31 @@ class TestScore:
 
         with pytest.raises(DegenerateScoreError):
             raw_cosine(np.zeros(5), np.ones(5))
+
+
+class TestScreenRuleMask:
+    # p-values 0.5 and effect 1.0 sit exactly on a cutoff below
+    EFFECT = [0.2, -1.5, 1.0, 0.7, -0.5, 2.0]
+    PVALUE = [0.5, 0.01, 0.2, 0.5, 0.9, 1e-6]
+
+    @pytest.mark.parametrize(
+        "rule, want",
+        [
+            (ScreenRule(), [1, 1, 1, 1, 1, 1]),
+            (ScreenRule("pvalue_cutoff", 0.3), [0, 1, 1, 0, 0, 1]),
+            (ScreenRule("pvalue_cutoff", 0.5), [1, 1, 1, 1, 0, 1]),
+            (ScreenRule("effect_cutoff", 0.5), [0, 1, 1, 1, 0, 1]),
+            (ScreenRule("effect_cutoff", 1.0), [0, 1, 0, 0, 0, 1]),
+        ],
+        ids=["none", "pvalue", "pvalue_on_cutoff", "effect", "effect_on_cutoff"],
+    )
+    def test_score_and_selection_apply_the_mask(self, rule, want):
+        W = gen_genotypes(30, 6, seed=4)
+        stats = make_stats(self.EFFECT, pvalue=self.PVALUE)
+        mask = rule.mask(stats)
+        assert mask.tolist() == [bool(w) for w in want]
+        assert np.array_equal(threshold_select(stats, rule).indices, np.flatnonzero(mask))
+        assert score(W, stats, rule).n_selected == mask.sum()
 
 
 class TestAlignment:

@@ -68,8 +68,12 @@ class TestGenotypes:
 
     def test_resample_cap_raises(self):
         class ConstantRng:
-            def random(self, shape):
-                return np.zeros(shape)
+            # every raw draw 0: every uniform 0, every code 0
+            def __init__(self):
+                self.bit_generator = self
+
+            def random_raw(self, size):
+                return np.zeros(size, dtype=np.uint64)
 
         with pytest.raises(GenerationError):
             _gen_codes(2, np.full(3, 0.2), ConstantRng())
@@ -84,22 +88,28 @@ class TestGenotypes:
 
 
 def reference_generation(n, maf, rng, block_size=kernels.DEFAULT_BLOCK_SIZE):
-    """Untiled oracle: one ``rng.random((n, k))`` per column block, then
-    single-column redraws of constant columns in column order, then a
-    separate ``column_stats`` scan."""
+    """Untiled oracle: one ``random_raw`` call per column block, read as 16-bit
+    lanes and compared with int64 thresholds round(P * 2^16) (so 2^16 means
+    "never"), then single-column redraws of constant columns in column
+    order, then a separate ``column_stats`` scan."""
     p = maf.shape[0]
-    c0 = (1.0 - maf) ** 2
-    c1 = 1.0 - maf**2
+    t0 = np.rint((1.0 - maf) ** 2 * 65536).astype(np.int64)
+    t1 = np.rint((1.0 - maf**2) * 65536).astype(np.int64)
+
+    def uniforms(count):
+        raw = rng.bit_generator.random_raw(-(-count // 4))
+        return raw.astype("<u8").view("<u2")[:count].astype(np.int64)
+
     codes = np.empty((n, p), dtype=np.uint8)
     for j0 in range(0, p, block_size):
         j1 = min(j0 + block_size, p)
-        u = rng.random((n, j1 - j0))
-        codes[:, j0:j1] = (u >= c0[j0:j1]).view(np.uint8) + (u >= c1[j0:j1]).view(np.uint8)
+        u = uniforms(n * (j1 - j0)).reshape(n, j1 - j0)
+        codes[:, j0:j1] = (u >= t0[j0:j1]).view(np.uint8) + (u >= t1[j0:j1]).view(np.uint8)
     resamples = 0
     for j in np.flatnonzero(codes.max(axis=0) == codes.min(axis=0)):
         while True:
-            u = rng.random((n, 1))[:, 0]
-            col = (u >= c0[j]).view(np.uint8) + (u >= c1[j]).view(np.uint8)
+            u = uniforms(n)
+            col = (u >= t0[j]).view(np.uint8) + (u >= t1[j]).view(np.uint8)
             resamples += 1
             if col.max() != col.min():
                 codes[:, j] = col
@@ -108,8 +118,9 @@ def reference_generation(n, maf, rng, block_size=kernels.DEFAULT_BLOCK_SIZE):
     return codes, mean, sd, resamples
 
 
-def assert_matches_reference(n, p, seed):
-    maf = np.random.default_rng(seed).uniform(0.05, 0.45, size=p)
+def assert_matches_reference(n, p, seed, maf=None):
+    if maf is None:
+        maf = np.random.default_rng(seed).uniform(0.05, 0.45, size=p)
     G = _gen_codes(n, maf, np.random.default_rng(seed + 1))
     codes, mean, sd, resamples = reference_generation(n, maf, np.random.default_rng(seed + 1))
     assert np.array_equal(G.codes, codes)
@@ -131,6 +142,10 @@ class TestTiledGeneration:
             (TILE_ROWS, kernels.DEFAULT_BLOCK_SIZE),
             (TILE_ROWS + 1, kernels.DEFAULT_BLOCK_SIZE + 1),
             (2 * TILE_ROWS, 2 * kernels.DEFAULT_BLOCK_SIZE + 1),
+            # tiles of 124 rows and a last tile of 3, 4 and 6 rows
+            (127, 2048),
+            (128, 2049),
+            (254, 4097),
             (1000, 3000),
             (37, 5000),
             (2, 300),
@@ -143,15 +158,18 @@ class TestTiledGeneration:
         # every cell a 2 (u >= c1 always) except one 1 per column: tile code
         # sums hit 2 * TILE_ROWS - 1 and must not wrap in uint8
         class NearOneRng:
+            # every uniform 2^16 - 1 (a 2) except 2^15 (a 1) in the first row
+            # of the first tile of the 4 columns
             def __init__(self):
                 self.calls = 0
+                self.bit_generator = self
 
-            def random(self, shape):
-                u = np.full(shape, 0.999999)
+            def random_raw(self, size):
+                u = np.full(4 * size, 0xFFFF, dtype="<u2")
                 if self.calls == 0:
-                    u[0] = 0.5
+                    u[:4] = 0x8000
                 self.calls += 1
-                return u
+                return u.view("<u8").astype(np.uint64)
 
         n = 3 * TILE_ROWS + 5
         G = _gen_codes(n, np.full(4, 0.3), NearOneRng())
@@ -159,6 +177,18 @@ class TestTiledGeneration:
         assert np.array_equal(G.col_mean, mean) and np.array_equal(G.col_sd, sd)
         assert G.resample_count == 0
         assert np.all(G.col_mean == (2.0 * n - 1.0) / n)
+
+    @pytest.mark.parametrize("maf", [1e-4, 0.4999])
+    def test_extreme_maf_matches_reference(self, maf):
+        n, p = 3000, 40
+        assert_matches_reference(n, p, seed=5, maf=np.full(p, maf))
+
+    def test_rare_maf_never_draws_a_two(self):
+        # P(code = 2) = 1e-8 rounds to 0/65536: the threshold 2^16 must mean
+        # "never", not wrap to "always"
+        G = gen_genotypes(3000, 40, seed=6, maf=np.full(40, 1e-4))
+        assert G.codes.max() == 1
+        assert np.all(G.col_sd > 0)
 
     def test_generators_skip_the_rescan(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -379,6 +409,34 @@ class TestOverlappingCohorts:
         assert np.array_equal(S.col_mean, F.col_mean)
         assert np.array_equal(S.col_sd, F.col_sd)
         assert S.resample_count == G.resample_count
+
+    def test_stack_adds_block_counts(self, monkeypatch):
+        maf = np.random.default_rng(0).uniform(0.05, 0.45, size=2100)
+        blocks = [_gen_codes(n, maf, np.random.default_rng(n)) for n in (50, 3, 130)]
+        with monkeypatch.context() as m:
+            def fail(*args, **kwargs):
+                raise AssertionError("stacked codes rescanned")
+
+            m.setattr(kernels, "column_counts", fail)
+            m.setattr(GenotypeMatrix, "from_codes", classmethod(fail))
+            S = stack_genotypes(*blocks)
+        F = GenotypeMatrix.from_codes(np.vstack([b.codes for b in blocks]), maf=maf)
+        assert np.array_equal(S.codes, F.codes)
+        assert S.n == F.n == 183
+        assert np.array_equal(S.col_mean, F.col_mean)
+        assert np.array_equal(S.col_sd, F.col_sd)
+        assert np.array_equal(S.code_sum, F.code_sum) and np.array_equal(S.twos, F.twos)
+
+    def test_stack_counts_blocks_without_counts(self):
+        # a block read with stored statistics carries no counts
+        maf = np.random.default_rng(1).uniform(0.05, 0.45, size=30)
+        a = _gen_codes(20, maf, np.random.default_rng(2))
+        b = _gen_codes(25, maf, np.random.default_rng(3))
+        b.code_sum = b.twos = None
+        S = stack_genotypes(a, b)
+        F = GenotypeMatrix.from_codes(np.vstack([a.codes, b.codes]), maf=maf)
+        assert np.array_equal(S.col_mean, F.col_mean)
+        assert np.array_equal(S.col_sd, F.col_sd)
 
     def test_stack_requires_same_snps(self):
         a = gen_genotypes(10, 5, seed=1)
