@@ -49,7 +49,6 @@ from .rng import substream
 from .synth import (
     CohortBundle,
     CohortSizes,
-    DistributionSpec,
     EffectVector,
     GenotypeMatrix,
     OverlapDesign,

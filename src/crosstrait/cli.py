@@ -32,7 +32,11 @@ from .errors import (
     ParameterError,
 )
 from .estimators import (
+    CASES,
     DEGENERATE,
+    EFFECT_EFFECT,
+    PHENOTYPE_SCORE,
+    SCORE_SCORE,
     DesignMeta,
     correct,
     correct_partial_r2,
@@ -41,63 +45,35 @@ from .estimators import (
 from .gwas import marginal_gwas
 from .prs import RULE_NONE, ScreenRule, score
 
-CASE_MAP = {
-    "ae": "indep_ae",
-    "ab": "indep_ab",
-    "summary-ab": "summary_ab",
-    "overlap-i": "overlap_case_i",
-    "overlap-ii": "overlap_case_ii",
-    "iii": "case_iii",
-    "iv": "case_iv",
-    "v": "case_v",
-}
+# --case alias -> design-case tag
+_ALIASES = {case.alias: tag for tag, case in CASES.items() if case.alias}
 
-# flags each case's correction formula needs; the degenerate-regime check
-# additionally uses n2/n3 when supplied
-CASE_REQUIRED = {
-    "ae": ["n1", "p", "h2a", "h2e"],
-    "ab": ["n1", "n2", "p", "h2a", "h2b"],
-    "summary-ab": ["n1", "n2", "p", "h2a", "h2b"],
-    "overlap-i": ["n1", "n3", "ns", "p", "h2a", "h2e", "hae"],
-    "overlap-ii": ["n1", "n2", "ns", "p", "h2a", "h2b", "hab"],
-    "iii": ["n1", "p", "h2a", "h2b", "hab"],
-    "iv": ["n1", "p", "h2a", "h2b", "hab"],
-    "v": ["n1", "n2", "p", "h2a", "h2b"],
+# design flag -> DesignMeta field, in the order the flags are listed
+_META_FLAGS = {
+    "n1": "n1", "n2": "n2", "n3": "n3", "ns": "n_s", "p": "p",
+    "h2a": "h2_alpha", "h2b": "h2_beta", "h2e": "h2_eta",
+    "hae": "h_alpha_eta", "hab": "h_alpha_beta",
 }
 
 
 def _meta_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n1", type=int)
-    parser.add_argument("--n2", type=int)
-    parser.add_argument("--n3", type=int)
-    parser.add_argument("--ns", type=int, default=0)
-    parser.add_argument("--p", type=int)
-    parser.add_argument("--h2a", type=float)
-    parser.add_argument("--h2b", type=float)
-    parser.add_argument("--h2e", type=float)
-    parser.add_argument("--hae", type=float)
-    parser.add_argument("--hab", type=float)
+    for flag, name in _META_FLAGS.items():
+        # sizes are integers, heritabilities and genetic shares floats
+        parser.add_argument(f"--{flag}", type=float if name.startswith("h") else int,
+                            default=0 if name == "n_s" else None)
 
 
-def _meta_from_args(args, case: str, parser) -> DesignMeta:
-    missing = [f for f in CASE_REQUIRED[case] if getattr(args, f) is None]
+def _meta_from_args(args, parser) -> DesignMeta:
+    """The design of ``--case`` from the flags; a flag its factor needs is
+    required, and the degenerate-regime check also uses n2/n3 when given."""
+    tag = _ALIASES[args.case]
+    required = CASES[tag].required
+    missing = [f for f, name in _META_FLAGS.items() if name in required and getattr(args, f) is None]
     if missing:
         parser.error(
-            f"case {case!r} requires {' '.join('--' + f for f in missing)}"
+            f"case {args.case!r} requires {' '.join('--' + f for f in missing)}"
         )
-    return DesignMeta(
-        case_tag=CASE_MAP[case],
-        p=args.p,
-        n1=args.n1,
-        n2=args.n2,
-        n3=args.n3,
-        n_s=args.ns or 0,
-        h2_alpha=args.h2a,
-        h2_beta=args.h2b,
-        h2_eta=args.h2e,
-        h_alpha_eta=args.hae,
-        h_alpha_beta=args.hab,
-    )
+    return DesignMeta(case_tag=tag, **{name: getattr(args, f) for f, name in _META_FLAGS.items()})
 
 
 def _screen_rule(args) -> ScreenRule:
@@ -139,40 +115,46 @@ def cmd_score(args, parser):
     return 0
 
 
-def _aligned_summary_cosine(stats_a, stats_b) -> float:
+def _raw_phenotype_score(args, rule) -> float:
+    W = io_files.read_genotypes(args.target_geno)
+    y, _ = io_files.read_phenotype_tsv(args.target_pheno)
+    stats_a = io_files.read_summary_tsv(args.summary_a)
+    return raw_cosine(y, score(W, stats_a, rule).scores)
+
+
+def _raw_score_score(args, rule) -> float:
+    W = io_files.read_genotypes(args.target_geno)
+    stats_a = io_files.read_summary_tsv(args.summary_a)
+    stats_b = io_files.read_summary_tsv(args.summary_b)
+    return raw_cosine(score(W, stats_b, rule).scores, score(W, stats_a, rule).scores)
+
+
+def _raw_effect_effect(args, rule) -> float:
+    """Cosine of the effects of the SNP ids the two summary files share."""
+    stats_a = io_files.read_summary_tsv(args.summary_a)
+    stats_b = io_files.read_summary_tsv(args.summary_b)
     common, ia, ib = np.intersect1d(stats_a.snp_id, stats_b.snp_id, return_indices=True)
     if common.shape[0] == 0:
         raise DataFormatError("summary files share no SNP ids")
     return raw_cosine(stats_a.effect[ia], stats_b.effect[ib])
 
 
+# raw estimator -> (input-file flags it reads, its computation from files)
+_RAW = {
+    PHENOTYPE_SCORE: (("target_geno", "target_pheno", "summary_a"), _raw_phenotype_score),
+    SCORE_SCORE: (("target_geno", "summary_a", "summary_b"), _raw_score_score),
+    EFFECT_EFFECT: (("summary_a", "summary_b"), _raw_effect_effect),
+}
+
+
 def cmd_estimate(args, parser):
     case = args.case
-    meta = _meta_from_args(args, case, parser)
+    meta = _meta_from_args(args, parser)
     rule = _screen_rule(args)
-
-    if case in ("ae", "overlap-i"):
-        if not (args.target_geno and args.target_pheno and args.summary_a):
-            parser.error(f"case {case!r} needs --target-geno --target-pheno --summary-a")
-        W = io_files.read_genotypes(args.target_geno)
-        y, _ = io_files.read_phenotype_tsv(args.target_pheno)
-        stats_a = io_files.read_summary_tsv(args.summary_a)
-        raw = raw_cosine(y, score(W, stats_a, rule).scores)
-    elif case in ("ab", "overlap-ii", "iv", "v"):
-        if not (args.target_geno and args.summary_a and args.summary_b):
-            parser.error(f"case {case!r} needs --target-geno --summary-a --summary-b")
-        W = io_files.read_genotypes(args.target_geno)
-        stats_a = io_files.read_summary_tsv(args.summary_a)
-        stats_b = io_files.read_summary_tsv(args.summary_b)
-        raw = raw_cosine(score(W, stats_b, rule).scores, score(W, stats_a, rule).scores)
-    else:  # summary-ab, iii
-        if not (args.summary_a and args.summary_b):
-            parser.error(f"case {case!r} needs --summary-a --summary-b")
-        stats_a = io_files.read_summary_tsv(args.summary_a)
-        stats_b = io_files.read_summary_tsv(args.summary_b)
-        raw = _aligned_summary_cosine(stats_a, stats_b)
-
-    est = correct(raw, meta)
+    files, raw_fn = _RAW[CASES[meta.case_tag].estimator]
+    if not all(getattr(args, f) for f in files):
+        parser.error(f"case {case!r} needs {' '.join('--' + f.replace('_', '-') for f in files)}")
+    est = correct(raw_fn(args, rule), meta)
     if args.strict and est.regime_flag == DEGENERATE:
         raise DegenerateRegimeRefusal(
             f"design is in the degenerate regime (case {case}); refusing under --strict"
@@ -206,7 +188,7 @@ def cmd_correct(args, parser):
         print(f"{io_files.fmt(res.r2_raw)}\t{io_files.fmt(res.factor)}"
               f"\t{io_files.fmt(res.r2_corrected)}\t{flag}")
         return 0
-    meta = _meta_from_args(args, case, parser)
+    meta = _meta_from_args(args, parser)
     est = correct(args.raw, meta)
     if args.strict and est.regime_flag == DEGENERATE:
         raise DegenerateRegimeRefusal(
@@ -278,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_score.set_defaults(func=cmd_score)
 
     p_est = sub.add_parser("estimate", help="raw + corrected correlation for a design case")
-    p_est.add_argument("--case", required=True, choices=sorted(CASE_MAP))
+    p_est.add_argument("--case", required=True, choices=sorted(_ALIASES))
     p_est.add_argument("--target-geno")
     p_est.add_argument("--target-pheno")
     p_est.add_argument("--summary-a")
@@ -295,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cor.add_argument("--raw", type=float, default=None)
     p_cor.add_argument("--r2", type=float, default=None,
                        help="partial R^2 to correct (case ae)")
-    p_cor.add_argument("--case", required=True, choices=sorted(CASE_MAP))
+    p_cor.add_argument("--case", required=True, choices=sorted(_ALIASES))
     p_cor.add_argument("--strict", action="store_true")
     _meta_flags(p_cor)
     p_cor.set_defaults(func=cmd_correct)

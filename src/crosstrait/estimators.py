@@ -17,6 +17,9 @@ correlation) - there division by the factor is no longer meaningful.
 
 Design cases
 ------------
+``CASES`` holds one record per case: its raw estimator, its factor, the
+fields the factor needs, its degenerate-regime check and its CLI alias.
+
 ``indep_ae``        phenotype vs score, three independent cohorts
 ``indep_ab``        score vs score, three independent cohorts
 ``summary_ab``      effect vector vs effect vector, two independent cohorts
@@ -32,7 +35,8 @@ Design cases
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,19 +44,6 @@ from .errors import (
     CorrectionUnavailableError,
     DegenerateScoreError,
     ParameterError,
-)
-
-CASE_TAGS = (
-    "indep_ae",
-    "indep_ab",
-    "summary_ab",
-    "screened_ae",
-    "screened_ab",
-    "overlap_case_i",
-    "overlap_case_ii",
-    "case_iii",
-    "case_iv",
-    "case_v",
 )
 
 CONSISTENT = "consistent_regime"
@@ -81,7 +72,7 @@ class DesignMeta:
     h_alpha_beta: float | None = None
 
     def __post_init__(self):
-        if self.case_tag not in CASE_TAGS:
+        if self.case_tag not in CASES:
             raise ParameterError(f"unknown case tag {self.case_tag!r}")
         if self.p < 1:
             raise ParameterError("p must be >= 1")
@@ -135,11 +126,20 @@ def raw_cosine(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
 
 
-def _require(meta: DesignMeta, *names: str) -> None:
-    missing = [n for n in names if getattr(meta, n) in (None,)]
+def _require(meta: DesignMeta, tag: str) -> None:
+    """Refuse a design that lacks a field the factor of case ``tag`` needs.
+
+    A missing genetic share (``h_alpha_eta``/``h_alpha_beta``) leaves the error
+    cross-covariance on shared samples unidentified, and the correction
+    refuses to guess it.
+    """
+    missing = [n for n in CASES[tag].required if getattr(meta, n) is None]
+    if any(not n.startswith("h_") for n in missing):
+        raise ParameterError(f"case {tag!r} requires parameters {missing}; got meta={meta}")
     if missing:
-        raise ParameterError(
-            f"case {meta.case_tag!r} requires parameters {missing}; got meta={meta}"
+        raise CorrectionUnavailableError(
+            f"{tag} needs {missing[0]} (genetic share of the phenotypic correlation "
+            "on shared samples)"
         )
 
 
@@ -149,13 +149,13 @@ def bias_factor_ae(meta: DesignMeta) -> float:
     sqrt(n1 / (n1 + p / h2_alpha)) * sqrt(h2_eta); independent of the
     causal-SNP counts.
     """
-    _require(meta, "n1", "h2_alpha", "h2_eta")
+    _require(meta, "indep_ae")
     return float(np.sqrt(meta.n1 / (meta.n1 + meta.p / meta.h2_alpha)) * np.sqrt(meta.h2_eta))
 
 
 def bias_factor_ab(meta: DesignMeta) -> float:
     """Attenuation of the score-vs-score estimator in independent GWAS."""
-    _require(meta, "n1", "n2", "h2_alpha", "h2_beta")
+    _require(meta, "indep_ab")
     return float(
         np.sqrt(
             meta.n1 / (meta.n1 + meta.p / meta.h2_alpha)
@@ -164,15 +164,10 @@ def bias_factor_ab(meta: DesignMeta) -> float:
     )
 
 
-def bias_factor_summary_ab(meta: DesignMeta) -> float:
-    """Attenuation of the summary-statistics-only estimator.
-
-    The factor coincides with the score-vs-score one; the case is kept
-    separate because its degenerate regime scales differently (p instead of
-    p^2 against the sample-size product).
-    """
-    _require(meta, "n1", "n2", "h2_alpha", "h2_beta")
-    return bias_factor_ab(replace(meta, case_tag="indep_ab"))
+# The summary-statistics-only factor coincides with the score-vs-score one;
+# the two cases differ in their degenerate regimes (p instead of p^2 against
+# the sample-size product).
+bias_factor_summary_ab = bias_factor_ab
 
 
 def screened_factor_ae(
@@ -189,7 +184,7 @@ def screened_factor_ae(
     Returns 0 (the estimator carries no signal) when the screen kept no
     shared causal SNPs.
     """
-    _require(meta, "n1", "h2_alpha", "h2_eta")
+    _require(meta, "screened_ae")
     if min(q_alpha, q_alpha1, q_alpha_eta) < 0 or m_alpha <= 0 or m_alpha_eta <= 0:
         raise ParameterError("screen counts must be >= 0 and causal counts positive")
     if q_alpha_eta == 0 or q_alpha == 0:
@@ -198,9 +193,13 @@ def screened_factor_ae(
     return float(np.sqrt(inner) * (q_alpha_eta / m_alpha_eta) * np.sqrt(meta.h2_eta))
 
 
+def _screened_ae(meta: DesignMeta, c: ScreenCounts) -> float:
+    return screened_factor_ae(meta, c.q_alpha, c.q_alpha1, c.q_alpha_eta, c.m_alpha, c.m_alpha_eta)
+
+
 def screened_factor_ae_optimistic(meta: DesignMeta, m_alpha: int) -> float:
     """Limiting factor for a perfect screen (all causal kept, nothing else)."""
-    _require(meta, "n1", "h2_alpha", "h2_eta")
+    _require(meta, "screened_ae")
     return float(
         np.sqrt(meta.n1 / (meta.n1 + m_alpha / meta.h2_alpha)) * np.sqrt(meta.h2_eta)
     )
@@ -209,7 +208,7 @@ def screened_factor_ae_optimistic(meta: DesignMeta, m_alpha: int) -> float:
 def screened_factor_ae_mixed_up(meta: DesignMeta, q_alpha: int) -> float:
     """Limiting factor when the scan cannot rank causal above null SNPs,
     so the selection is a effectively random subset of size q_alpha."""
-    _require(meta, "n1", "h2_alpha", "h2_eta")
+    _require(meta, "screened_ae")
     return float(
         np.sqrt(meta.n1 * q_alpha / (meta.n1 * meta.p + meta.p**2 / meta.h2_alpha))
         * np.sqrt(meta.h2_eta)
@@ -218,7 +217,7 @@ def screened_factor_ae_mixed_up(meta: DesignMeta, q_alpha: int) -> float:
 
 def screened_factor_ab(meta: DesignMeta, counts: ScreenCounts) -> float:
     """Attenuation of the screened score-vs-score estimator."""
-    _require(meta, "n1", "n2", "h2_alpha", "h2_beta")
+    _require(meta, "screened_ab")
     c = counts
     if min(c.m_alpha, c.m_beta, c.m_alpha_beta) <= 0:
         raise ParameterError("causal counts must be positive")
@@ -230,22 +229,11 @@ def screened_factor_ab(meta: DesignMeta, counts: ScreenCounts) -> float:
 
 
 def screened_factor_ab_optimistic(meta: DesignMeta, m_alpha: int, m_beta: int) -> float:
-    _require(meta, "n1", "n2", "h2_alpha", "h2_beta")
+    _require(meta, "screened_ab")
     return float(
         np.sqrt(
             meta.n1 / (meta.n1 + m_alpha / meta.h2_alpha)
             * meta.n2 / (meta.n2 + m_beta / meta.h2_beta)
-        )
-    )
-
-
-def screened_factor_ab_mixed_up(meta: DesignMeta, q_alpha: int, q_beta: int) -> float:
-    _require(meta, "n1", "n2", "h2_alpha", "h2_beta")
-    return float(
-        np.sqrt(
-            meta.n1 / (meta.n1 * meta.p + meta.p**2 / meta.h2_alpha)
-            * meta.n2 / (meta.n2 * meta.p + meta.p**2 / meta.h2_beta)
-            * q_alpha * q_beta
         )
     )
 
@@ -257,12 +245,7 @@ def overlap_factor_case_i(meta: DesignMeta) -> float:
     Requires ``h_alpha_eta``; without it the error cross-covariance on the
     shared block is unidentified and the correction refuses to guess.
     """
-    _require(meta, "n1", "n3", "h2_alpha", "h2_eta")
-    if meta.h_alpha_eta is None:
-        raise CorrectionUnavailableError(
-            "overlap_case_i needs h_alpha_eta (genetic share of the phenotypic "
-            "correlation on shared samples)"
-        )
+    _require(meta, "overlap_case_i")
     n1s = meta.n1 + meta.n_s
     n3s = meta.n3 + meta.n_s
     p = meta.p
@@ -278,9 +261,7 @@ def overlap_factor_case_i(meta: DesignMeta) -> float:
 
 def overlap_factor_case_ii(meta: DesignMeta) -> float:
     """Factor with n_s samples shared between the two discovery GWAS."""
-    _require(meta, "n1", "n2", "h2_alpha", "h2_beta")
-    if meta.h_alpha_beta is None:
-        raise CorrectionUnavailableError("overlap_case_ii needs h_alpha_beta")
+    _require(meta, "overlap_case_ii")
     n1s = meta.n1 + meta.n_s
     n2s = meta.n2 + meta.n_s
     p = meta.p
@@ -290,70 +271,99 @@ def overlap_factor_case_ii(meta: DesignMeta) -> float:
     return float(num / den)
 
 
-def overlap_factor_cases_iii_iv_v(meta: DesignMeta, case_tag: str | None = None) -> float:
-    """Factors for the fully-overlapping and reused-discovery designs."""
-    tag = case_tag or meta.case_tag
-    p = meta.p
-    if tag == "case_iii":
-        _require(meta, "n1", "h2_alpha", "h2_beta")
-        if meta.h_alpha_beta is None:
-            raise CorrectionUnavailableError("case_iii needs h_alpha_beta")
-        n1 = meta.n1
-        return float(
-            (n1 + p / meta.h_alpha_beta)
-            / np.sqrt((n1 + p / meta.h2_alpha) * (n1 + p / meta.h2_beta))
-        )
-    if tag == "case_iv":
-        _require(meta, "n1", "h2_alpha", "h2_beta")
-        if meta.h_alpha_beta is None:
-            raise CorrectionUnavailableError("case_iv needs h_alpha_beta")
-        n1 = meta.n1
-        base = n1**2 + 2.0 * n1 * p
-        tail = p * (n1 + p)
-        return float(
-            (base + tail / meta.h_alpha_beta)
-            / np.sqrt((base + tail / meta.h2_alpha) * (base + tail / meta.h2_beta))
-        )
-    if tag == "case_v":
-        _require(meta, "n1", "n2", "h2_alpha", "h2_beta")
-        n1, n2 = meta.n1, meta.n2
-        num = (n1 + p) * np.sqrt(n2)
-        den = np.sqrt((n1**2 + 2.0 * n1 * p + p * (n1 + p) / meta.h2_alpha) * (n2 + p / meta.h2_beta))
-        return float(num / den)
-    raise ParameterError(f"unknown overlap case {tag!r}")
+def _factor_case_iii(meta: DesignMeta) -> float:
+    _require(meta, "case_iii")
+    n1, p = meta.n1, meta.p
+    return float(
+        (n1 + p / meta.h_alpha_beta)
+        / np.sqrt((n1 + p / meta.h2_alpha) * (n1 + p / meta.h2_beta))
+    )
 
+
+def _factor_case_iv(meta: DesignMeta) -> float:
+    _require(meta, "case_iv")
+    n1, p = meta.n1, meta.p
+    base = n1**2 + 2.0 * n1 * p
+    tail = p * (n1 + p)
+    return float(
+        (base + tail / meta.h_alpha_beta)
+        / np.sqrt((base + tail / meta.h2_alpha) * (base + tail / meta.h2_beta))
+    )
+
+
+def _factor_case_v(meta: DesignMeta) -> float:
+    _require(meta, "case_v")
+    n1, n2, p = meta.n1, meta.n2, meta.p
+    num = (n1 + p) * np.sqrt(n2)
+    den = np.sqrt((n1**2 + 2.0 * n1 * p + p * (n1 + p) / meta.h2_alpha) * (n2 + p / meta.h2_beta))
+    return float(num / den)
+
+
+def overlap_factor_cases_iii_iv_v(meta: DesignMeta, case_tag: str | None = None) -> float:
+    """Factors for the fully-overlapping and reused-discovery designs;
+    ``case_tag`` overrides ``meta.case_tag``."""
+    tag = case_tag or meta.case_tag
+    if tag not in ("case_iii", "case_iv", "case_v"):
+        raise ParameterError(f"unknown overlap case {tag!r}")
+    return CASES[tag].factor(meta)
+
+
+# the raw estimators: uncentered cosines of
+PHENOTYPE_SCORE = "phenotype_score"  # the target phenotype and one risk score
+SCORE_SCORE = "score_score"  # two risk scores on the same target samples
+EFFECT_EFFECT = "effect_effect"  # two vectors of marginal effects
+
+
+@dataclass(frozen=True)
+class Case:
+    """One design case.
+
+    ``estimator`` is the raw cosine the case corrects.  ``factor(meta)`` is
+    its attenuation factor, ``factor(meta, ScreenCounts)`` when ``screened``;
+    ``required`` lists the DesignMeta fields the factor cannot do without.
+    ``degenerate(meta)`` is the regime check; it is assessed only when every
+    size in ``regime_sizes`` was supplied.  ``alias`` is the CLI ``--case``
+    name (None: the case has none).
+    """
+
+    alias: str | None
+    estimator: str
+    required: tuple
+    factor: Callable
+    regime_sizes: tuple
+    degenerate: Callable
+    screened: bool = False
+
+
+_AE = ("n1", "p", "h2_alpha", "h2_eta")
+_AB = ("n1", "n2", "p", "h2_alpha", "h2_beta")
+_SHARED_AB = ("n1", "p", "h2_alpha", "h2_beta", "h_alpha_beta")
 
 # Finite-sample surrogates for the asymptotic degenerate-regime conditions.
 # The true conditions involve limits (p = c * (sample-size product)^a with
 # a >= 1) that a single design point cannot verify; these conservative
 # thresholds flag designs where p reaches the relevant sample-size product.
-REGIME_SURROGATES = {
-    "indep_ae": ("n1 * n3", lambda m: m.p >= m.n1 * m.n3),
-    "screened_ae": ("n1 * n3", lambda m: m.p >= m.n1 * m.n3),
-    "indep_ab": ("p * n1 * n2 * n3", lambda m: m.p**2 >= m.n1 * m.n2 * m.n3),
-    "screened_ab": ("p * n1 * n2 * n3", lambda m: m.p**2 >= m.n1 * m.n2 * m.n3),
-    "summary_ab": ("n1 * n2", lambda m: m.p >= m.n1 * m.n2),
-    "overlap_case_i": ("(n1+ns) * (n3+ns)", lambda m: m.p >= (m.n1 + m.n_s) * (m.n3 + m.n_s)),
-    "overlap_case_ii": (
-        "(n1+ns) * (n2+ns) * n3",
-        lambda m: m.p >= (m.n1 + m.n_s) * (m.n2 + m.n_s) * m.n3,
-    ),
-    "case_iii": (None, lambda m: False),
-    "case_iv": (None, lambda m: False),
-    "case_v": ("n1 * n2", lambda m: m.p >= m.n1 * m.n2),
-}
-
-_REGIME_SIZES = {
-    "indep_ae": ("n3",),
-    "screened_ae": ("n3",),
-    "indep_ab": ("n2", "n3"),
-    "screened_ab": ("n2", "n3"),
-    "summary_ab": ("n2",),
-    "overlap_case_i": ("n3",),
-    "overlap_case_ii": ("n2", "n3"),
-    "case_iii": (),
-    "case_iv": (),
-    "case_v": ("n2",),
+CASES = {
+    "indep_ae": Case("ae", PHENOTYPE_SCORE, _AE, bias_factor_ae,
+                     ("n3",), lambda m: m.p >= m.n1 * m.n3),
+    "indep_ab": Case("ab", SCORE_SCORE, _AB, bias_factor_ab,
+                     ("n2", "n3"), lambda m: m.p**2 >= m.n1 * m.n2 * m.n3),
+    "summary_ab": Case("summary-ab", EFFECT_EFFECT, _AB, bias_factor_summary_ab,
+                       ("n2",), lambda m: m.p >= m.n1 * m.n2),
+    "screened_ae": Case(None, PHENOTYPE_SCORE, _AE, _screened_ae,
+                        ("n3",), lambda m: m.p >= m.n1 * m.n3, screened=True),
+    "screened_ab": Case(None, SCORE_SCORE, _AB, screened_factor_ab,
+                        ("n2", "n3"), lambda m: m.p**2 >= m.n1 * m.n2 * m.n3, screened=True),
+    "overlap_case_i": Case("overlap-i", PHENOTYPE_SCORE, _AE + ("n3", "h_alpha_eta"),
+                           overlap_factor_case_i,
+                           ("n3",), lambda m: m.p >= (m.n1 + m.n_s) * (m.n3 + m.n_s)),
+    "overlap_case_ii": Case("overlap-ii", SCORE_SCORE, _AB + ("h_alpha_beta",),
+                            overlap_factor_case_ii,
+                            ("n2", "n3"), lambda m: m.p >= (m.n1 + m.n_s) * (m.n2 + m.n_s) * m.n3),
+    "case_iii": Case("iii", EFFECT_EFFECT, _SHARED_AB, _factor_case_iii, (), lambda m: False),
+    "case_iv": Case("iv", SCORE_SCORE, _SHARED_AB, _factor_case_iv, (), lambda m: False),
+    "case_v": Case("v", SCORE_SCORE, _AB, _factor_case_v,
+                   ("n2",), lambda m: m.p >= m.n1 * m.n2),
 }
 
 
@@ -364,37 +374,20 @@ def regime_flag(meta: DesignMeta) -> str:
     unassessable; those points are reported as consistent rather than
     refused, since the corrections themselves do not need them.
     """
-    if any(getattr(meta, name) is None for name in _REGIME_SIZES[meta.case_tag]):
+    case = CASES[meta.case_tag]
+    if any(getattr(meta, name) is None for name in case.regime_sizes):
         return CONSISTENT
-    _, check = REGIME_SURROGATES[meta.case_tag]
-    return DEGENERATE if check(meta) else CONSISTENT
+    return DEGENERATE if case.degenerate(meta) else CONSISTENT
 
 
 def bias_factor(meta: DesignMeta, screen: ScreenCounts | None = None) -> float:
-    """Dispatch to the factor of the governing design case."""
-    tag = meta.case_tag
-    if tag == "indep_ae":
-        return bias_factor_ae(meta)
-    if tag == "indep_ab":
-        return bias_factor_ab(meta)
-    if tag == "summary_ab":
-        return bias_factor_summary_ab(meta)
-    if tag == "screened_ae":
-        if screen is None:
-            raise ParameterError("screened_ae needs ScreenCounts")
-        return screened_factor_ae(
-            meta, screen.q_alpha, screen.q_alpha1, screen.q_alpha_eta,
-            screen.m_alpha, screen.m_alpha_eta,
-        )
-    if tag == "screened_ab":
-        if screen is None:
-            raise ParameterError("screened_ab needs ScreenCounts")
-        return screened_factor_ab(meta, screen)
-    if tag == "overlap_case_i":
-        return overlap_factor_case_i(meta)
-    if tag == "overlap_case_ii":
-        return overlap_factor_case_ii(meta)
-    return overlap_factor_cases_iii_iv_v(meta)
+    """The factor of the design's case; the screened cases need ScreenCounts."""
+    case = CASES[meta.case_tag]
+    if not case.screened:
+        return case.factor(meta)
+    if screen is None:
+        raise ParameterError(f"{meta.case_tag} needs ScreenCounts")
+    return case.factor(meta, screen)
 
 
 def correct(raw: float, meta: DesignMeta, screen: ScreenCounts | None = None) -> CorrelationEstimate:

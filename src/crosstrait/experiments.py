@@ -9,6 +9,11 @@ so running with one worker or many yields identical replicate rows.
 
 Scenarios
 ---------
+``SCENARIOS`` holds one record per scenario: the grid it walks, the cohorts
+it needs and its replicate function.  fig2, figS2, figS5 and fig3 share one
+chain (architecture, independent cohorts, scans); fig2, figS2 and figS5 also
+share their estimators and differ only in grid and cohorts.
+
 fig2_all_snp        all-SNP estimators across a grid of true correlations
 figS5_summary_only  the summary-statistics-only estimator across the grid
 figS2_sparsity      all-SNP phenotype-vs-score estimator across sparsities
@@ -16,7 +21,6 @@ fig3_screening      screened estimator across a p-value threshold ladder
 fig4_overlap        overlapping-samples designs across the correlation grid
 fig1_gwas_properties  scan quality (AUC, power, enrichment, MSE) and the
                       variance of a null-SNP marginal effect across sparsity
-custom              alias of fig2_all_snp (fully driven by the config)
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import functools
 import glob
 import math
 import os
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
@@ -33,9 +38,9 @@ import numpy as np
 
 from . import kernels
 from .errors import CrosstraitError, DegenerateScoreError, ExperimentError, ParameterError
-from .estimators import DesignMeta, correct, raw_cosine, screened_factor_ae
+from .estimators import DesignMeta, ScreenCounts, bias_factor, correct, raw_cosine
 from .gwas import marginal_gwas, screen_metrics, threshold_select
-from .prs import RULE_NONE, ScreenRule, score
+from .prs import ScreenRule
 from .rng import substream
 from .synth import (
     CohortSizes,
@@ -51,21 +56,17 @@ DEFAULT_THRESHOLDS = (
     1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8,
 )
 
-SCENARIOS = (
-    "fig1_gwas_properties",
-    "fig2_all_snp",
-    "fig3_screening",
-    "fig4_overlap",
-    "figS2_sparsity",
-    "figS5_summary_only",
-    "custom",
-)
-
 WORKERS_ENV = "CROSSTRAIT_WORKERS"
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One scenario run, read from a flat key=value file.
+
+    ``block_size`` is the column block of the scans and scores only;
+    phenotype generation keeps the default block.
+    """
+
     scenario: str
     p: int
     n1: int
@@ -83,20 +84,20 @@ class ExperimentConfig:
     master_seed: int = 0
     sigma2_eps: float | None = None
     standardize_y: bool = True
-    reuse_genotypes: bool = False
     overlap_cases: tuple = ("i", "ii")
     block_size: int = kernels.DEFAULT_BLOCK_SIZE
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
-            raise ParameterError(f"unknown scenario {self.scenario!r}; choose from {SCENARIOS}")
+            raise ParameterError(
+                f"unknown scenario {self.scenario!r}; choose from {tuple(SCENARIOS)}"
+            )
         if self.replicates < 1:
             raise ParameterError("replicates must be >= 1")
         if set(self.overlap_cases) - {"i", "ii"}:
             raise ParameterError("overlap_cases entries must be 'i' or 'ii'")
 
     _GRID_KEYS = ("phi_grid", "sparsity_grid", "thresholds")
-    _BOOL_KEYS = ("standardize_y", "reuse_genotypes")
     _FLOAT_KEYS = ("sigma2", "h2", "rho_eps", "sigma2_eps")
 
     @classmethod
@@ -113,7 +114,7 @@ class ExperimentConfig:
                 kwargs[name] = tuple(float(v) for v in str(value).split(",") if str(v).strip())
             elif name == "overlap_cases":
                 kwargs[name] = tuple(v.strip() for v in str(value).split(",") if v.strip())
-            elif name in cls._BOOL_KEYS:
+            elif name == "standardize_y":
                 kwargs[name] = str(value).strip().lower() in ("1", "true", "yes", "on")
             elif name in cls._FLOAT_KEYS:
                 kwargs[name] = float(value)
@@ -260,136 +261,94 @@ def _ladder_scores(W, stats, thresholds, block_size=kernels.DEFAULT_BLOCK_SIZE) 
 
 
 # ---------------------------------------------------------------------------
-# scenario implementations
+# scenarios
 # ---------------------------------------------------------------------------
 
-def _points_fig2(config):
-    if not config.phi_grid:
-        raise ParameterError("fig2_all_snp needs a phi_grid")
-    if config.n1 < 2 or config.n3 < 2:
-        raise ParameterError("fig2_all_snp needs discovery (n1) and target (n3) cohorts")
-    return [{"point_id": f"phi={phi:g}", "phi": phi} for phi in config.phi_grid]
+# cohort-size field -> the trait whose cohort it sizes; n3 is the target
+_COHORT_TRAITS = (("n1", "alpha"), ("n2", "beta"), ("n3", "eta"))
+_COHORT_ROLES = {"n1": "discovery (n1)", "n2": "discovery (n2)", "n3": "target (n3)"}
 
 
-def _rep_fig2(config: ExperimentConfig, point: dict, rep: int) -> list:
-    phi = point["phi"]
-    pid = point["point_id"]
-    traits = ("alpha", "beta", "eta") if config.n2 else ("alpha", "eta")
+def _points(config) -> list:
+    """One point per value of the scenario's grid, each with its causal
+    count ``m`` and effect correlation ``phi``; refuses a config the scenario
+    cannot run before any task starts.
+
+    A phi point keeps ``config.m``; a sparsity point sets m from the sparsity
+    and takes the first phi of ``phi_grid``.
+    """
+    sc = SCENARIOS[config.scenario]
+    missing = [g for g in sc.grids if not getattr(config, g)]
+    if missing:
+        raise ParameterError(f"{config.scenario} needs {' and '.join(missing)}")
+    short = [_COHORT_ROLES[f] for f, least in sc.cohorts.items() if getattr(config, f) < least]
+    if short:
+        raise ParameterError(f"{config.scenario} needs cohorts of at least 2 samples: "
+                             + ", ".join(short))
+    if sc.check is not None:
+        sc.check(config)
+    if sc.grids[0] == "phi_grid":
+        return [{"point_id": f"phi={phi:g}", "m": config.m, "phi": phi} for phi in config.phi_grid]
+    phi = config.phi_grid[0] if config.phi_grid else None
+    return [{"point_id": f"mp={s:g}", "m": max(1, round(s * config.p)), "phi": phi}
+            for s in config.sparsity_grid]
+
+
+def _independent_scans(config, point, rep):
+    """arch -> independent cohorts -> scans for one task.
+
+    The scenario's cohort fields that the config sets pick the traits: alpha
+    discovery (n1), beta discovery (n2) and the eta target (n3).  Returns the
+    architecture, the bundle and ``{trait: SummaryStats}`` of each discovery.
+    """
+    cohorts = SCENARIOS[config.scenario].cohorts
+    drawn = [(f, t) for f, t in _COHORT_TRAITS if f in cohorts and getattr(config, f)]
+    traits = tuple(t for _, t in drawn)
     arch = TraitArchitecture.shared_causal(
-        config.p, config.m, phi=phi, sigma2=config.sigma2, h2=config.h2, traits=traits
+        config.p, point["m"], phi=point["phi"], sigma2=config.sigma2, h2=config.h2, traits=traits
     )
-    seed = _rep_seed(config, pid, rep)
-    geno_seed = _rep_seed(config, pid, 0, "geno") if config.reuse_genotypes else None
+    sizes = CohortSizes(**{f: getattr(config, f) for f, _ in drawn})
     bundle = gen_independent_cohorts(
-        arch, CohortSizes(config.n1, config.n2, config.n3), seed, traits=traits,
-        genotype_seed=geno_seed,
+        arch, sizes, _rep_seed(config, point["point_id"], rep), traits=traits
     )
-    stats_a = marginal_gwas(bundle.disc_alpha, bundle.y_alpha.y, config.standardize_y,
-                            trait_tag="alpha", block_size=config.block_size)
-    if config.n2:
-        stats_b = marginal_gwas(bundle.disc_beta, bundle.y_beta.y, config.standardize_y,
-                                trait_tag="beta", block_size=config.block_size)
-        prs_a, prs_b = _all_snp_scores(bundle.target, (stats_a, stats_b), config.block_size)
-    else:
-        (prs_a,) = _all_snp_scores(bundle.target, (stats_a,), config.block_size)
-    rows = [
-        _estimate_row(
-            config, pid, rep, "G_ae", bundle.y_eta.y, prs_a,
-            DesignMeta(case_tag="indep_ae", p=config.p, n1=config.n1, n3=config.n3,
-                       h2_alpha=config.h2, h2_eta=config.h2),
-        )
-    ]
-    if config.n2:
-        rows.append(
-            _estimate_row(
-                config, pid, rep, "G_ab", prs_b, prs_a,
-                DesignMeta(case_tag="indep_ab", p=config.p, n1=config.n1, n2=config.n2,
-                           n3=config.n3, h2_alpha=config.h2, h2_beta=config.h2),
-            )
-        )
-        rows.append(
-            _estimate_row(
-                config, pid, rep, "phi_ab_summary", stats_a.effect, stats_b.effect,
-                DesignMeta(case_tag="summary_ab", p=config.p, n1=config.n1, n2=config.n2,
-                           h2_alpha=config.h2, h2_beta=config.h2),
-            )
-        )
+    stats = {"alpha": marginal_gwas(bundle.disc_alpha, bundle.y_alpha.y, config.standardize_y,
+                                    trait_tag="alpha", block_size=config.block_size)}
+    if bundle.disc_beta is not None:
+        stats["beta"] = marginal_gwas(bundle.disc_beta, bundle.y_beta.y, config.standardize_y,
+                                      trait_tag="beta", block_size=config.block_size)
+    return arch, bundle, stats
+
+
+def _rep_all_snp(config, point, rep):
+    """All-SNP estimators of the cohorts drawn: phenotype vs score (G_ae) on a
+    target, score vs score (G_ab) on a target with beta, and effect vs effect
+    (phi_ab_summary) with beta."""
+    _, b, stats = _independent_scans(config, point, rep)
+    pid = point["point_id"]
+    rows = []
+    if b.target is not None:
+        prs = _all_snp_scores(b.target, list(stats.values()), config.block_size)
+        meta = DesignMeta(case_tag="indep_ae", p=config.p, n1=config.n1, n3=config.n3,
+                          h2_alpha=config.h2, h2_eta=config.h2)
+        rows.append(_estimate_row(config, pid, rep, "G_ae", b.y_eta.y, prs[0], meta))
+        if "beta" in stats:
+            meta = DesignMeta(case_tag="indep_ab", p=config.p, n1=config.n1, n2=config.n2,
+                              n3=config.n3, h2_alpha=config.h2, h2_beta=config.h2)
+            rows.append(_estimate_row(config, pid, rep, "G_ab", prs[1], prs[0], meta))
+    if "beta" in stats:
+        meta = DesignMeta(case_tag="summary_ab", p=config.p, n1=config.n1, n2=config.n2,
+                          h2_alpha=config.h2, h2_beta=config.h2)
+        rows.append(_estimate_row(config, pid, rep, "phi_ab_summary",
+                                  stats["alpha"].effect, stats["beta"].effect, meta))
     return rows
 
 
-def _points_figs5(config):
-    if not config.phi_grid:
-        raise ParameterError("figS5_summary_only needs a phi_grid")
-    if config.n1 < 2 or config.n2 < 2:
-        raise ParameterError("figS5_summary_only needs both discovery cohorts (n1, n2)")
-    return [{"point_id": f"phi={phi:g}", "phi": phi} for phi in config.phi_grid]
-
-
-def _rep_figs5(config, point, rep):
-    phi = point["phi"]
-    pid = point["point_id"]
-    arch = TraitArchitecture.shared_causal(
-        config.p, config.m, phi=phi, sigma2=config.sigma2, h2=config.h2,
-        traits=("alpha", "beta"),
-    )
-    seed = _rep_seed(config, pid, rep)
-    bundle = gen_independent_cohorts(
-        arch, CohortSizes(n1=config.n1, n2=config.n2), seed, traits=("alpha", "beta")
-    )
-    stats_a = marginal_gwas(bundle.disc_alpha, bundle.y_alpha.y, config.standardize_y)
-    stats_b = marginal_gwas(bundle.disc_beta, bundle.y_beta.y, config.standardize_y)
-    meta = DesignMeta(case_tag="summary_ab", p=config.p, n1=config.n1, n2=config.n2,
-                      h2_alpha=config.h2, h2_beta=config.h2)
-    return [_estimate_row(config, pid, rep, "phi_ab_summary",
-                          stats_a.effect, stats_b.effect, meta)]
-
-
-def _points_figs2(config):
-    if not config.sparsity_grid or not config.phi_grid:
-        raise ParameterError("figS2_sparsity needs sparsity_grid and a single-phi phi_grid")
-    if config.n1 < 2 or config.n3 < 2:
-        raise ParameterError("figS2_sparsity needs discovery (n1) and target (n3) cohorts")
-    return [{"point_id": f"mp={s:g}", "sparsity": s} for s in config.sparsity_grid]
-
-
-def _rep_figs2(config, point, rep):
-    pid = point["point_id"]
-    m = max(1, round(point["sparsity"] * config.p))
-    arch = TraitArchitecture.shared_causal(
-        config.p, m, phi=config.phi_grid[0], sigma2=config.sigma2, h2=config.h2,
-        traits=("alpha", "eta"),
-    )
-    seed = _rep_seed(config, pid, rep)
-    bundle = gen_independent_cohorts(
-        arch, CohortSizes(n1=config.n1, n3=config.n3), seed, traits=("alpha", "eta")
-    )
-    stats = marginal_gwas(bundle.disc_alpha, bundle.y_alpha.y, config.standardize_y)
-    prs = score(bundle.target, stats, RULE_NONE)
-    meta = DesignMeta(case_tag="indep_ae", p=config.p, n1=config.n1, n3=config.n3,
-                      h2_alpha=config.h2, h2_eta=config.h2)
-    return [_estimate_row(config, pid, rep, "G_ae", bundle.y_eta.y, prs.scores, meta)]
-
-
-def _points_fig3(config):
-    if not config.sparsity_grid or not config.phi_grid:
-        raise ParameterError("fig3_screening needs sparsity_grid and a single-phi phi_grid")
-    if config.n1 < 2 or config.n3 < 2:
-        raise ParameterError("fig3_screening needs discovery (n1) and target (n3) cohorts")
-    return [{"point_id": f"mp={s:g}", "sparsity": s} for s in config.sparsity_grid]
-
-
 def _rep_fig3(config, point, rep):
+    """The screened phenotype-vs-score estimator at each p-value cutoff, with
+    its counts in the flag; a zero factor leaves the row uncorrected (NaN)."""
+    arch, bundle, scans = _independent_scans(config, point, rep)
+    stats = scans["alpha"]
     pid = point["point_id"]
-    m = max(1, round(point["sparsity"] * config.p))
-    arch = TraitArchitecture.shared_causal(
-        config.p, m, phi=config.phi_grid[0], sigma2=config.sigma2, h2=config.h2,
-        traits=("alpha", "eta"),
-    )
-    seed = _rep_seed(config, pid, rep)
-    bundle = gen_independent_cohorts(
-        arch, CohortSizes(n1=config.n1, n3=config.n3), seed, traits=("alpha", "eta")
-    )
-    stats = marginal_gwas(bundle.disc_alpha, bundle.y_alpha.y, config.standardize_y)
     meta = DesignMeta(case_tag="screened_ae", p=config.p, n1=config.n1, n3=config.n3,
                       h2_alpha=config.h2, h2_eta=config.h2)
     scores = _ladder_scores(bundle.target, stats, config.thresholds, config.block_size)
@@ -410,24 +369,20 @@ def _rep_fig3(config, point, rep):
             rows.append(ReplicateRow(config.scenario, pid, name, rep, 0.0, float("nan"),
                                      0.0, "degenerate_score;" + flag_counts))
             continue
-        factor = screened_factor_ae(meta, sel.q, sel.q1, sel.q_overlap,
-                                    arch.m_alpha, arch.m_alpha_eta)
+        factor = bias_factor(meta, ScreenCounts(
+            m_alpha=arch.m_alpha, m_alpha_eta=arch.m_alpha_eta,
+            q_alpha=sel.q, q_alpha1=sel.q1, q_alpha_eta=sel.q_overlap))
         corrected = raw / factor if factor > 0 else float("nan")
         rows.append(ReplicateRow(config.scenario, pid, name, rep, raw, corrected,
                                  factor, "ok;" + flag_counts))
     return rows
 
 
-def _points_fig4(config):
-    if not config.phi_grid:
-        raise ParameterError("fig4_overlap needs a phi_grid")
-    if config.n3 < 2:
-        raise ParameterError("fig4_overlap needs target samples (n3)")
+def _check_fig4(config):
     if "i" in config.overlap_cases and config.n1 + config.n_s < 2:
         raise ParameterError("fig4_overlap case i needs discovery samples (n1 + n_s)")
     if "ii" in config.overlap_cases and min(config.n1 + config.n_s, config.n2 + config.n_s) < 2:
         raise ParameterError("fig4_overlap case ii needs both discovery cohorts")
-    return [{"point_id": f"phi={phi:g}", "phi": phi} for phi in config.phi_grid]
 
 
 def _rep_fig4(config, point, rep):
@@ -444,11 +399,11 @@ def _rep_fig4(config, point, rep):
         b = gen_overlapping_cohorts(design_i, arch_i, CohortSizes(n1=config.n1, n3=config.n3), seed_i)
         stats = marginal_gwas(b.disc_alpha, b.y_alpha.y, config.standardize_y,
                               block_size=config.block_size)
-        prs = score(b.target, stats, RULE_NONE, block_size=config.block_size)
+        (prs,) = _all_snp_scores(b.target, (stats,), config.block_size)
         meta_i = DesignMeta(case_tag="overlap_case_i", p=config.p, n1=config.n1, n3=config.n3,
                             n_s=config.n_s, h2_alpha=config.h2, h2_eta=config.h2,
                             h_alpha_eta=genetic_share(arch_i, config.rho_eps, "ae"))
-        rows.append(_estimate_row(config, pid, rep, "G_S_ae", b.y_eta.y, prs.scores, meta_i))
+        rows.append(_estimate_row(config, pid, rep, "G_S_ae", b.y_eta.y, prs, meta_i))
 
     if "ii" in config.overlap_cases:
         seed_ii = _rep_seed(config, pid, rep, "case_ii")
@@ -472,26 +427,18 @@ def _rep_fig4(config, point, rep):
     return rows
 
 
-def _points_fig1(config):
-    if not config.sparsity_grid:
-        raise ParameterError("fig1_gwas_properties needs a sparsity_grid")
-    return [{"point_id": f"mp={s:g}", "sparsity": s} for s in config.sparsity_grid]
-
-
 def _rep_fig1(config, point, rep):
     pid = point["point_id"]
-    m = max(1, round(point["sparsity"] * config.p))
+    m = point["m"]
     # keep one null SNP available as the variance-law probe
     p_total = config.p + 1 if m == config.p else config.p
     sigma2_eps = config.sigma2_eps if config.sigma2_eps is not None else 1.0
     h2 = _h2_for_fixed_noise(m, config.sigma2, sigma2_eps)
     arch = TraitArchitecture(p=p_total, m_alpha=m, sigma2_alpha=config.sigma2, h2_alpha=h2)
     seed = _rep_seed(config, pid, rep)
-    geno_seed = _rep_seed(config, pid, 0, "geno") if config.reuse_genotypes else None
-    bundle = gen_independent_cohorts(
-        arch, CohortSizes(n1=config.n1), seed, traits=("alpha",), genotype_seed=geno_seed
-    )
-    stats = marginal_gwas(bundle.disc_alpha, bundle.y_alpha.y, config.standardize_y)
+    bundle = gen_independent_cohorts(arch, CohortSizes(n1=config.n1), seed, traits=("alpha",))
+    stats = marginal_gwas(bundle.disc_alpha, bundle.y_alpha.y, config.standardize_y,
+                          block_size=config.block_size)
     rows = []
     if m < p_total:
         metrics = screen_metrics(stats, bundle.effects["alpha"])
@@ -505,22 +452,38 @@ def _rep_fig1(config, point, rep):
     return rows
 
 
-_SCENARIO_IMPL = {
-    "fig2_all_snp": (_points_fig2, _rep_fig2),
-    "custom": (_points_fig2, _rep_fig2),
-    "figS5_summary_only": (_points_figs5, _rep_figs5),
-    "figS2_sparsity": (_points_figs2, _rep_figs2),
-    "fig3_screening": (_points_fig3, _rep_fig3),
-    "fig4_overlap": (_points_fig4, _rep_fig4),
-    "fig1_gwas_properties": (_points_fig1, _rep_fig1),
+@dataclass(frozen=True)
+class Scenario:
+    """One Monte-Carlo study.
+
+    ``grids`` are the config grids it needs; it walks the first.  ``cohorts``
+    maps each cohort-size field it draws to the least size it needs (0: the
+    cohort is drawn when the config sets it).  ``check`` refuses any further
+    config it cannot run, and ``replicate(config, point, rep)`` returns one
+    task's rows.
+    """
+
+    grids: tuple
+    cohorts: dict
+    replicate: Callable
+    check: Callable | None = None
+
+
+SCENARIOS = {
+    "fig1_gwas_properties": Scenario(("sparsity_grid",), {"n1": 0}, _rep_fig1),
+    "fig2_all_snp": Scenario(("phi_grid",), {"n1": 2, "n2": 0, "n3": 2}, _rep_all_snp),
+    "fig3_screening": Scenario(("sparsity_grid", "phi_grid"), {"n1": 2, "n3": 2}, _rep_fig3),
+    "fig4_overlap": Scenario(("phi_grid",), {"n1": 0, "n2": 0, "n3": 2}, _rep_fig4,
+                             _check_fig4),
+    "figS2_sparsity": Scenario(("sparsity_grid", "phi_grid"), {"n1": 2, "n3": 2}, _rep_all_snp),
+    "figS5_summary_only": Scenario(("phi_grid",), {"n1": 2, "n2": 2}, _rep_all_snp),
 }
 
 
 def _run_task(args):
     config, point, rep = args
-    _, rep_fn = _SCENARIO_IMPL[config.scenario]
     try:
-        return ("ok", rep_fn(config, point, rep))
+        return ("ok", SCENARIOS[config.scenario].replicate(config, point, rep))
     except CrosstraitError as exc:  # recorded, counted, excluded from aggregates
         return ("fail", (point["point_id"], rep, f"{type(exc).__name__}: {exc}"))
 
@@ -618,9 +581,7 @@ def run(
     propagates.  Pool workers run BLAS single-threaded; the serial path
     leaves BLAS threading as it is.
     """
-    points_fn, _ = _SCENARIO_IMPL[config.scenario]
-    points = points_fn(config)
-    tasks = [(config, point, rep) for point in points for rep in range(config.replicates)]
+    tasks = [(config, point, rep) for point in _points(config) for rep in range(config.replicates)]
 
     nworkers = resolve_workers(workers, len(tasks))
     pinned = nworkers > 1 and _openblas() is not None

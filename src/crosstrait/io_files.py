@@ -135,85 +135,6 @@ def read_summary_tsv(path: str, trait_tag: str = "") -> SummaryStats:
     )
 
 
-@dataclass
-class SummaryFileSchema:
-    """Column mapping for externally published summary-statistics files.
-
-    ``n`` may name a per-row column or be given as a constant via
-    ``n_value``.  When ``sign_flip`` names a column, rows with a truthy
-    value there ("1", "true", "yes", "flip") have their effect negated;
-    anything beyond that single harmonization step is assumed done upstream.
-    """
-
-    snp_id: str = "snp_id"
-    effect: str = "effect"
-    se: str | None = "se"
-    pvalue: str | None = "pvalue"
-    n: str | None = "n"
-    n_value: int | None = None
-    sign_flip: str | None = None
-    delimiter: str = "\t"
-    has_header: bool = True
-
-
-def read_summary_table(path: str, schema: SummaryFileSchema, trait_tag: str = "") -> SummaryStats:
-    """Ingest an external summary file according to a column schema."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines:
-        raise DataFormatError(f"{path}:1: empty file")
-    if schema.has_header:
-        header = lines[0].split(schema.delimiter)
-        body = lines[1:]
-        start = 2
-    else:
-        raise DataFormatError(f"{path}:1: headerless external files are not supported")
-    col = {name: i for i, name in enumerate(header)}
-
-    def need(name: str) -> int:
-        if name not in col:
-            raise DataFormatError(f"{path}:1: required column {name!r} not found in {header}")
-        return col[name]
-
-    i_id = need(schema.snp_id)
-    i_eff = need(schema.effect)
-    i_se = need(schema.se) if schema.se else None
-    i_pv = need(schema.pvalue) if schema.pvalue else None
-    i_n = need(schema.n) if schema.n else None
-    i_flip = need(schema.sign_flip) if schema.sign_flip else None
-    if i_n is None and schema.n_value is None:
-        raise DataFormatError(f"{path}:1: schema must give an n column or a constant n_value")
-
-    ids, eff, se, pv, ns = [], [], [], [], []
-    for off, line in enumerate(body):
-        if not line.strip():
-            continue
-        lineno = start + off
-        f = line.split(schema.delimiter)
-        if len(f) != len(header):
-            raise DataFormatError(
-                f"{path}:{lineno}: expected {len(header)} columns, got {len(f)}"
-            )
-        ids.append(f[i_id])
-        e = _parse_float(path, lineno, schema.effect, f[i_eff])
-        if i_flip is not None and f[i_flip].strip().lower() in ("1", "true", "yes", "flip"):
-            e = -e
-        eff.append(e)
-        se.append(_parse_float(path, lineno, schema.se, f[i_se]) if i_se is not None else float("nan"))
-        pv.append(_parse_float(path, lineno, schema.pvalue, f[i_pv]) if i_pv is not None else 1.0)
-        ns.append(int(_parse_float(path, lineno, schema.n, f[i_n])) if i_n is not None else schema.n_value)
-    if not ids:
-        raise DataFormatError(f"{path}:2: no data rows")
-    eff = np.array(eff)
-    se = np.array(se)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(se > 0, eff / se, 0.0)
-    return SummaryStats(
-        snp_id=np.array(ids), effect=eff, se=se, tstat=t, pvalue=np.array(pv),
-        n=int(ns[0]), trait_tag=trait_tag,
-    )
-
-
 # ---------------------------------------------------------------------------
 # phenotypes and scores
 # ---------------------------------------------------------------------------

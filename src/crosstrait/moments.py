@@ -264,14 +264,6 @@ def screen_counts_for_fixed_selection(
     return counts, sel_a, sel_b
 
 
-def _crossprod(G, y) -> np.ndarray:
-    return kernels.std_crossprod(G.codes, G.col_mean, G.col_sd, y)
-
-
-def _matvec(G, w, idx=None) -> np.ndarray:
-    return kernels.std_matvec(G.codes, G.col_mean, G.col_sd, w, indices=idx)
-
-
 def _simulate_family(
     family: str,
     tags: list[str],
@@ -283,54 +275,65 @@ def _simulate_family(
     sel_a: np.ndarray | None,
     sel_b: np.ndarray | None,
 ) -> dict[str, float]:
+    """One replicate of every quantity of a family.
+
+    Two all-SNP scores on the same target are built in one
+    ``kernels.std_matvec`` call with (p, 2) weights; each column is bitwise
+    equal to its single-vector score.
+    """
     sizes = CohortSizes(n1=meta.n1, n2=meta.n2 or 0, n3=meta.n3 or 0)
     out: dict[str, float] = {}
     if family in ("indep", "screened"):
         need_beta = any("ab" in t or "beta" in t for t in tags)
         traits = ("alpha", "beta", "eta") if need_beta else ("alpha", "eta")
         b = gen_independent_cohorts(arch, sizes, rep_seed, traits=traits)
-        t_a = _crossprod(b.disc_alpha, b.y_alpha.y)
+        X, W = b.disc_alpha, b.target
+        t_a = kernels.std_crossprod(X.codes, X.col_mean, X.col_sd, b.y_alpha.y)
+        if need_beta:
+            Z = b.disc_beta
+            t_b = kernels.std_crossprod(Z.codes, Z.col_mean, Z.col_sd, b.y_beta.y)
         if family == "indep":
             wanted = set(tags)
+            if wanted & {"cov_ab_num", "var_beta_den"}:
+                s_a, s_b = kernels.std_matvec(
+                    W.codes, W.col_mean, W.col_sd, np.column_stack([t_a, t_b])).T
+                out["cov_ab_num"] = float(s_b @ s_a)
+                out["var_beta_den"] = float(s_b @ s_b)
+            elif wanted & {"cov_ae_num", "var_alpha_den"}:
+                s_a = kernels.std_matvec(W.codes, W.col_mean, W.col_sd, t_a)
             if wanted & {"cov_ae_num", "var_alpha_den", "cov_ab_num", "var_beta_den"}:
-                s_a = _matvec(b.target, t_a)
                 out["cov_ae_num"] = float(b.y_eta.y @ s_a)
                 out["var_alpha_den"] = float(s_a @ s_a)
             if b.y_eta is not None:
                 out["var_eta_den"] = float(b.y_eta.y @ b.y_eta.y)
             out["summary_alpha_den"] = float(t_a @ t_a)
             if need_beta:
-                t_b = _crossprod(b.disc_beta, b.y_beta.y)
                 out["summary_beta_den"] = float(t_b @ t_b)
                 out["summary_ab_num"] = float(t_a @ t_b)
-                if wanted & {"cov_ab_num", "var_beta_den"}:
-                    s_b = _matvec(b.target, t_b)
-                    out["cov_ab_num"] = float(s_b @ s_a)
-                    out["var_beta_den"] = float(s_b @ s_b)
         else:
-            s_a = _matvec(b.target, t_a[sel_a], idx=sel_a)
+            s_a = kernels.std_matvec(W.codes, W.col_mean, W.col_sd, t_a[sel_a], indices=sel_a)
             out["screened_cov_ae_num"] = float(b.y_eta.y @ s_a)
             out["screened_var_alpha_den"] = float(s_a @ s_a)
             if need_beta and sel_b is not None and sel_b.shape[0]:
-                t_b = _crossprod(b.disc_beta, b.y_beta.y)
-                s_b = _matvec(b.target, t_b[sel_b], idx=sel_b)
+                s_b = kernels.std_matvec(W.codes, W.col_mean, W.col_sd, t_b[sel_b], indices=sel_b)
                 out["screened_cov_ab_num"] = float(s_b @ s_a)
                 out["screened_var_beta_den"] = float(s_b @ s_b)
     elif family == "overlap_i":
         design = OverlapDesign(n_s=meta.n_s, pair="discovery_target", rho_eps=rho_eps)
         b = gen_overlapping_cohorts(design, arch, sizes, rep_seed)
-        t = _crossprod(b.disc_alpha, b.y_alpha.y)
-        s = _matvec(b.target, t)
+        X, W = b.disc_alpha, b.target
+        t = kernels.std_crossprod(X.codes, X.col_mean, X.col_sd, b.y_alpha.y)
+        s = kernels.std_matvec(W.codes, W.col_mean, W.col_sd, t)
         out["overlap_i_cov_ae_num"] = float(b.y_eta.y @ s)
         out["overlap_i_var_alpha_den"] = float(s @ s)
         out["overlap_i_var_eta_den"] = float(b.y_eta.y @ b.y_eta.y)
     elif family == "overlap_ii":
         design = OverlapDesign(n_s=meta.n_s, pair="discovery_discovery", rho_eps=rho_eps)
         b = gen_overlapping_cohorts(design, arch, sizes, rep_seed)
-        t_a = _crossprod(b.disc_alpha, b.y_alpha.y)
-        t_b = _crossprod(b.disc_beta, b.y_beta.y)
-        s_a = _matvec(b.target, t_a)
-        s_b = _matvec(b.target, t_b)
+        X, Z, W = b.disc_alpha, b.disc_beta, b.target
+        t_a = kernels.std_crossprod(X.codes, X.col_mean, X.col_sd, b.y_alpha.y)
+        t_b = kernels.std_crossprod(Z.codes, Z.col_mean, Z.col_sd, b.y_beta.y)
+        s_a, s_b = kernels.std_matvec(W.codes, W.col_mean, W.col_sd, np.column_stack([t_a, t_b])).T
         out["overlap_ii_cov_ab_num"] = float(s_a @ s_b)
         out["overlap_ii_var_alpha_den"] = float(s_a @ s_a)
         out["overlap_ii_var_beta_den"] = float(s_b @ s_b)

@@ -38,24 +38,6 @@ DRAW_LEVELS = 1 << 16
 TRAITS = ("alpha", "beta", "eta")
 
 
-@dataclass(frozen=True)
-class DistributionSpec:
-    """Family of the effect/error draws: mean zero, declared (co)variance.
-
-    Only the gaussian family is implemented; the spec point exists so that a
-    heavier-tailed family with finite fourth moments can be slotted in.
-    """
-
-    family: str = "gaussian"
-
-    def __post_init__(self):
-        if self.family != "gaussian":
-            raise NotImplementedError(f"distribution family {self.family!r} not implemented")
-
-
-GAUSSIAN = DistributionSpec()
-
-
 @dataclass
 class GenotypeMatrix:
     """SNP codes plus the statistics of their standardized view.
@@ -196,11 +178,11 @@ def _gen_codes(
     )
 
 
-def _gen_cohort(gseed: int, label: str, n: int, maf: np.ndarray) -> GenotypeMatrix | None:
+def _gen_cohort(seed: int, label: str, n: int, maf: np.ndarray) -> GenotypeMatrix | None:
     """Codes of one cohort block from its own substream; None when n == 0."""
     if n == 0:
         return None
-    return _gen_codes(n, maf, substream(gseed, f"cohorts/{label}"))
+    return _gen_codes(n, maf, substream(seed, f"cohorts/{label}"))
 
 
 def gen_genotypes(n: int, p: int, seed: int, maf: np.ndarray | None = None) -> GenotypeMatrix:
@@ -431,7 +413,6 @@ def gen_effects(
     arch: TraitArchitecture,
     traits: tuple = TRAITS,
     seed: int = 0,
-    dist: DistributionSpec = GAUSSIAN,
 ) -> dict[str, EffectVector]:
     """Draw effect vectors for the requested traits.
 
@@ -491,7 +472,6 @@ def gen_phenotype(
     h2: float,
     seed: int,
     sigma2_eff: float | None = None,
-    dist: DistributionSpec = GAUSSIAN,
     epsilon: np.ndarray | None = None,
 ) -> Phenotype:
     """Generate ``y = X_std @ eff + eps`` with heritability-calibrated noise.
@@ -589,33 +569,29 @@ def gen_independent_cohorts(
     sizes: CohortSizes,
     seed: int,
     traits: tuple = TRAITS,
-    dist: DistributionSpec = GAUSSIAN,
-    genotype_seed: int | None = None,
 ) -> CohortBundle:
     """Three independent cohorts over the same SNPs, one per trait.
 
     Cohort sizes of zero skip the corresponding matrix/phenotype.  This is
     the no-overlap special case used throughout the numerical studies:
     discovery data for alpha (n1) and beta (n2), target data with the eta
-    phenotype (n3).  ``genotype_seed`` pins the maf/codes streams separately
-    from the effect/error streams (genotype-reuse speed studies).
+    phenotype (n3).
     """
-    gseed = seed if genotype_seed is None else genotype_seed
-    rng_maf = substream(gseed, "cohorts/maf")
+    rng_maf = substream(seed, "cohorts/maf")
     maf = rng_maf.uniform(MAF_LOW, MAF_HIGH, size=arch.p)
-    effects = gen_effects(arch, seed=seed, dist=dist)
+    effects = gen_effects(arch, seed=seed)
     bundle = CohortBundle(
         design=OverlapDesign(n_s=0, pair="discovery_discovery"), arch=arch, effects=effects
     )
 
     if "alpha" in traits and sizes.n1:
-        bundle.disc_alpha = _gen_cohort(gseed, "X", sizes.n1, maf)
+        bundle.disc_alpha = _gen_cohort(seed, "X", sizes.n1, maf)
         bundle.y_alpha = gen_phenotype(bundle.disc_alpha, effects["alpha"], arch.h2_alpha, seed)
     if "beta" in traits and sizes.n2:
-        bundle.disc_beta = _gen_cohort(gseed, "Z", sizes.n2, maf)
+        bundle.disc_beta = _gen_cohort(seed, "Z", sizes.n2, maf)
         bundle.y_beta = gen_phenotype(bundle.disc_beta, effects["beta"], arch.h2_beta, seed)
     if sizes.n3:
-        bundle.target = _gen_cohort(gseed, "W", sizes.n3, maf)
+        bundle.target = _gen_cohort(seed, "W", sizes.n3, maf)
         if "eta" in traits:
             bundle.y_eta = gen_phenotype(bundle.target, effects["eta"], arch.h2_eta, seed)
     return bundle
@@ -636,8 +612,6 @@ def gen_overlapping_cohorts(
     arch: TraitArchitecture,
     sizes: CohortSizes,
     seed: int,
-    dist: DistributionSpec = GAUSSIAN,
-    genotype_seed: int | None = None,
 ) -> CohortBundle:
     """Generate the cohort bundle for an overlapping-samples design.
 
@@ -649,11 +623,10 @@ def gen_overlapping_cohorts(
     n1, n2, n3, ns = sizes.n1, sizes.n2, sizes.n3, design.n_s
     if min(n1, n2, n3) < 0:
         raise ParameterError("cohort sizes must be >= 0")
-    gseed = seed if genotype_seed is None else genotype_seed
-    rng_maf = substream(gseed, "cohorts/maf")
+    rng_maf = substream(seed, "cohorts/maf")
     maf = rng_maf.uniform(MAF_LOW, MAF_HIGH, size=arch.p)
 
-    effects = gen_effects(arch, seed=seed, dist=dist)
+    effects = gen_effects(arch, seed=seed)
     sd_ea = np.sqrt(arch.sigma2_eps("alpha"))
     sd_eb = np.sqrt(arch.sigma2_eps("beta"))
     sd_ee = np.sqrt(arch.sigma2_eps("eta"))
@@ -666,22 +639,22 @@ def gen_overlapping_cohorts(
             raise ParameterError("full_overlap requires n_s == n1 (or 0 meaning the whole cohort)")
         if n1 < 2:
             raise ParameterError("full_overlap needs n1 >= 2")
-        X = _gen_cohort(gseed, "X", n1, maf)
+        X = _gen_cohort(seed, "X", n1, maf)
         e_a, e_b = _correlated_errors(rng_eps, n1, sd_ea, sd_eb, design.rho_eps)
         bundle.disc_alpha = X
         bundle.disc_beta = X
         bundle.y_alpha = gen_phenotype(X, effects["alpha"], arch.h2_alpha, seed, epsilon=e_a)
         bundle.y_beta = gen_phenotype(X, effects["beta"], arch.h2_beta, seed, epsilon=e_b)
-        bundle.target = _gen_cohort(gseed, "W", n3, maf)
+        bundle.target = _gen_cohort(seed, "W", n3, maf)
         return bundle
 
-    S = _gen_cohort(gseed, "S", ns, maf)
+    S = _gen_cohort(seed, "S", ns, maf)
 
     if design.pair == "discovery_target":
         if n1 + ns < 2 or n3 + ns < 2:
             raise ParameterError("each cohort needs at least 2 samples")
-        X = _gen_cohort(gseed, "X", n1, maf)
-        W = _gen_cohort(gseed, "W", n3, maf)
+        X = _gen_cohort(seed, "X", n1, maf)
+        W = _gen_cohort(seed, "W", n3, maf)
         disc = stack_genotypes(*(b for b in (X, S) if b is not None))
         targ = stack_genotypes(*(b for b in (W, S) if b is not None))
         e_as, e_es = _correlated_errors(rng_eps, ns, sd_ea, sd_ee, design.rho_eps)
@@ -700,8 +673,8 @@ def gen_overlapping_cohorts(
     # discovery_discovery
     if n1 + ns < 2 or n2 + ns < 2:
         raise ParameterError("each discovery cohort needs at least 2 samples")
-    X = _gen_cohort(gseed, "X", n1, maf)
-    Z = _gen_cohort(gseed, "Z", n2, maf)
+    X = _gen_cohort(seed, "X", n1, maf)
+    Z = _gen_cohort(seed, "Z", n2, maf)
     disc_a = stack_genotypes(*(b for b in (X, S) if b is not None))
     disc_b = stack_genotypes(*(b for b in (Z, S) if b is not None))
     e_as, e_bs = _correlated_errors(rng_eps, ns, sd_ea, sd_eb, design.rho_eps)
@@ -715,5 +688,5 @@ def gen_overlapping_cohorts(
     bundle.y_beta = gen_phenotype(
         disc_b, effects["beta"], arch.h2_beta, seed, epsilon=np.concatenate([e_bz, e_bs])
     )
-    bundle.target = _gen_cohort(gseed, "W", n3, maf)
+    bundle.target = _gen_cohort(seed, "W", n3, maf)
     return bundle

@@ -1,8 +1,10 @@
+import argparse
+
 import numpy as np
 import pytest
 
 from crosstrait import io_files
-from crosstrait.cli import main
+from crosstrait.cli import build_parser, main
 from crosstrait.gwas import marginal_gwas
 from crosstrait.synth import (
     CohortSizes,
@@ -73,6 +75,76 @@ class TestCorrect:
                    "--p", "50000", "--h2a", "1", "--h2e", "1", "--case", "ae",
                    "--strict"])
         assert rc == 4
+
+
+# one valid value for every design flag
+DESIGN = {"n1": "800", "n2": "700", "n3": "500", "ns": "300", "p": "1200",
+          "h2a": "0.6", "h2b": "0.5", "h2e": "0.7", "hae": "0.8", "hab": "0.9"}
+
+# --case alias -> (flags its correction requires, the flags given in the
+# pinned run, the pinned `correct --raw 0.37` output)
+CASES = {
+    "ae": (["n1", "p", "h2a", "h2e"], ["n1", "n3", "p", "h2a", "h2e"],
+           "0.37\t0.44721359549995798\t0.82734515167492206\tconsistent_regime"),
+    "ab": (["n1", "n2", "p", "h2a", "h2b"], ["n1", "n2", "n3", "p", "h2a", "h2b"],
+           "0.37\t0.25400025400038101\t1.4566914566921849\tconsistent_regime"),
+    "summary-ab": (["n1", "n2", "p", "h2a", "h2b"], ["n1", "n2", "p", "h2a", "h2b"],
+                   "0.37\t0.25400025400038101\t1.4566914566921849\tconsistent_regime"),
+    "overlap-i": (["n1", "n3", "p", "h2a", "h2e", "hae"],
+                  ["n1", "n3", "ns", "p", "h2a", "h2e", "hae"],
+                  "0.37\t0.60418889570904333\t0.61239126145439671\tconsistent_regime"),
+    "overlap-ii": (["n1", "n2", "p", "h2a", "h2b", "hab"],
+                   ["n1", "n2", "n3", "ns", "p", "h2a", "h2b", "hab"],
+                   "0.37\t0.44052910931422301\t0.83989909446843014\tconsistent_regime"),
+    "iii": (["n1", "p", "h2a", "h2b", "hab"], ["n1", "p", "h2a", "h2b", "hab"],
+            "0.37\t0.71269664509979824\t0.51915496241488446\tconsistent_regime"),
+    "iv": (["n1", "p", "h2a", "h2b", "hab"], ["n1", "p", "h2a", "h2b", "hab"],
+           "0.37\t0.75220112179555654\t0.49188972108521217\tconsistent_regime"),
+    "v": (["n1", "n2", "p", "h2a", "h2b"], ["n1", "n2", "p", "h2a", "h2b"],
+          "0.37\t0.37106180177913101\t0.99713847727241123\tconsistent_regime"),
+}
+
+
+def design_argv(flags):
+    return [arg for f in flags for arg in (f"--{f}", DESIGN[f])]
+
+
+class TestCaseTable:
+    @pytest.mark.parametrize("command", ["correct", "estimate"])
+    def test_case_choices(self, command):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        case = next(a for a in sub.choices[command]._actions if a.dest == "case")
+        assert sorted(case.choices) == sorted(CASES)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_each_required_flag_is_named(self, case, capsys):
+        required = CASES[case][0]
+        for missing in required:
+            argv = ["correct", "--raw", "0.37", "--case", case]
+            argv += design_argv(f for f in DESIGN if f != missing)
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert f"--{missing}" in capsys.readouterr().err.split("requires")[-1]
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_correct_raw_output_pinned(self, case, capsys):
+        _, given, line = CASES[case]
+        rc = main(["correct", "--raw", "0.37", "--case", case] + design_argv(given))
+        assert rc == 0
+        assert capsys.readouterr().out == "raw\tfactor\tcorrected\tregime_flag\n" + line + "\n"
+
+    @pytest.mark.parametrize("case, files", [
+        ("ae", "--target-geno --target-pheno --summary-a"),
+        ("ab", "--target-geno --summary-a --summary-b"),
+        ("summary-ab", "--summary-a --summary-b"),
+    ], ids=["phenotype_score", "score_score", "effect_effect"])
+    def test_estimate_names_missing_file_flags(self, case, files, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--case", case] + design_argv(DESIGN))
+        assert exc.value.code == 2
+        assert f"needs {files}" in capsys.readouterr().err
 
 
 class TestPipelineCommands:

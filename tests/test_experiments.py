@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -10,8 +12,8 @@ from crosstrait.errors import ExperimentError, GenerationError, ParameterError
 from crosstrait.experiments import (
     WORKERS_ENV,
     ExperimentConfig,
+    SCENARIOS,
     ReplicateRow,
-    _SCENARIO_IMPL,
     aggregate,
     genetic_share,
     resolve_workers,
@@ -134,9 +136,9 @@ class TestRun:
         def broken(config, point, rep):
             raise GenerationError("boom")
 
-        monkeypatch.setitem(_SCENARIO_IMPL, "custom", (_SCENARIO_IMPL["fig2_all_snp"][0], broken))
+        _patch_replicate(monkeypatch, broken)
         with pytest.raises(ExperimentError):
-            run(tiny_fig2(scenario="custom"), workers=1)
+            run(tiny_fig2(), workers=1)
 
     def test_fig3_rows_track_thresholds(self):
         cfg = ExperimentConfig(
@@ -195,7 +197,8 @@ WORKER_COUNTS = [1, pytest.param(2, marks=needs_fork)]
 
 
 def _patch_replicate(monkeypatch, rep_fn):
-    monkeypatch.setitem(_SCENARIO_IMPL, "custom", (_SCENARIO_IMPL["fig2_all_snp"][0], rep_fn))
+    patched = dataclasses.replace(SCENARIOS["fig2_all_snp"], replicate=rep_fn)
+    monkeypatch.setitem(SCENARIOS, "fig2_all_snp", patched)
 
 
 def _blas_threads():
@@ -213,7 +216,7 @@ class TestReplicateFailures:
 
         _patch_replicate(monkeypatch, buggy)
         with pytest.raises(RuntimeError, match="bug in a replicate") as info:
-            run(tiny_fig2(scenario="custom", replicates=40), workers=workers)
+            run(tiny_fig2(replicates=40), workers=workers)
         assert type(info.value) is RuntimeError
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
@@ -224,7 +227,7 @@ class TestReplicateFailures:
             return []
 
         _patch_replicate(monkeypatch, flaky)
-        res = run(tiny_fig2(scenario="custom", replicates=40), workers=workers)
+        res = run(tiny_fig2(replicates=40), workers=workers)
         assert res.failures == [("phi=0.5", 3, "GenerationError: resampling cap hit")]
 
 
@@ -251,10 +254,10 @@ class TestWorkers:
 
         _patch_replicate(monkeypatch, report_threads)
         parent = _blas_threads()
-        pooled = run(tiny_fig2(scenario="custom"), workers=2)
+        pooled = run(tiny_fig2(), workers=2)
         assert {r.raw for r in pooled.replicate_rows} == {1.0}
         assert pooled.blas_threads_per_worker == "1"
-        serial = run(tiny_fig2(scenario="custom"), workers=1)
+        serial = run(tiny_fig2(), workers=1)
         assert {r.raw for r in serial.replicate_rows} == {float(parent)}
         assert serial.blas_threads_per_worker == "unpinned"
         assert _blas_threads() == parent
@@ -298,6 +301,48 @@ class TestWorkers:
         run(cfg, workers=2, out_dir=str(tmp_path / "parallel"))
         serial = (tmp_path / "serial" / "replicates.tsv").read_bytes()
         assert serial == (tmp_path / "parallel" / "replicates.tsv").read_bytes()
+
+
+# one small config per scenario, and the scan/score functions it calls
+SMALL = {
+    "fig1_gwas_properties": (dict(p=100, n1=40, sparsity_grid=(0.2,)),
+                             {"marginal_gwas"}),
+    "fig2_all_snp": (dict(p=100, n1=40, n2=40, n3=40, m=10, phi_grid=(0.5,)),
+                     {"marginal_gwas", "_all_snp_scores"}),
+    "fig3_screening": (dict(p=100, n1=40, n3=40, phi_grid=(0.5,), sparsity_grid=(0.1,),
+                            thresholds=(1.0, 0.1)),
+                       {"marginal_gwas", "_ladder_scores"}),
+    "fig4_overlap": (dict(p=100, n1=40, n2=40, n3=40, n_s=10, m=10, phi_grid=(0.5,)),
+                     {"marginal_gwas", "_all_snp_scores"}),
+    "figS2_sparsity": (dict(p=100, n1=40, n3=40, phi_grid=(0.5,), sparsity_grid=(0.1,)),
+                       {"marginal_gwas", "_all_snp_scores"}),
+    "figS5_summary_only": (dict(p=100, n1=40, n2=40, m=10, phi_grid=(0.5,)),
+                           {"marginal_gwas"}),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(SMALL))
+def test_block_size_reaches_every_scan_and_score(monkeypatch, scenario):
+    seen = []
+
+    def spy(name):
+        fn = getattr(experiments, name)
+        sig = inspect.signature(fn)
+
+        def wrapped(*args, **kwargs):
+            bound = sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            seen.append((name, bound.arguments["block_size"]))
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(experiments, name, wrapped)
+
+    for name in ("marginal_gwas", "_all_snp_scores", "_ladder_scores"):
+        spy(name)
+    sizes, called = SMALL[scenario]
+    run(ExperimentConfig(scenario=scenario, replicates=1, master_seed=9, block_size=64, **sizes),
+        workers=1)
+    assert {name for name, _ in seen} == called
+    assert all(block == 64 for _, block in seen), seen
 
 
 class TestGeneticShare:

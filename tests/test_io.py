@@ -45,40 +45,6 @@ class TestSummaryTsv:
             io_files.read_summary_tsv(str(path))
 
 
-class TestExternalSchema:
-    def test_column_mapping_and_sign_flip(self, tmp_path):
-        path = tmp_path / "ext.csv"
-        path.write_text(
-            "ID,logOR,SE,P,FLIP\n"
-            "rs1,0.25,0.1,0.01,0\n"
-            "rs2,-0.50,0.2,0.20,1\n"
-            "rs3,0.10,0.1,0.90,no\n"
-        )
-        schema = io_files.SummaryFileSchema(
-            snp_id="ID", effect="logOR", se="SE", pvalue="P", n=None,
-            n_value=5000, sign_flip="FLIP", delimiter=",",
-        )
-        stats = io_files.read_summary_table(str(path), schema)
-        assert list(stats.snp_id) == ["rs1", "rs2", "rs3"]
-        assert stats.effect[1] == pytest.approx(0.50)  # flipped
-        assert stats.effect[0] == pytest.approx(0.25)
-        assert stats.n == 5000
-
-    def test_missing_required_column(self, tmp_path):
-        path = tmp_path / "ext.tsv"
-        path.write_text("ID\teffect\nrs1\t0.5\n")
-        schema = io_files.SummaryFileSchema(snp_id="SNP", n_value=10)
-        with pytest.raises(DataFormatError, match="SNP"):
-            io_files.read_summary_table(str(path), schema)
-
-    def test_needs_some_n(self, tmp_path):
-        path = tmp_path / "ext.tsv"
-        path.write_text("snp_id\teffect\tse\tpvalue\nrs1\t0.5\t0.1\t0.2\n")
-        schema = io_files.SummaryFileSchema(n=None, n_value=None)
-        with pytest.raises(DataFormatError, match="n_value"):
-            io_files.read_summary_table(str(path), schema)
-
-
 def shift_unpack(packed, p):
     """Reference 2-bit decoder: shift and mask each of the four fields."""
     fields = (packed[:, :, None] >> np.array([0, 2, 4, 6], dtype=np.uint8)) & 3

@@ -5,6 +5,10 @@ from crosstrait.errors import ParameterError
 from crosstrait.estimators import DesignMeta, ScreenCounts
 from crosstrait.moments import (
     ALL_TAGS,
+    INDEP_TAGS,
+    OVERLAP_I_TAGS,
+    OVERLAP_II_TAGS,
+    SCREENED_TAGS,
     monte_carlo_check,
     monte_carlo_check_many,
     predict,
@@ -166,3 +170,52 @@ class TestMonteCarloCheck:
         for tag in ALL_TAGS:
             pred = predict(tag, self.ARCH, m, screen=counts)
             assert np.isfinite(pred.expected_value)
+
+
+# float.hex of (predicted, empirical_mean) per quantity for one small
+# monte_carlo_check_many call per family; a change that keeps every bit of
+# the simulation (e.g. fusing two scores into one multi-vector call) keeps
+# them all
+PINNED_HEX = {
+    "indep": {
+        "cov_ae_num": ("0x1.a400000000000p+13", "0x1.a42ca1fa222ecp+13"),
+        "var_alpha_den": ("0x1.7ed0000000000p+21", "0x1.9945f9ff54923p+21"),
+        "var_eta_den": ("0x1.5e00000000000p+9", "0x1.7bd66cea7c7a5p+9"),
+        "cov_ab_num": ("0x1.89c0000000000p+18", "0x1.0c5b6401c4b8dp+19"),
+        "var_beta_den": ("0x1.0a9a000000000p+21", "0x1.1f9d85b3fbedbp+21"),
+        "summary_ab_num": ("0x1.6800000000000p+13", "0x1.aacd220591444p+13"),
+        "summary_alpha_den": ("0x1.5e00000000000p+16", "0x1.7c401f6fbeb49p+16"),
+        "summary_beta_den": ("0x1.e780000000000p+15", "0x1.0203f5089992bp+16"),
+    },
+    "screened": {
+        "screened_cov_ae_num": ("0x1.3b00000000000p+12", "0x1.42dad162b90a4p+10"),
+        "screened_var_alpha_den": ("0x1.7ed0000000000p+19", "0x1.563bdfa0bef80p+19"),
+        "screened_cov_ab_num": ("0x1.ec30000000000p+16", "0x1.75da1f6f2493cp+16"),
+        "screened_var_beta_den": ("0x1.a469000000000p+18", "0x1.8080a032074a2p+18"),
+    },
+    "overlap_i": {
+        "overlap_i_cov_ae_num": ("0x1.d880000000000p+14", "0x1.d8af973acf1fbp+14"),
+        "overlap_i_var_alpha_den": ("0x1.e5d7000000000p+22", "0x1.1169a34876006p+23"),
+        "overlap_i_var_eta_den": ("0x1.c200000000000p+9", "0x1.9998a413f6a5cp+9"),
+    },
+    "overlap_ii": {
+        "overlap_ii_cov_ab_num": ("0x1.dbc8000000000p+19", "0x1.c4c392308d4b6p+19"),
+        "overlap_ii_var_alpha_den": ("0x1.0059000000000p+22", "0x1.08b2327ec7273p+22"),
+        "overlap_ii_var_beta_den": ("0x1.7ed0000000000p+21", "0x1.5d6963f2ba516p+21"),
+    },
+}
+FAMILY_TAGS = {"indep": INDEP_TAGS, "screened": SCREENED_TAGS,
+               "overlap_i": OVERLAP_I_TAGS, "overlap_ii": OVERLAP_II_TAGS}
+FAMILY_KWARGS = {"screened": {"selection": (6, 10, 5, 8)},
+                 "overlap_i": {"rho_eps": 0.3}, "overlap_ii": {"rho_eps": 0.3}}
+
+
+@pytest.mark.parametrize("family", sorted(PINNED_HEX))
+def test_monte_carlo_bits_pinned(family):
+    arch = TraitArchitecture.shared_causal(80, 16, phi=0.6, h2=0.8)
+    m = DesignMeta(case_tag="indep_ae", p=80, n1=40, n2=30, n3=35, n_s=10,
+                   h2_alpha=0.8, h2_beta=0.8, h2_eta=0.8, h_alpha_eta=0.9, h_alpha_beta=0.9)
+    reports = monte_carlo_check_many(list(FAMILY_TAGS[family]), arch, m, 30, 5,
+                                     **FAMILY_KWARGS.get(family, {}))
+    got = {r.quantity_tag: (r.predicted.hex(), r.empirical_mean.hex()) for r in reports}
+    assert got == PINNED_HEX[family]

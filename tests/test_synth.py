@@ -444,12 +444,6 @@ class TestOverlappingCohorts:
         with pytest.raises(ParameterError):
             stack_genotypes(a, b)
 
-    def test_distribution_family_extension_point(self):
-        from crosstrait.synth import DistributionSpec
-
-        with pytest.raises(NotImplementedError):
-            DistributionSpec(family="laplace")
-
 
 class TestIndependentCohorts:
     def test_trio_shapes_and_determinism(self):
@@ -459,12 +453,3 @@ class TestIndependentCohorts:
         assert np.array_equal(b.disc_alpha.maf, b.target.maf)
         c = gen_independent_cohorts(arch, CohortSizes(30, 25, 20), seed=30)
         assert np.array_equal(b.y_eta.y, c.y_eta.y)
-
-    def test_genotype_seed_pins_codes_only(self):
-        arch = TraitArchitecture.shared_causal(40, 10, phi=0.5)
-        b1 = gen_independent_cohorts(arch, CohortSizes(20, 0, 20), seed=1,
-                                     traits=("alpha", "eta"), genotype_seed=99)
-        b2 = gen_independent_cohorts(arch, CohortSizes(20, 0, 20), seed=2,
-                                     traits=("alpha", "eta"), genotype_seed=99)
-        assert np.array_equal(b1.disc_alpha.codes, b2.disc_alpha.codes)
-        assert not np.array_equal(b1.effects["alpha"].values, b2.effects["alpha"].values)
