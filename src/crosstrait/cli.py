@@ -59,8 +59,7 @@ _META_FLAGS = {
 def _meta_flags(parser: argparse.ArgumentParser) -> None:
     for flag, name in _META_FLAGS.items():
         # sizes are integers, heritabilities and genetic shares floats
-        parser.add_argument(f"--{flag}", type=float if name.startswith("h") else int,
-                            default=0 if name == "n_s" else None)
+        parser.add_argument(f"--{flag}", type=float if name.startswith("h") else int)
 
 
 def _meta_from_args(args, parser) -> DesignMeta:
@@ -73,7 +72,8 @@ def _meta_from_args(args, parser) -> DesignMeta:
         parser.error(
             f"case {args.case!r} requires {' '.join('--' + f for f in missing)}"
         )
-    return DesignMeta(case_tag=tag, **{name: getattr(args, f) for f, name in _META_FLAGS.items()})
+    given = {name: v for f, name in _META_FLAGS.items() if (v := getattr(args, f)) is not None}
+    return DesignMeta(case_tag=tag, **given)
 
 
 def _screen_rule(args) -> ScreenRule:

@@ -45,6 +45,7 @@ from .errors import (
     DegenerateScoreError,
     ParameterError,
 )
+from .kernels import _one_blas_thread
 
 CONSISTENT = "consistent_regime"
 DEGENERATE = "degenerate_regime"
@@ -114,16 +115,23 @@ class CorrelationEstimate:
 
 def raw_cosine(u: np.ndarray, v: np.ndarray) -> float:
     """Uncentered cosine similarity; the single primitive behind every raw
-    estimator in this module."""
+    estimator in this module.
+
+    Its norms and dot product run on one BLAS thread: OpenBLAS threads a dot
+    product of more than 10,000 terms, and its bits then depend on the thread
+    count, which differs between the serial path and pool workers.
+    """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise ParameterError("vectors must have equal length")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
+    with _one_blas_thread():
+        nu = float(np.linalg.norm(u))
+        nv = float(np.linalg.norm(v))
+        uv = np.dot(u, v)
     if nu == 0.0 or nv == 0.0:
         raise DegenerateScoreError("cosine of a zero-norm vector (empty or constant score?)")
-    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
+    return float(np.clip(uv / (nu * nv), -1.0, 1.0))
 
 
 def _require(meta: DesignMeta, tag: str) -> None:
@@ -354,10 +362,10 @@ CASES = {
                         ("n3",), lambda m: m.p >= m.n1 * m.n3, screened=True),
     "screened_ab": Case(None, SCORE_SCORE, _AB, screened_factor_ab,
                         ("n2", "n3"), lambda m: m.p**2 >= m.n1 * m.n2 * m.n3, screened=True),
-    "overlap_case_i": Case("overlap-i", PHENOTYPE_SCORE, _AE + ("n3", "h_alpha_eta"),
+    "overlap_case_i": Case("overlap-i", PHENOTYPE_SCORE, _AE + ("n3", "n_s", "h_alpha_eta"),
                            overlap_factor_case_i,
                            ("n3",), lambda m: m.p >= (m.n1 + m.n_s) * (m.n3 + m.n_s)),
-    "overlap_case_ii": Case("overlap-ii", SCORE_SCORE, _AB + ("h_alpha_beta",),
+    "overlap_case_ii": Case("overlap-ii", SCORE_SCORE, _AB + ("n_s", "h_alpha_beta"),
                             overlap_factor_case_ii,
                             ("n2", "n3"), lambda m: m.p >= (m.n1 + m.n_s) * (m.n2 + m.n_s) * m.n3),
     "case_iii": Case("iii", EFFECT_EFFECT, _SHARED_AB, _factor_case_iii, (), lambda m: False),

@@ -25,9 +25,6 @@ fig1_gwas_properties  scan quality (AUC, power, enrichment, MSE) and the
 
 from __future__ import annotations
 
-import ctypes
-import functools
-import glob
 import math
 import os
 from collections.abc import Callable
@@ -40,6 +37,7 @@ from . import kernels
 from .errors import CrosstraitError, DegenerateScoreError, ExperimentError, ParameterError
 from .estimators import DesignMeta, ScreenCounts, bias_factor, correct, raw_cosine
 from .gwas import marginal_gwas, screen_metrics, threshold_select
+from .kernels import _openblas
 from .prs import ScreenRule
 from .rng import substream
 from .synth import (
@@ -470,7 +468,7 @@ class Scenario:
 
 
 SCENARIOS = {
-    "fig1_gwas_properties": Scenario(("sparsity_grid",), {"n1": 0}, _rep_fig1),
+    "fig1_gwas_properties": Scenario(("sparsity_grid",), {"n1": 2}, _rep_fig1),
     "fig2_all_snp": Scenario(("phi_grid",), {"n1": 2, "n2": 0, "n3": 2}, _rep_all_snp),
     "fig3_screening": Scenario(("sparsity_grid", "phi_grid"), {"n1": 2, "n3": 2}, _rep_fig3),
     "fig4_overlap": Scenario(("phi_grid",), {"n1": 0, "n2": 0, "n3": 2}, _rep_fig4,
@@ -486,31 +484,6 @@ def _run_task(args):
         return ("ok", SCENARIOS[config.scenario].replicate(config, point, rep))
     except CrosstraitError as exc:  # recorded, counted, excluded from aggregates
         return ("fail", (point["point_id"], rep, f"{type(exc).__name__}: {exc}"))
-
-
-@functools.cache
-def _openblas():
-    """``(set_num_threads, get_num_threads)`` of numpy's bundled OpenBLAS, or None.
-
-    Wheels ship it as ``numpy.libs/lib*openblas*`` (``numpy/.dylibs`` on
-    macOS); opening that file returns the copy numpy already loaded.
-    """
-    site = os.path.dirname(os.path.dirname(np.__file__))
-    for pattern in ("numpy.libs/*openblas*", "numpy/.dylibs/*openblas*"):
-        for path in sorted(glob.glob(os.path.join(site, pattern))):
-            try:
-                lib = ctypes.CDLL(path)
-            except OSError:
-                continue
-            for prefix in ("scipy_openblas_", "openblas_"):
-                for suffix in ("64_", ""):
-                    set_threads = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
-                    get_threads = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
-                    if set_threads and get_threads:
-                        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-                        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-                        return set_threads, get_threads
-    return None
 
 
 def _pin_blas():
@@ -578,8 +551,10 @@ def run(
     Replicate failures (a ``CrosstraitError`` raised by a replicate) are
     recorded with their reason and excluded from the aggregates; the run
     aborts if more than 5% of tasks fail.  Any other exception is a bug and
-    propagates.  Pool workers run BLAS single-threaded; the serial path
-    leaves BLAS threading as it is.
+    propagates.  Pool workers run BLAS single-threaded.  On every path the
+    score kernel and the raw cosine also run their own BLAS calls on one
+    thread, so one worker and many give the same bits also where OpenBLAS
+    would thread those calls (n % 4 != 0 at large n, p > 10,000).
     """
     tasks = [(config, point, rep) for point in _points(config) for rep in range(config.replicates)]
 

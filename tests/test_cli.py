@@ -90,10 +90,10 @@ CASES = {
            "0.37\t0.25400025400038101\t1.4566914566921849\tconsistent_regime"),
     "summary-ab": (["n1", "n2", "p", "h2a", "h2b"], ["n1", "n2", "p", "h2a", "h2b"],
                    "0.37\t0.25400025400038101\t1.4566914566921849\tconsistent_regime"),
-    "overlap-i": (["n1", "n3", "p", "h2a", "h2e", "hae"],
+    "overlap-i": (["n1", "n3", "ns", "p", "h2a", "h2e", "hae"],
                   ["n1", "n3", "ns", "p", "h2a", "h2e", "hae"],
                   "0.37\t0.60418889570904333\t0.61239126145439671\tconsistent_regime"),
-    "overlap-ii": (["n1", "n2", "p", "h2a", "h2b", "hab"],
+    "overlap-ii": (["n1", "n2", "ns", "p", "h2a", "h2b", "hab"],
                    ["n1", "n2", "n3", "ns", "p", "h2a", "h2b", "hab"],
                    "0.37\t0.44052910931422301\t0.83989909446843014\tconsistent_regime"),
     "iii": (["n1", "p", "h2a", "h2b", "hab"], ["n1", "p", "h2a", "h2b", "hab"],
@@ -228,6 +228,14 @@ class TestSimulateCommand:
         assert len(rows) == 6  # 3 estimators x 2 replicates
         assert (out / "aggregates.tsv").exists()
         assert (out / "manifest.txt").exists()
+
+    def test_fig1_one_sample_cohort_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("scenario=fig1_gwas_properties\np=50\nn1=1\nsparsity_grid=0.2\n"
+                       "replicates=1\n")
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "at least 2 samples" in capsys.readouterr().err
 
     def test_bad_config_key(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

@@ -60,6 +60,12 @@ class TestRawCosine:
         with pytest.raises(DegenerateScoreError):
             raw_cosine(np.zeros(3), np.ones(3))
 
+    def test_independent_of_caller_blas_threads(self, at_one_and_two_blas_threads):
+        # OpenBLAS threads a dot product of more than 10,000 terms
+        pairs = np.random.default_rng(5).standard_normal((10, 2, 20001))
+        one, two = at_one_and_two_blas_threads(lambda: [raw_cosine(u, v) for u, v in pairs])
+        assert one == two
+
     @given(
         a=st.floats(min_value=0.01, max_value=100, allow_nan=False),
         b=st.floats(min_value=0.01, max_value=100, allow_nan=False),

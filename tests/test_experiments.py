@@ -63,6 +63,17 @@ class TestConfig:
         with pytest.raises(ParameterError, match="target"):
             run(cfg)
 
+    def test_fig1_one_sample_cohort_rejected_before_running(self, monkeypatch):
+        def never(config, point, rep):
+            raise AssertionError("a task ran")
+
+        patched = dataclasses.replace(SCENARIOS["fig1_gwas_properties"], replicate=never)
+        monkeypatch.setitem(SCENARIOS, "fig1_gwas_properties", patched)
+        cfg = ExperimentConfig(scenario="fig1_gwas_properties", p=50, n1=1,
+                               sparsity_grid=(0.2,), replicates=1)
+        with pytest.raises(ParameterError, match="at least 2 samples"):
+            run(cfg, workers=1)
+
     def test_ns_alias(self):
         cfg = ExperimentConfig.from_dict(
             {"scenario": "fig4_overlap", "p": "40", "n1": "20", "n3": "20",
@@ -293,10 +304,19 @@ class TestWorkers:
         ExperimentConfig(scenario="fig3_screening", p=1000, n1=1000, n3=1000,
                          phi_grid=(0.8,), sparsity_grid=(0.01, 0.2), replicates=2,
                          master_seed=32),
-    ], ids=["fig2_all_snp", "fig3_screening"])
+        # n % 4 != 0: a threaded GEMV rounds the tail rows of each thread's share
+        # on another path, so this differed before the kernels pinned their GEMVs
+        ExperimentConfig(scenario="fig2_all_snp", p=2000, n1=2001, n2=2001, n3=2001,
+                         m=200, phi_grid=(0.3, 0.8), replicates=2, master_seed=7),
+        # p > 10,000: a threaded dot product of p terms adds its partial sums in
+        # another order (score offsets, the effect-effect cosine)
+        ExperimentConfig(scenario="fig2_all_snp", p=10001, n1=60, n2=60, n3=60,
+                         m=50, phi_grid=(0.3, 0.8), replicates=2, master_seed=8),
+    ], ids=["fig2_all_snp", "fig3_screening", "fig2_all_snp_n2001", "fig2_all_snp_p10001"])
     def test_serial_parallel_identical_at_threaded_blas_size(self, tmp_path, cfg):
-        # n = p = 1000 is above OpenBLAS's threading threshold for GEMV, so the
-        # serial path multiplies with several threads and the workers with one
+        # each config reaches a size at which OpenBLAS threads a GEMV or a dot
+        # product; the serial path runs BLAS at its default thread count, the
+        # workers at one
         run(cfg, workers=1, out_dir=str(tmp_path / "serial"))
         run(cfg, workers=2, out_dir=str(tmp_path / "parallel"))
         serial = (tmp_path / "serial" / "replicates.tsv").read_bytes()

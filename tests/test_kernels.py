@@ -83,3 +83,71 @@ def test_column_counts_add_over_row_blocks(codes):
     assert s.dtype == n2.dtype == np.int64
     assert np.array_equal(s, s_a + s_b) and np.array_equal(n2, n2_a + n2_b)
     assert np.array_equal(n2, (codes == 2).sum(axis=0))
+
+
+@pytest.fixture(scope="module")
+def tall_codes():
+    # p > 2048: the default block is full-width, so its row tiles are 64 rows
+    return np.random.default_rng(3).integers(0, 3, size=(4097, 2100), dtype=np.uint8)
+
+
+class TestTileEdges:
+    @pytest.mark.parametrize(
+        "make_indices",
+        [
+            lambda p, rng: None,
+            lambda p, rng: np.arange(17, 17 + 2070),
+            lambda p, rng: np.sort(rng.permutation(p)[:2080]),
+            lambda p, rng: rng.permutation(p)[:2080],
+            lambda p, rng: np.empty(0, dtype=np.intp),
+        ],
+        ids=["none", "offset_run", "sorted", "permuted", "empty"],
+    )
+    @pytest.mark.parametrize("block_size", [kernels.DEFAULT_BLOCK_SIZE, 128])
+    @pytest.mark.parametrize("n", [1, 3, 63, 64, 65, 130, 131, 257, 4097])
+    def test_matvec_bitwise_equal_to_untiled_gather(self, tall_codes, n, block_size, make_indices):
+        codes = tall_codes[:n]
+        mean, sd = kernels.column_stats(codes)
+        sd[sd == 0] = 1.0
+        rng = np.random.default_rng(n)
+        p = codes.shape[1]
+        indices = make_indices(p, rng)
+        full = np.arange(p) if indices is None else indices
+        W = rng.standard_normal((len(full), 3))
+        for weights in (W[:, 0], W):
+            got = kernels.std_matvec(codes, mean, sd, weights, indices=indices,
+                                     block_size=block_size)
+            got = got.reshape(n, -1)
+            with kernels._one_blas_thread():
+                for c in range(got.shape[1]):
+                    ref = gather_matvec(codes, mean, sd, W[:, c], full, block_size)
+                    assert np.array_equal(got[:, c], ref)
+
+    @pytest.mark.parametrize("shape", [(1, 2100), (65, 2100), (2001, 2100), (10003, 300)],
+                             ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_crossprod_bitwise_equal_to_converted_block(self, shape):
+        # the kernel reduces the uint8 codes in einsum's own buffers; the
+        # reference converts the whole matrix to float64 first
+        codes = np.random.default_rng(shape[0]).integers(0, 3, size=shape, dtype=np.uint8)
+        mean, sd = kernels.column_stats(codes)
+        sd[sd == 0] = 1.0
+        y = np.random.default_rng(1).standard_normal(shape[0])
+        ref = (np.einsum("ij,i->j", codes.astype(np.float64), y) - mean * y.sum()) / sd
+        assert np.array_equal(kernels.std_crossprod(codes, mean, sd, y), ref)
+
+    @pytest.mark.parametrize("tile_bytes", [kernels._SCORE_TILE_BYTES, 1 << 40],
+                             ids=["tiled", "one_tile"])
+    @pytest.mark.parametrize("shape", [(2001, 2100), (2003, 2100), (4097, 2100), (64, 10001)],
+                             ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_matvec_independent_of_caller_blas_threads(self, monkeypatch, shape, tile_bytes,
+                                                       at_one_and_two_blas_threads):
+        # OpenBLAS threads a GEMV only above a size that may exceed a default
+        # tile, so one tile per block checks the pin at sizes that do thread;
+        # p > 10,000 threads the dot products of the offsets
+        monkeypatch.setattr(kernels, "_SCORE_TILE_BYTES", tile_bytes)
+        codes = np.random.default_rng(shape[0]).integers(0, 3, size=shape, dtype=np.uint8)
+        mean, sd = kernels.column_stats(codes)
+        w = np.random.default_rng(1).standard_normal(shape[1])
+        one, two = at_one_and_two_blas_threads(lambda: kernels.std_matvec(codes, mean, sd, w))
+        assert np.array_equal(one, two)
+
