@@ -2,20 +2,25 @@
 
 Text tables are tab-separated with a header row; floats are written with 17
 significant digits so that write-then-read reproduces every IEEE double
-bit-exactly.  Genotypes have a compact binary container (2 bits per code)
-for large runs and a plain-TSV fallback for small fixtures.  All writes go
-through a temp-file-then-rename so partially written outputs never appear
-under the final name.
+bit-exactly.  A table is read by columns (one split of the whole file, then
+``float`` over each number column) and written from one row template, so no
+Python call runs per field.  Genotypes have a compact binary container (2 bits
+per code, decoded two bytes per table lookup) for large runs and a plain-TSV
+fallback for small fixtures.  All writes go through a temp-file-then-rename so
+partially written outputs never appear under the final name.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import struct
 import tempfile
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import chain, repeat
+from operator import attrgetter
 
 import numpy as np
 
@@ -30,10 +35,24 @@ GENO_MAGIC = b"XTGT"
 GENO_VERSION = 1
 
 # the four 2-bit codes of every byte value, low bits first, read as one <u4
-# per byte so that unpacking is a single table lookup (as in PLINK's decoder)
+# per byte
 _UNPACK_LUT = (
     (np.arange(256, dtype=np.uint8)[:, None] >> np.array([0, 2, 4, 6], dtype=np.uint8)) & 3
 ).view("<u4")[:, 0]
+
+
+@functools.cache
+def _unpack_pair_lut() -> np.ndarray:
+    """The eight codes of every little-endian byte pair, read as one <u8 per
+    pair (512 KiB), so that unpacking is one table lookup per two bytes (as
+    in PLINK's decoder).  Built on first use."""
+    lut = _UNPACK_LUT.astype("<u8")
+    return ((lut[:, None] << 32) | lut[None, :]).ravel()
+
+
+# rows per decoded tile: their intp indices and <u8 lookups take about 512 KiB,
+# so a tile stays in cache and no index array of the whole matrix is built
+_UNPACK_TILE_BYTES = 1 << 19
 
 
 def fmt(x: float) -> str:
@@ -58,34 +77,77 @@ def atomic_write_text(path: str, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def _read_table(path: str, expected_header: list[str] | None = None):
-    """Yield (lineno, fields) for each data row; validates the header."""
+def _floats(col: list[str]) -> np.ndarray:
+    return np.array(list(map(float, col)))
+
+
+def _distinct_ints(col: list[str]) -> list[int]:
+    """``int(float(s))`` of each distinct value, in order of first appearance."""
+    return [int(float(s)) for s in dict.fromkeys(col)]
+
+
+def _read_columns(path: str, header: list[str], parse: dict) -> list:
+    """The columns of a tab-separated table whose first line is ``header``.
+
+    Blank lines are skipped.  Column ``j`` is a list of strings, or
+    ``parse[j](strings)`` for the columns in ``parse``, whose functions parse
+    with ``float``.  A line with the wrong number of fields, or a value in a
+    ``parse`` column that is not a number, raises ``DataFormatError`` naming
+    the first such line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header:
-            raise DataFormatError(f"{path}:1: empty file")
-        cols = header.rstrip("\n").split("\t")
-        if expected_header is not None and cols != expected_header:
-            raise DataFormatError(
-                f"{path}:1: expected header {expected_header}, got {cols}"
-            )
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if expected_header is not None and len(fields) != len(cols):
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected {len(cols)} columns, got {len(fields)}"
-                )
-            yield lineno, fields
-
-
-def _parse_float(path, lineno, col, s):
+        text = fh.read()
+    if not text:
+        raise DataFormatError(f"{path}:1: empty file")
+    head, _, body = text.partition("\n")
+    cols = head.split("\t")
+    if cols != header:
+        raise DataFormatError(f"{path}:1: expected header {header}, got {cols}")
+    rows = list(filter(None, body.split("\n")))
+    k = len(header)
     try:
-        return float(s)
+        if list(map(str.count, rows, repeat("\t"))).count(k - 1) != len(rows):
+            raise ValueError("wrong number of fields")
+        fields = "\t".join(rows).split("\t") if rows else []
+        columns = [fields[j::k] for j in range(k)]
+        for j, fn in parse.items():
+            columns[j] = fn(columns[j])
     except ValueError:
-        raise DataFormatError(f"{path}:{lineno}: column {col!r} is not a number: {s!r}") from None
+        _raise_first_fault(path, header, parse, body)
+        raise  # not a malformed line: int() of a nan ``n``, as the row reader raised
+    return columns
+
+
+def _raise_first_fault(path: str, header: list[str], parse: dict, body: str) -> None:
+    """Walk the lines of ``body`` (line 2 on) in order and raise for the first
+    one with the wrong number of fields or a non-number in a ``parse`` column."""
+    for lineno, line in enumerate(body.split("\n"), start=2):
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != len(header):
+            raise DataFormatError(
+                f"{path}:{lineno}: expected {len(header)} columns, got {len(fields)}"
+            )
+        for j in parse:
+            try:
+                float(fields[j])
+            except ValueError:
+                raise DataFormatError(
+                    f"{path}:{lineno}: column {header[j]!r} is not a number: {fields[j]!r}"
+                ) from None
+
+
+def _write_rows(path: str, header: list[str], template: str, rows) -> None:
+    """Write ``header`` and one ``template % row`` line per row.  ``%.17g``
+    prints a float exactly as ``fmt`` does."""
+    rows = list(rows)
+    body = (template * len(rows)) % tuple(chain.from_iterable(rows))
+    atomic_write_text(path, "\t".join(header) + "\n" + body)
+
+
+def _default_sample_ids(n: int) -> list[str]:
+    return list(map("sample{:07d}".format, range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -96,40 +158,23 @@ SUMMARY_HEADER = ["snp_id", "effect", "se", "tstat", "pvalue", "n"]
 
 
 def write_summary_tsv(path: str, stats: SummaryStats) -> None:
-    lines = ["\t".join(SUMMARY_HEADER)]
-    for j in range(stats.p):
-        lines.append(
-            "\t".join(
-                [
-                    str(stats.snp_id[j]),
-                    fmt(stats.effect[j]),
-                    fmt(stats.se[j]),
-                    fmt(stats.tstat[j]),
-                    fmt(stats.pvalue[j]),
-                    str(stats.n),
-                ]
-            )
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    columns = (stats.snp_id, stats.effect, stats.se, stats.tstat, stats.pvalue)
+    _write_rows(path, SUMMARY_HEADER, "%s\t%.17g\t%.17g\t%.17g\t%.17g\t%s\n",
+                zip(*(np.asarray(c).tolist() for c in columns), repeat(stats.n)))
 
 
 def read_summary_tsv(path: str, trait_tag: str = "") -> SummaryStats:
-    ids, eff, se, t, pv, ns = [], [], [], [], [], []
-    for lineno, f in _read_table(path, SUMMARY_HEADER):
-        ids.append(f[0])
-        eff.append(_parse_float(path, lineno, "effect", f[1]))
-        se.append(_parse_float(path, lineno, "se", f[2]))
-        t.append(_parse_float(path, lineno, "tstat", f[3]))
-        pv.append(_parse_float(path, lineno, "pvalue", f[4]))
-        ns.append(int(_parse_float(path, lineno, "n", f[5])))
+    ids, effect, se, tstat, pvalue, ns = _read_columns(
+        path, SUMMARY_HEADER,
+        {1: _floats, 2: _floats, 3: _floats, 4: _floats, 5: _distinct_ints})
     if not ids:
         raise DataFormatError(f"{path}:2: no data rows")
     return SummaryStats(
         snp_id=np.array(ids),
-        effect=np.array(eff),
-        se=np.array(se),
-        tstat=np.array(t),
-        pvalue=np.array(pv),
+        effect=effect,
+        se=se,
+        tstat=tstat,
+        pvalue=pvalue,
         n=ns[0],
         trait_tag=trait_tag,
     )
@@ -141,36 +186,28 @@ def read_summary_tsv(path: str, trait_tag: str = "") -> SummaryStats:
 
 def write_phenotype_tsv(path: str, y: np.ndarray, sample_ids=None) -> None:
     if sample_ids is None:
-        sample_ids = [f"sample{i:07d}" for i in range(len(y))]
-    lines = ["sample_id\tvalue"]
-    lines += [f"{sid}\t{fmt(v)}" for sid, v in zip(sample_ids, y)]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        sample_ids = _default_sample_ids(len(y))
+    _write_rows(path, ["sample_id", "value"], "%s\t%.17g\n",
+                zip(sample_ids, np.asarray(y).tolist()))
 
 
 def read_phenotype_tsv(path: str) -> tuple[np.ndarray, list[str]]:
-    ids, vals = [], []
-    for lineno, f in _read_table(path, ["sample_id", "value"]):
-        ids.append(f[0])
-        vals.append(_parse_float(path, lineno, "value", f[1]))
+    ids, values = _read_columns(path, ["sample_id", "value"], {1: _floats})
     if not ids:
         raise DataFormatError(f"{path}:2: no data rows")
-    return np.array(vals), ids
+    return values, ids
 
 
 def write_scores_tsv(path: str, scores: np.ndarray, sample_ids=None) -> None:
     if sample_ids is None:
-        sample_ids = [f"sample{i:07d}" for i in range(len(scores))]
-    lines = ["sample_id\tscore"]
-    lines += [f"{sid}\t{fmt(v)}" for sid, v in zip(sample_ids, scores)]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        sample_ids = _default_sample_ids(len(scores))
+    _write_rows(path, ["sample_id", "score"], "%s\t%.17g\n",
+                zip(sample_ids, np.asarray(scores).tolist()))
 
 
 def read_scores_tsv(path: str) -> tuple[np.ndarray, list[str]]:
-    ids, vals = [], []
-    for lineno, f in _read_table(path, ["sample_id", "score"]):
-        ids.append(f[0])
-        vals.append(_parse_float(path, lineno, "score", f[1]))
-    return np.array(vals), ids
+    ids, values = _read_columns(path, ["sample_id", "score"], {1: _floats})
+    return values, ids
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +226,27 @@ def pack_codes(codes: np.ndarray) -> np.ndarray:
 
 
 def unpack_codes(packed: np.ndarray, p: int) -> np.ndarray:
-    """Inverse of ``pack_codes``: an (n, p) uint8 array of 2-bit fields."""
-    n = packed.shape[0]
-    expanded = _UNPACK_LUT.take(packed).view(np.uint8).reshape(n, 4 * packed.shape[1])
-    return np.ascontiguousarray(expanded[:, :p])
+    """Inverse of ``pack_codes``: an (n, p) uint8 array of 2-bit fields.
+
+    Rows are decoded in tiles, one table lookup per two bytes; the last byte
+    of an odd-width row is paired with a zero byte, whose codes fall beyond
+    column p.
+    """
+    n, row_bytes = packed.shape
+    width = -(-row_bytes // 2)
+    rows = max(1, _UNPACK_TILE_BYTES // (16 * max(width, 1)))
+    lut = _unpack_pair_lut()
+    codes = np.empty((n, p), dtype=np.uint8)
+    tile = np.zeros((rows, 2 * width), dtype=np.uint8)
+    index = np.empty((rows, width), dtype=np.intp)
+    pairs = np.empty((rows, width), dtype="<u8")
+    for r in range(0, n, rows):
+        k = min(rows, n - r)
+        tile[:k, :row_bytes] = packed[r:r + k]
+        np.copyto(index[:k], tile[:k].view("<u2"))
+        lut.take(index[:k], out=pairs[:k])
+        codes[r:r + k] = pairs[:k].view(np.uint8)[:, :p]
+    return codes
 
 
 def write_genotype_bin(path: str, G: GenotypeMatrix) -> None:
@@ -297,65 +351,32 @@ MOMENT_HEADER = ["quantity_tag", "predicted", "empirical_mean", "empirical_se", 
 
 
 def write_replicates_tsv(path: str, rows: list) -> None:
-    lines = ["\t".join(REPLICATE_HEADER)]
-    for r in rows:
-        lines.append(
-            "\t".join(
-                [r.scenario, r.point_id, r.estimator, str(r.replicate),
-                 fmt(r.raw), fmt(r.corrected), fmt(r.factor), r.flag]
-            )
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_rows(path, REPLICATE_HEADER, "%s\t%s\t%s\t%s\t%.17g\t%.17g\t%.17g\t%s\n",
+                map(attrgetter(*REPLICATE_HEADER), rows))
 
 
 def read_replicates_tsv(path: str) -> list:
-    rows = []
-    for lineno, f in _read_table(path, REPLICATE_HEADER):
-        rows.append(
-            ReplicateRow(
-                scenario=f[0], point_id=f[1], estimator=f[2], replicate=int(f[3]),
-                raw=_parse_float(path, lineno, "raw", f[4]),
-                corrected=_parse_float(path, lineno, "corrected", f[5]),
-                factor=_parse_float(path, lineno, "factor", f[6]),
-                flag=f[7],
-            )
-        )
-    return rows
+    scenario, point_id, estimator, replicate, raw, corrected, factor, flag = _read_columns(
+        path, REPLICATE_HEADER, {4: _floats, 5: _floats, 6: _floats})
+    return list(map(ReplicateRow, scenario, point_id, estimator, map(int, replicate),
+                    raw.tolist(), corrected.tolist(), factor.tolist(), flag))
 
 
 def write_aggregates_tsv(path: str, rows: list) -> None:
-    lines = ["\t".join(AGGREGATE_HEADER)]
-    for r in rows:
-        lines.append(
-            "\t".join([r.scenario, r.point_id, r.estimator, fmt(r.mean), fmt(r.sd), str(r.n)])
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_rows(path, AGGREGATE_HEADER, "%s\t%s\t%s\t%.17g\t%.17g\t%s\n",
+                map(attrgetter(*AGGREGATE_HEADER), rows))
 
 
 def read_aggregates_tsv(path: str) -> list:
-    rows = []
-    for lineno, f in _read_table(path, AGGREGATE_HEADER):
-        rows.append(
-            AggregateRow(
-                scenario=f[0], point_id=f[1], estimator=f[2],
-                mean=_parse_float(path, lineno, "mean", f[3]),
-                sd=_parse_float(path, lineno, "sd", f[4]),
-                n=int(f[5]),
-            )
-        )
-    return rows
+    scenario, point_id, estimator, mean, sd, n = _read_columns(
+        path, AGGREGATE_HEADER, {3: _floats, 4: _floats})
+    return list(map(AggregateRow, scenario, point_id, estimator,
+                    mean.tolist(), sd.tolist(), map(int, n)))
 
 
 def write_moment_report_tsv(path: str, reports: list[MomentCheckReport]) -> None:
-    lines = ["\t".join(MOMENT_HEADER)]
-    for r in reports:
-        lines.append(
-            "\t".join(
-                [r.quantity_tag, fmt(r.predicted), fmt(r.empirical_mean),
-                 fmt(r.empirical_se), fmt(r.z)]
-            )
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_rows(path, MOMENT_HEADER, "%s\t%.17g\t%.17g\t%.17g\t%.17g\n",
+                map(attrgetter(*MOMENT_HEADER), reports))
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +468,5 @@ def persist_experiment(out_dir: str, result: ExperimentResult) -> None:
     write_manifest(os.path.join(out_dir, "manifest.txt"), cfg, result.config.master_seed,
                    info=info)
     if result.failures:
-        lines = ["point_id\treplicate\treason"]
-        lines += [f"{p}\t{r}\t{msg}" for p, r, msg in result.failures]
-        atomic_write_text(os.path.join(out_dir, "failures.tsv"), "\n".join(lines) + "\n")
+        _write_rows(os.path.join(out_dir, "failures.tsv"), ["point_id", "replicate", "reason"],
+                    "%s\t%s\t%s\n", result.failures)

@@ -1,4 +1,5 @@
-"""Pinned ``replicates.tsv`` digests: one fixed config per scenario.
+"""Pinned ``replicates.tsv`` digests: one fixed config per scenario, and the
+files of one ``gwas -> score -> estimate`` run through the CLI.
 
 Any change to an RNG stream, a kernel's rounding or the TSV format changes
 a digest; a change that must keep every byte keeps all of them, with one
@@ -9,7 +10,10 @@ import hashlib
 
 import pytest
 
+from crosstrait import io_files
+from crosstrait.cli import main
 from crosstrait.experiments import ExperimentConfig, run
+from crosstrait.synth import CohortSizes, TraitArchitecture, gen_independent_cohorts
 
 C = ExperimentConfig
 PINNED = {
@@ -53,3 +57,48 @@ def test_replicates_digest_pinned(tmp_path, name, workers):
     run(cfg, workers=workers, out_dir=str(tmp_path))
     data = (tmp_path / "replicates.tsv").read_bytes()
     assert hashlib.sha256(data).hexdigest()[:16] == digest
+
+
+def _sha16(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()[:16]
+
+
+def test_file_pipeline_digests_pinned(tmp_path, capsys):
+    """``gwas`` -> ``score`` -> screened ``score`` -> ``estimate`` through the
+    CLI on one generated dataset; p = 481 gives 121 bytes per packed row."""
+    n, p = 120, 481
+    arch = TraitArchitecture.shared_causal(p, 60, phi=0.5, h2=0.5, traits=("alpha", "eta"))
+    b = gen_independent_cohorts(arch, CohortSizes(n1=n, n3=n), seed=18, traits=("alpha", "eta"))
+    P = {k: str(tmp_path / k) for k in
+         ("disc.xtg", "target.xtg", "y_alpha.tsv", "y_eta.tsv", "summary.tsv",
+          "scores_all.tsv", "scores_p.tsv", "estimate.tsv")}
+    io_files.write_genotype_bin(P["disc.xtg"], b.disc_alpha)
+    io_files.write_genotype_bin(P["target.xtg"], b.target)
+    io_files.write_phenotype_tsv(P["y_alpha.tsv"], b.y_alpha.y)
+    io_files.write_phenotype_tsv(P["y_eta.tsv"], b.y_eta.y)
+    commands = [
+        ["gwas", "--genotypes", P["disc.xtg"], "--phenotype", P["y_alpha.tsv"],
+         "--out", P["summary.tsv"]],
+        ["score", "--genotypes", P["target.xtg"], "--summary", P["summary.tsv"],
+         "--out", P["scores_all.tsv"]],
+        ["score", "--genotypes", P["target.xtg"], "--summary", P["summary.tsv"],
+         "--rule", "pvalue", "--cutoff", "0.05", "--out", P["scores_p.tsv"]],
+        ["estimate", "--case", "ae", "--target-geno", P["target.xtg"],
+         "--target-pheno", P["y_eta.tsv"], "--summary-a", P["summary.tsv"],
+         "--n1", str(n), "--p", str(p), "--h2a", "0.5", "--h2e", "0.5",
+         "--out", P["estimate.tsv"]],
+    ]
+    for argv in commands:
+        assert main(argv) == 0
+    with open(P["estimate.tsv"]) as fh:
+        assert capsys.readouterr().out.endswith(fh.read())
+    got = {k: _sha16(P[k]) for k in
+           ("y_alpha.tsv", "summary.tsv", "scores_all.tsv", "scores_p.tsv", "estimate.tsv")}
+    assert got == {
+        "y_alpha.tsv": "61cd80253046321c",
+        "summary.tsv": "de5326c707675ab9",
+        "scores_all.tsv": "6c356e26b83be483",
+        "scores_p.tsv": "e159e585b92f3fc7",
+        "estimate.tsv": "c740c3fde450d30d",
+    }

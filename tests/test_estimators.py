@@ -15,6 +15,7 @@ from crosstrait.estimators import (
     DEGENERATE,
     DesignMeta,
     ScreenCounts,
+    bias_factor,
     bias_factor_ab,
     bias_factor_ae,
     bias_factor_summary_ab,
@@ -300,6 +301,27 @@ class TestCorrect:
         m = DesignMeta(case_tag="screened_ae", p=100, n1=50, h2_alpha=1.0, h2_eta=1.0)
         with pytest.raises(ParameterError):
             correct(0.5, m)
+
+    @given(
+        r=st.floats(-1.0, 1.0),
+        n1=st.integers(1, 10**6),
+        n3=st.integers(1, 10**6),
+        p=st.integers(1, 10**6),
+        h2a=st.floats(0.0, 1.0, exclude_min=True),
+        h2e=st.floats(0.0, 1.0, exclude_min=True),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_correct_divides_by_the_factor(self, r, n1, n3, p, h2a, h2e):
+        meta = meta_ae(n1, p, h2a, h2e, n3=n3)
+        f = bias_factor(meta)
+        if f == 0.0:  # p / h2_alpha overflows for h2_alpha near 5e-324
+            with pytest.raises(ParameterError):
+                correct(r * f, meta)
+            return
+        est = correct(r * f, meta)
+        assert est.raw == r * f
+        assert est.bias_factor == f
+        assert est.corrected == (r * f) / f
 
     def test_zero_factor_rejected(self):
         m = DesignMeta(case_tag="screened_ae", p=100, n1=50, h2_alpha=1.0, h2_eta=1.0)

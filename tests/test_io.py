@@ -1,13 +1,42 @@
+import re
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crosstrait import io_files
+from crosstrait.cli import main
 from crosstrait.errors import DataFormatError
-from crosstrait.experiments import ReplicateRow, aggregate
-from crosstrait.gwas import marginal_gwas
+from crosstrait.experiments import AggregateRow, ReplicateRow, aggregate
+from crosstrait.gwas import SummaryStats, marginal_gwas
+from crosstrait.moments import MomentCheckReport
 from crosstrait.synth import gen_genotypes
+
+# doubles whose text form is easy to get wrong
+SPECIAL = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1.7976931348623157e308]
+
+
+def sample_values(k=60, seed=0):
+    """The special doubles, then k doubles of scattered magnitude, then k in [0, 1)."""
+    rng = np.random.default_rng(seed)
+    scattered = rng.standard_normal(k) * 10.0 ** rng.integers(-300, 300, k)
+    return np.concatenate([SPECIAL, scattered, rng.random(k)])
+
+
+def field_oracle(header, rows, kinds):
+    """A table printed one field at a time: ``format(float(x), ".17g")`` for
+    the fields marked "f" in ``kinds``, ``str`` for those marked "s"."""
+    lines = ["\t".join(header)]
+    for row in rows:
+        lines.append("\t".join(format(float(v), ".17g") if k == "f" else str(v)
+                               for k, v in zip(kinds, row, strict=True)))
+    return "\n".join(lines) + "\n"
+
+
+def bits(xs):
+    return np.asarray(xs, dtype=np.float64).view(np.uint64)
 
 
 @pytest.fixture
@@ -15,6 +44,199 @@ def stats():
     G = gen_genotypes(60, 12, seed=0)
     y = np.random.default_rng(1).standard_normal(60)
     return marginal_gwas(G, y)
+
+
+class TestWritersMatchFieldOracle:
+    def test_summary(self, tmp_path):
+        v = sample_values()
+        stats = SummaryStats(snp_id=np.array([f"rs{j}" for j in range(v.size)]), effect=v,
+                             se=v[::-1].copy(), tstat=np.roll(v, 7), pvalue=np.abs(v), n=1234)
+        path = tmp_path / "sum.tsv"
+        io_files.write_summary_tsv(str(path), stats)
+        rows = zip(stats.snp_id, v, stats.se, stats.tstat, stats.pvalue, [1234] * v.size)
+        assert path.read_text() == field_oracle(io_files.SUMMARY_HEADER, rows, "sffffs")
+
+    @pytest.mark.parametrize("sample_ids", [None, ["a", "b%s", "c%d", "7"] * 33])
+    def test_phenotype_and_scores(self, tmp_path, sample_ids):
+        v = sample_values()
+        ids = sample_ids or [f"sample{i:07d}" for i in range(v.size)]
+        for writer, header in ((io_files.write_phenotype_tsv, ["sample_id", "value"]),
+                               (io_files.write_scores_tsv, ["sample_id", "score"])):
+            path = tmp_path / f"{header[1]}.tsv"
+            writer(str(path), v, sample_ids=sample_ids)
+            assert path.read_text() == field_oracle(header, zip(ids, v), "sf")
+
+    def test_replicates(self, tmp_path):
+        v = sample_values()
+        rows = [ReplicateRow("fig2", f"pt{i}", "G", i, float(v[i]), np.float64(v[-i - 1]),
+                             v[(7 * i) % v.size], "ok;q=3" if i % 3 else "flag%")
+                for i in range(v.size)]
+        path = tmp_path / "reps.tsv"
+        io_files.write_replicates_tsv(str(path), rows)
+        fields = [[getattr(r, f) for f in io_files.REPLICATE_HEADER] for r in rows]
+        assert path.read_text() == field_oracle(io_files.REPLICATE_HEADER, fields, "ssssfffs")
+
+    def test_aggregates(self, tmp_path):
+        v = sample_values()
+        rows = [AggregateRow("fig2", f"pt{i}", "G", v[i], v[i + 1], i) for i in range(v.size - 1)]
+        path = tmp_path / "aggs.tsv"
+        io_files.write_aggregates_tsv(str(path), rows)
+        fields = [[getattr(r, f) for f in io_files.AGGREGATE_HEADER] for r in rows]
+        assert path.read_text() == field_oracle(io_files.AGGREGATE_HEADER, fields, "sssffs")
+
+    def test_moment_report(self, tmp_path):
+        v = sample_values()
+        reports = [MomentCheckReport(f"tag{i}", v[i], v[i + 1], v[i + 2], v[i + 3], 10, True)
+                   for i in range(v.size - 3)]
+        path = tmp_path / "moments.tsv"
+        io_files.write_moment_report_tsv(str(path), reports)
+        fields = [[getattr(r, f) for f in io_files.MOMENT_HEADER] for r in reports]
+        assert path.read_text() == field_oracle(io_files.MOMENT_HEADER, fields, "sffff")
+
+    def test_empty_tables_are_header_only(self, tmp_path):
+        path = tmp_path / "reps.tsv"
+        io_files.write_replicates_tsv(str(path), [])
+        assert path.read_text() == "\t".join(io_files.REPLICATE_HEADER) + "\n"
+
+
+# every double but NaN payloads other than float("nan")'s, which print as "nan"
+doubles = st.floats(allow_nan=False) | st.just(float("nan"))
+
+
+@given(st.lists(doubles, min_size=1, max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_write_read_round_trip_bitwise(xs):
+    v = np.array(xs + SPECIAL)
+    with tempfile.TemporaryDirectory() as d:
+        path = f"{d}/t.tsv"
+        io_files.write_summary_tsv(path, SummaryStats(
+            snp_id=np.array([f"rs{j}" for j in range(v.size)]), effect=v, se=v[::-1].copy(),
+            tstat=np.roll(v, 1), pvalue=np.roll(v, 2), n=17))
+        back = io_files.read_summary_tsv(path)
+        for got, want in ((back.effect, v), (back.se, v[::-1]), (back.tstat, np.roll(v, 1)),
+                          (back.pvalue, np.roll(v, 2))):
+            assert np.array_equal(bits(got), bits(want))
+        assert back.n == 17
+
+        for write, read in ((io_files.write_phenotype_tsv, io_files.read_phenotype_tsv),
+                            (io_files.write_scores_tsv, io_files.read_scores_tsv)):
+            write(path, v)
+            assert np.array_equal(bits(read(path)[0]), bits(v))
+
+        # -nan prints as "nan" too, so the columns are rolled, not negated
+        cols = [v.tolist(), np.roll(v, 1).tolist(), np.roll(v, 2).tolist()]
+        rows = [ReplicateRow("s", "pt", "G", i, *xs, "ok") for i, xs in enumerate(zip(*cols))]
+        io_files.write_replicates_tsv(path, rows)
+        back = io_files.read_replicates_tsv(path)
+        for f, col in zip(("raw", "corrected", "factor"), cols):
+            assert np.array_equal(bits([getattr(r, f) for r in back]), bits(col))
+        assert [r.replicate for r in back] == list(range(v.size))
+
+        aggs = [AggregateRow("s", "pt", "G", x, y, i) for i, (x, y) in enumerate(zip(*cols[:2]))]
+        io_files.write_aggregates_tsv(path, aggs)
+        back = io_files.read_aggregates_tsv(path)
+        assert np.array_equal(bits([r.mean for r in back]), bits(cols[0]))
+        assert np.array_equal(bits([r.sd for r in back]), bits(cols[1]))
+
+
+# table -> (reader, header, one valid row, indices of its number columns)
+TABLES = {
+    "summary": (io_files.read_summary_tsv, io_files.SUMMARY_HEADER,
+                ["rs1", "0.5", "0.1", "5", "1e-06", "60"], [1, 2, 3, 4, 5]),
+    "phenotype": (io_files.read_phenotype_tsv, ["sample_id", "value"], ["s1", "0.25"], [1]),
+    "scores": (io_files.read_scores_tsv, ["sample_id", "score"], ["s1", "-1.5"], [1]),
+    "replicates": (io_files.read_replicates_tsv, io_files.REPLICATE_HEADER,
+                   ["sc", "pt", "G", "3", "0.5", "nan", "-0", "ok"], [4, 5, 6]),
+    "aggregates": (io_files.read_aggregates_tsv, io_files.AGGREGATE_HEADER,
+                   ["sc", "pt", "G", "0.5", "inf", "4"], [3, 4]),
+}
+
+
+def write_lines(tmp_path, *lines):
+    path = tmp_path / "t.tsv"
+    path.write_text("\n".join(lines))
+    return str(path)
+
+
+def raises_at(path, lineno, message):
+    return pytest.raises(DataFormatError, match=re.escape(f"{path}:{lineno}: {message}"))
+
+
+@pytest.mark.parametrize("table", sorted(TABLES))
+class TestReaderErrors:
+    def test_empty_file(self, tmp_path, table):
+        read = TABLES[table][0]
+        path = write_lines(tmp_path, "")
+        with raises_at(path, 1, "empty file"):
+            read(path)
+
+    def test_wrong_header(self, tmp_path, table):
+        read, header, row, _ = TABLES[table]
+        path = write_lines(tmp_path, "\t".join(header[:-1] + ["x"]), "\t".join(row), "")
+        with raises_at(path, 1, f"expected header {header}, got {header[:-1] + ['x']}"):
+            read(path)
+
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+    def test_wrong_field_count(self, tmp_path, table, extra):
+        read, header, row, _ = TABLES[table]
+        bad = row[:-1] if extra < 0 else row + ["x"]
+        good = "\t".join(row)
+        path = write_lines(tmp_path, "\t".join(header), good, "", good, "\t".join(bad), good, "")
+        with raises_at(path, 5, f"expected {len(header)} columns, got {len(header) + extra}"):
+            read(path)
+
+    def test_non_number_names_line_and_column(self, tmp_path, table):
+        read, header, row, numbers = TABLES[table]
+        good = "\t".join(row)
+        for j in numbers:
+            bad = list(row)
+            bad[j] = "oops"
+            path = write_lines(tmp_path, "\t".join(header), good, "", "", good,
+                               "\t".join(bad), good, "")
+            with raises_at(path, 6, f"column {header[j]!r} is not a number: 'oops'"):
+                read(path)
+
+    def test_first_fault_in_line_order(self, tmp_path, table):
+        read, header, row, numbers = TABLES[table]
+        bad = list(row)
+        bad[numbers[-1]] = "oops"
+        lines = ["\t".join(header), "\t".join(bad), "\t".join(row[:-1]), ""]
+        with raises_at(write_lines(tmp_path, *lines), 2, f"column {header[numbers[-1]]!r}"):
+            read(str(tmp_path / "t.tsv"))
+        lines[1:3] = lines[2:0:-1]
+        with raises_at(write_lines(tmp_path, *lines), 2, "expected"):
+            read(str(tmp_path / "t.tsv"))
+        bad[numbers[0]] = "first"
+        with raises_at(write_lines(tmp_path, lines[0], "\t".join(bad)), 2,
+                       f"column {header[numbers[0]]!r} is not a number: 'first'"):
+            read(str(tmp_path / "t.tsv"))
+
+    def test_blank_lines_skipped(self, tmp_path, table):
+        read, header, row, _ = TABLES[table]
+        good = "\t".join(row)
+        plain = read(write_lines(tmp_path, "\t".join(header), good, good, ""))
+        spaced = read(write_lines(tmp_path, "\t".join(header), "", good, "", "", good, "", ""))
+        assert repr(spaced) == repr(plain)
+
+
+@pytest.mark.parametrize("table", ["summary", "phenotype"])
+def test_no_data_rows(tmp_path, table):
+    read, header, _, _ = TABLES[table]
+    path = write_lines(tmp_path, "\t".join(header), "", "", "")
+    with raises_at(path, 2, "no data rows"):
+        read(path)
+
+
+def test_cli_corrupt_summary_exits_3(tmp_path, capsys):
+    geno = str(tmp_path / "geno.xtg")
+    io_files.write_genotype_bin(geno, gen_genotypes(10, 3, seed=2))
+    summary = write_lines(tmp_path, "\t".join(io_files.SUMMARY_HEADER),
+                          "snp0000000\t0.5\t0.1\t5\t0.01\t10",
+                          "snp0000001\t0.5\toops\t5\t0.01\t10", "")
+    rc = main(["score", "--genotypes", geno, "--summary", summary,
+               "--out", str(tmp_path / "scores.tsv")])
+    assert rc == 3
+    assert f"{summary}:3: column 'se' is not a number: 'oops'" in capsys.readouterr().err
 
 
 class TestSummaryTsv:
@@ -34,6 +256,11 @@ class TestSummaryTsv:
         path.write_text("a\tb\n1\t2\n")
         with pytest.raises(DataFormatError, match=":1:"):
             io_files.read_summary_tsv(str(path))
+
+    def test_n_is_the_first_rows_value(self, tmp_path):
+        rows = [f"rs{j}\t0.5\t0.1\t5\t0.01\t{n}" for j, n in enumerate(["60.9", "70", "70"])]
+        path = write_lines(tmp_path, "\t".join(io_files.SUMMARY_HEADER), *rows, "")
+        assert io_files.read_summary_tsv(path).n == 60
 
     def test_bad_number_reports_line(self, stats, tmp_path):
         path = tmp_path / "sum.tsv"
@@ -59,7 +286,8 @@ class TestGenotypeContainers:
         codes = rng.integers(0, 3, size=(n, p), dtype=np.uint8)
         assert np.array_equal(io_files.unpack_codes(io_files.pack_codes(codes), p), codes)
 
-    @pytest.mark.parametrize("p", [4, 5, 6, 7, 400, 401, 402, 403])
+    # p % 8 in 0..7 gives rows of an odd and an even number of bytes
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6, 7, 8, 400, 401, 402, 403, 404, 405, 406, 407])
     def test_unpack_matches_shift_decoder(self, p):
         packed = np.random.default_rng(p).integers(0, 256, size=(9, -(-p // 4)), dtype=np.uint8)
         got = io_files.unpack_codes(packed, p)
@@ -69,6 +297,25 @@ class TestGenotypeContainers:
     def test_unpack_every_byte_value(self):
         packed = np.arange(256, dtype=np.uint8).reshape(4, 64)
         assert np.array_equal(io_files.unpack_codes(packed, 256), shift_unpack(packed, 256))
+
+    def test_unpack_every_byte_pair(self):
+        # every little-endian pair once, 256 pairs a row; 300 rows of 256 pairs
+        # leave a part-filled last tile
+        packed = np.arange(65536, dtype="<u2").view(np.uint8).reshape(256, 512)
+        packed = np.vstack([packed, packed[:44]])
+        assert np.array_equal(io_files.unpack_codes(packed, 2048), shift_unpack(packed, 2048))
+        odd = packed[:, :511]
+        assert np.array_equal(io_files.unpack_codes(odd, 2043), shift_unpack(odd, 2043))
+
+    def test_corrupt_code_in_last_byte_of_odd_row_rejected(self, tmp_path):
+        G = gen_genotypes(6, 9, seed=4)  # 3 bytes per row
+        path = tmp_path / "geno.xtg"
+        io_files.write_genotype_bin(str(path), G)
+        data = bytearray(path.read_bytes())
+        data[24 + 2 * 3 + 2] |= 0b11  # code 8 (the last) of the third row becomes 3
+        path.write_bytes(bytes(data))
+        with pytest.raises(DataFormatError, match="value 3"):
+            io_files.read_genotype_bin(str(path))
 
     def test_corrupt_code_rejected(self, tmp_path):
         G = gen_genotypes(6, 5, seed=4)
