@@ -35,7 +35,6 @@ from .estimators import (
     correct_partial_r2,
     overlap_factor_case_i,
     overlap_factor_case_ii,
-    overlap_factor_cases_iii_iv_v,
     raw_cosine,
     regime_flag,
     screened_factor_ab,

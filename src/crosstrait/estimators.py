@@ -35,6 +35,7 @@ fields the factor needs, its degenerate-regime check and its CLI alias.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -45,7 +46,6 @@ from .errors import (
     DegenerateScoreError,
     ParameterError,
 )
-from .kernels import _one_blas_thread
 
 CONSISTENT = "consistent_regime"
 DEGENERATE = "degenerate_regime"
@@ -117,18 +117,17 @@ def raw_cosine(u: np.ndarray, v: np.ndarray) -> float:
     """Uncentered cosine similarity; the single primitive behind every raw
     estimator in this module.
 
-    Its norms and dot product run on one BLAS thread: OpenBLAS threads a dot
-    product of more than 10,000 terms, and its bits then depend on the thread
-    count, which differs between the serial path and pool workers.
+    Its norms and dot product are einsum reductions of contiguous copies, not
+    BLAS calls, so their bits depend neither on a BLAS thread count nor on
+    the layout of the vectors passed in.
     """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
+    u = np.ascontiguousarray(u, dtype=np.float64)
+    v = np.ascontiguousarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise ParameterError("vectors must have equal length")
-    with _one_blas_thread():
-        nu = float(np.linalg.norm(u))
-        nv = float(np.linalg.norm(v))
-        uv = np.dot(u, v)
+    nu = math.sqrt(np.einsum("i,i->", u, u))
+    nv = math.sqrt(np.einsum("i,i->", v, v))
+    uv = np.einsum("i,i->", u, v)
     if nu == 0.0 or nv == 0.0:
         raise DegenerateScoreError("cosine of a zero-norm vector (empty or constant score?)")
     return float(np.clip(uv / (nu * nv), -1.0, 1.0))
@@ -307,15 +306,6 @@ def _factor_case_v(meta: DesignMeta) -> float:
     return float(num / den)
 
 
-def overlap_factor_cases_iii_iv_v(meta: DesignMeta, case_tag: str | None = None) -> float:
-    """Factors for the fully-overlapping and reused-discovery designs;
-    ``case_tag`` overrides ``meta.case_tag``."""
-    tag = case_tag or meta.case_tag
-    if tag not in ("case_iii", "case_iv", "case_v"):
-        raise ParameterError(f"unknown overlap case {tag!r}")
-    return CASES[tag].factor(meta)
-
-
 # the raw estimators: uncentered cosines of
 PHENOTYPE_SCORE = "phenotype_score"  # the target phenotype and one risk score
 SCORE_SCORE = "score_score"  # two risk scores on the same target samples
@@ -408,7 +398,9 @@ def correct(raw: float, meta: DesignMeta, screen: ScreenCounts | None = None) ->
     factor = bias_factor(meta, screen)
     flag = regime_flag(meta)
     if factor == 0.0:
-        raise ParameterError("bias factor is zero; screened selection kept no shared signal")
+        why = ("screened selection kept no shared signal" if CASES[meta.case_tag].screened
+               else "it underflows at these sizes and heritabilities, or a sample size is 0")
+        raise ParameterError(f"bias factor is zero; {why}")
     corrected = raw / factor
     return CorrelationEstimate(
         raw=raw,

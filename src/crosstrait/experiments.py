@@ -37,7 +37,6 @@ from . import kernels
 from .errors import CrosstraitError, DegenerateScoreError, ExperimentError, ParameterError
 from .estimators import DesignMeta, ScreenCounts, bias_factor, correct, raw_cosine
 from .gwas import marginal_gwas, screen_metrics, threshold_select
-from .kernels import _openblas
 from .prs import ScreenRule
 from .rng import substream
 from .synth import (
@@ -161,7 +160,6 @@ class ExperimentResult:
     aggregate_rows: list
     failures: list
     workers: int = 1
-    blas_threads_per_worker: str = "unpinned"
 
 
 def genetic_share(arch: TraitArchitecture, rho_eps: float, pair: str) -> float:
@@ -486,14 +484,6 @@ def _run_task(args):
         return ("fail", (point["point_id"], rep, f"{type(exc).__name__}: {exc}"))
 
 
-def _pin_blas():
-    """Pool initializer: one BLAS thread per worker, so workers do not
-    oversubscribe the cores; a no-op without a bundled OpenBLAS."""
-    blas = _openblas()
-    if blas is not None:
-        blas[0](1)
-
-
 def resolve_workers(workers: int | None, n_tasks: int) -> int:
     """``workers``, else $CROSSTRAIT_WORKERS, else one per usable core but no
     more than there are tasks."""
@@ -551,19 +541,16 @@ def run(
     Replicate failures (a ``CrosstraitError`` raised by a replicate) are
     recorded with their reason and excluded from the aggregates; the run
     aborts if more than 5% of tasks fail.  Any other exception is a bug and
-    propagates.  Pool workers run BLAS single-threaded.  On every path the
-    score kernel and the raw cosine also run their own BLAS calls on one
-    thread, so one worker and many give the same bits also where OpenBLAS
-    would thread those calls (n % 4 != 0 at large n, p > 10,000).
+    propagates.  No replicate calls BLAS (see ``kernels``), so one worker and
+    many give the same bits whatever the BLAS thread count.
     """
     tasks = [(config, point, rep) for point in _points(config) for rep in range(config.replicates)]
 
     nworkers = resolve_workers(workers, len(tasks))
-    pinned = nworkers > 1 and _openblas() is not None
     if nworkers == 1:
         outcomes = [_run_task(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=nworkers, initializer=_pin_blas) as pool:
+        with ProcessPoolExecutor(max_workers=nworkers) as pool:
             outcomes = list(pool.map(_run_task, tasks, chunksize=1))
 
     rows, failures = [], []
@@ -580,8 +567,7 @@ def run(
 
     aggs = aggregate(rows)
     result = ExperimentResult(config=config, replicate_rows=rows,
-                              aggregate_rows=aggs, failures=failures, workers=nworkers,
-                              blas_threads_per_worker="1" if pinned else "unpinned")
+                              aggregate_rows=aggs, failures=failures, workers=nworkers)
     if out_dir is not None:
         from . import io_files
 

@@ -81,9 +81,24 @@ def _floats(col: list[str]) -> np.ndarray:
     return np.array(list(map(float, col)))
 
 
-def _distinct_ints(col: list[str]) -> list[int]:
-    """``int(float(s))`` of each distinct value, in order of first appearance."""
-    return [int(float(s)) for s in dict.fromkeys(col)]
+def _ints(least: int):
+    """Parser of a column of integers >= ``least`` ("3.0" reads as 3); each
+    distinct string is checked once."""
+    def parse(col: list[str]) -> list[int]:
+        distinct = list(dict.fromkeys(col))
+        x = _floats(distinct)
+        if not np.all((x >= least) & (x < 2.0**63) & (x == np.floor(x))):
+            raise ValueError(f"is not an integer >= {least}")
+        return list(map(dict(zip(distinct, x.astype(np.int64).tolist())).__getitem__, col))
+    return parse
+
+
+def _line_of_row(path: str, row: int) -> int:
+    """The line number of data row ``row`` (from 0) of a table; blank lines
+    hold no row."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    return [i for i, line in enumerate(lines[1:], start=2) if line][row]
 
 
 def _read_columns(path: str, header: list[str], parse: dict) -> list:
@@ -91,9 +106,10 @@ def _read_columns(path: str, header: list[str], parse: dict) -> list:
 
     Blank lines are skipped.  Column ``j`` is a list of strings, or
     ``parse[j](strings)`` for the columns in ``parse``, whose functions parse
-    with ``float``.  A line with the wrong number of fields, or a value in a
-    ``parse`` column that is not a number, raises ``DataFormatError`` naming
-    the first such line.
+    with ``float`` and raise ``ValueError`` for a value they refuse.  A line
+    with the wrong number of fields, or with a value in a ``parse`` column
+    that is not a number or is refused, raises ``DataFormatError`` naming the
+    first such line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -114,13 +130,14 @@ def _read_columns(path: str, header: list[str], parse: dict) -> list:
             columns[j] = fn(columns[j])
     except ValueError:
         _raise_first_fault(path, header, parse, body)
-        raise  # not a malformed line: int() of a nan ``n``, as the row reader raised
+        raise
     return columns
 
 
 def _raise_first_fault(path: str, header: list[str], parse: dict, body: str) -> None:
     """Walk the lines of ``body`` (line 2 on) in order and raise for the first
-    one with the wrong number of fields or a non-number in a ``parse`` column."""
+    one with the wrong number of fields, or a non-number or a refused value in
+    a ``parse`` column."""
     for lineno, line in enumerate(body.split("\n"), start=2):
         if not line:
             continue
@@ -129,12 +146,18 @@ def _raise_first_fault(path: str, header: list[str], parse: dict, body: str) -> 
             raise DataFormatError(
                 f"{path}:{lineno}: expected {len(header)} columns, got {len(fields)}"
             )
-        for j in parse:
+        for j, fn in parse.items():
             try:
                 float(fields[j])
             except ValueError:
                 raise DataFormatError(
                     f"{path}:{lineno}: column {header[j]!r} is not a number: {fields[j]!r}"
+                ) from None
+            try:
+                fn([fields[j]])
+            except ValueError as exc:
+                raise DataFormatError(
+                    f"{path}:{lineno}: column {header[j]!r} {exc}: {fields[j]!r}"
                 ) from None
 
 
@@ -164,11 +187,17 @@ def write_summary_tsv(path: str, stats: SummaryStats) -> None:
 
 
 def read_summary_tsv(path: str, trait_tag: str = "") -> SummaryStats:
+    """Read a summary TSV; its ``n`` must be one positive integer, the same on
+    every row."""
     ids, effect, se, tstat, pvalue, ns = _read_columns(
         path, SUMMARY_HEADER,
-        {1: _floats, 2: _floats, 3: _floats, 4: _floats, 5: _distinct_ints})
+        {1: _floats, 2: _floats, 3: _floats, 4: _floats, 5: _ints(1)})
     if not ids:
         raise DataFormatError(f"{path}:2: no data rows")
+    if ns.count(ns[0]) != len(ns):
+        row = next(i for i, n in enumerate(ns) if n != ns[0])
+        raise DataFormatError(f"{path}:{_line_of_row(path, row)}: column 'n' is {ns[row]}, "
+                              f"but {ns[0]} on the first row")
     return SummaryStats(
         snp_id=np.array(ids),
         effect=effect,
@@ -357,8 +386,8 @@ def write_replicates_tsv(path: str, rows: list) -> None:
 
 def read_replicates_tsv(path: str) -> list:
     scenario, point_id, estimator, replicate, raw, corrected, factor, flag = _read_columns(
-        path, REPLICATE_HEADER, {4: _floats, 5: _floats, 6: _floats})
-    return list(map(ReplicateRow, scenario, point_id, estimator, map(int, replicate),
+        path, REPLICATE_HEADER, {3: _ints(0), 4: _floats, 5: _floats, 6: _floats})
+    return list(map(ReplicateRow, scenario, point_id, estimator, replicate,
                     raw.tolist(), corrected.tolist(), factor.tolist(), flag))
 
 
@@ -369,9 +398,9 @@ def write_aggregates_tsv(path: str, rows: list) -> None:
 
 def read_aggregates_tsv(path: str) -> list:
     scenario, point_id, estimator, mean, sd, n = _read_columns(
-        path, AGGREGATE_HEADER, {3: _floats, 4: _floats})
+        path, AGGREGATE_HEADER, {3: _floats, 4: _floats, 5: _ints(0)})
     return list(map(AggregateRow, scenario, point_id, estimator,
-                    mean.tolist(), sd.tolist(), map(int, n)))
+                    mean.tolist(), sd.tolist(), n))
 
 
 def write_moment_report_tsv(path: str, reports: list[MomentCheckReport]) -> None:
@@ -463,10 +492,8 @@ def persist_experiment(out_dir: str, result: ExperimentResult) -> None:
     write_replicates_tsv(os.path.join(out_dir, "replicates.tsv"), result.replicate_rows)
     write_aggregates_tsv(os.path.join(out_dir, "aggregates.tsv"), result.aggregate_rows)
     cfg = result.config.to_dict()
-    info = {"workers": result.workers,
-            "blas_threads_per_worker": result.blas_threads_per_worker}
     write_manifest(os.path.join(out_dir, "manifest.txt"), cfg, result.config.master_seed,
-                   info=info)
+                   info={"workers": result.workers})
     if result.failures:
         _write_rows(os.path.join(out_dir, "failures.tsv"), ["point_id", "replicate", "reason"],
                     "%s\t%s\t%s\n", result.failures)

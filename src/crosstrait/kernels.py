@@ -8,58 +8,21 @@ do not depend on the block size, unless a block is a single column, which
 einsum reduces on another loop; the accumulating matvec does, which is why
 the block size is part of the recorded configuration.
 
-Neither kernel converts a whole block to float64: a 2048-column block at
-n = 2000 is 32 MiB, far more than a core's cache, and allocating it anew for
-every block costs page faults as well.
-
-* The scan hands the ``uint8`` block to einsum as it is.  einsum's buffered
-  iterator converts it to float64 a few thousand elements at a time, in
-  cache, and accumulates each column over the rows in the same order as an
-  einsum over a converted C-ordered block, so the bits are the same.
-* The score converts each block in row tiles of about ``_SCORE_TILE_BYTES``,
-  each a multiple of ``_SCORE_TILE_ROWS`` rows, and the rows left over join
-  the last tile.  A GEMV computes every row in the same column order
-  whatever the row count, except the last ``rows % 4``, which OpenBLAS
-  computes on a scalar path, and an operand of only 1-3 rows, which it
-  computes on yet another unrolled loop.  A last tile of at least 64 rows
-  that ends at row n has the same tail rows as the untiled block, so the
-  tiled product is bitwise equal to the untiled one.  Tile sizes are private
-  constants, never options, so no configuration can move the bits.
-
-The score runs its GEMVs and the dot products of its offsets on one
-OpenBLAS thread (``_one_blas_thread``) and restores the caller's thread
-count afterwards.  A threaded GEMV splits the rows between threads and
-computes the tail rows of each thread's share on the scalar path, so its
-bits depend on the thread count when n % 4 != 0, and a threaded dot product
-(more than 10,000 terms) adds partial sums in another order.  Pinned, the
-serial path and the single-threaded pool workers agree at any size.
-(OpenBLAS 0.3.31 threads a GEMV only from about 460,800 elements, above any
-default tile, but that threshold belongs to the BLAS build, not to this
-module.)
-
-When a matvec block's columns are one ascending run (all SNPs, or any
-contiguous range), the block is a slice copied in Fortran order rather than a
-fancy-index gather.  A gather of columns from the row-major codes yields an
-F-ordered block, and BLAS takes a different path (with different rounding in
-the last bits) for a C-ordered operand, so the F-ordered slice is what keeps
-both paths bitwise equal while skipping the gather.
+Neither kernel calls BLAS, whose bits depend on its build, its thread count
+and the row count of an operand.  Both reduce with einsum, whose loops are
+numpy's own (compiled for numpy's baseline CPU target, not dispatched at run
+time), so a given block size gives the same bits in the serial path and in
+pool workers, at any ``OPENBLAS_NUM_THREADS``.  Neither converts a whole
+block to float64: einsum's buffered iterator hands the ``uint8`` codes over
+a few thousand elements at a time, in cache, with the bits of an einsum over
+the converted C-ordered block.
 """
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
-import glob
-import os
-
 import numpy as np
 
 DEFAULT_BLOCK_SIZE = 2048
-
-# row tiles of the score (see the module docstring)
-_SCORE_TILE_BYTES = 1 << 20
-_SCORE_TILE_ROWS = 64
 
 __all__ = [
     "DEFAULT_BLOCK_SIZE",
@@ -96,57 +59,6 @@ def stats_from_counts(s: np.ndarray, n2: np.ndarray, n: int) -> tuple[np.ndarray
     mean = s / n
     var = (s + 2.0 * n2) / n - mean * mean
     return mean, np.sqrt(np.maximum(var, 0.0))
-
-
-def _tiles(length: int, size: int):
-    """``(start, stop)`` of consecutive runs of ``size`` covering
-    ``range(length)``; the remainder joins the last run, so no run is shorter
-    than ``size`` unless ``length`` is."""
-    bounds = [i * size for i in range(max(1, length // size))] + [length]
-    return zip(bounds, bounds[1:])
-
-
-@functools.cache
-def _openblas():
-    """``(set_num_threads, get_num_threads)`` of numpy's bundled OpenBLAS, or None.
-
-    Wheels ship it as ``numpy.libs/lib*openblas*`` (``numpy/.dylibs`` on
-    macOS); opening that file returns the copy numpy already loaded.
-    """
-    site = os.path.dirname(os.path.dirname(np.__file__))
-    for pattern in ("numpy.libs/*openblas*", "numpy/.dylibs/*openblas*"):
-        for path in sorted(glob.glob(os.path.join(site, pattern))):
-            try:
-                lib = ctypes.CDLL(path)
-            except OSError:
-                continue
-            for prefix in ("scipy_openblas_", "openblas_"):
-                for suffix in ("64_", ""):
-                    set_threads = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
-                    get_threads = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
-                    if set_threads and get_threads:
-                        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-                        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-                        return set_threads, get_threads
-    return None
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the body on one OpenBLAS thread, then restore the caller's count;
-    without a bundled OpenBLAS, threading is left as it is.  The count is
-    process-wide, so bodies must not run concurrently in several threads."""
-    blas = _openblas()
-    if blas is None:
-        yield
-        return
-    set_threads, get_threads = blas
-    threads = get_threads()
-    set_threads(1)
-    try:
-        yield
-    finally:
-        set_threads(threads)
 
 
 def std_crossprod(
@@ -190,12 +102,11 @@ def std_matvec(
 
     ``weights`` is aligned with ``indices`` when given, else with all p
     columns.  Computed as ``codes[:, idx] @ (w / sd) - sum(w * mean / sd)``,
-    accumulating over column blocks in fixed index order, each converted and
-    multiplied in row tiles on one BLAS thread (see the module docstring).  A
-    block whose columns form one ascending run is sliced instead of gathered.
-    With k weight columns each tile is converted once and multiplied by one
-    GEMV per column, not one GEMM, whose rounding differs from a GEMV's.  Each
-    column of the result is bitwise equal to a call with that column alone.
+    accumulating one einsum per column block in fixed index order.  A block
+    whose columns form one ascending run is a view of the codes; any other
+    block is gathered with ``take``, which is C-ordered like the view, so
+    both give the same bits.  Each column of the result is bitwise equal to a
+    call with that column alone.
     """
     n, p = codes.shape
     weights = np.asarray(weights, dtype=np.float64)
@@ -206,24 +117,17 @@ def std_matvec(
     if weights.ndim not in (1, 2) or weights.shape[0] != indices.shape[0]:
         raise ValueError("weights must have one row per index")
     w = weights[:, None] if weights.ndim == 1 else weights
-    # one contiguous row of scaled weights, and of output, per score
+    # one contiguous row of scaled weights per score
     v = np.ascontiguousarray((w / col_sd[indices][:, None]).T)
-    mean = col_mean[indices]
-    out = np.zeros((v.shape[0], n), dtype=np.float64)
-    with _one_blas_thread():
-        offsets = np.array([np.dot(vc, mean) for vc in v])
-        for k0 in range(0, len(indices), block_size):
-            k1 = min(k0 + block_size, len(indices))
-            cols = indices[k0:k1]
-            a = int(cols[0])
-            run = codes[:, a : a + len(cols)] if a >= 0 and np.all(np.diff(cols) == 1) else None
-            quanta = max(1, _SCORE_TILE_BYTES // (8 * len(cols) * _SCORE_TILE_ROWS))
-            for r0, r1 in _tiles(n, quanta * _SCORE_TILE_ROWS):
-                if run is not None:
-                    blk = run[r0:r1].astype(np.float64, order="F")
-                else:
-                    blk = codes[r0:r1, cols].astype(np.float64)
-                for vc, oc in zip(v, out):
-                    oc[r0:r1] += blk @ vc[k0:k1]
-    out -= offsets[:, None]
-    return out[0] if weights.ndim == 1 else out.T
+    out = np.zeros((n, v.shape[0]), dtype=np.float64)
+    for k0 in range(0, len(indices), block_size):
+        k1 = min(k0 + block_size, len(indices))
+        cols = indices[k0:k1]
+        a = int(cols[0])
+        if a >= 0 and np.all(np.diff(cols) == 1):
+            blk = codes[:, a : a + len(cols)]
+        else:
+            blk = codes.take(cols, axis=1)
+        out += np.einsum("ij,kj->ik", blk, v[:, k0:k1])
+    out -= np.einsum("kj,j->k", v, col_mean[indices])
+    return out[:, 0] if weights.ndim == 1 else out

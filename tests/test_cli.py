@@ -52,6 +52,16 @@ class TestCorrect:
         assert rc == 0
         assert float(capsys.readouterr().out.splitlines()[1].split("\t")[2]) == 0.0
 
+    @pytest.mark.parametrize("sizes", [["--n1", "10", "--h2a", "5e-324"],
+                                       ["--n1", "0", "--h2a", "0.5"]],
+                             ids=["underflow", "n1_zero"])
+    def test_unscreened_zero_factor_message(self, capsys, sizes):
+        rc = main(["correct", "--raw", "0.5", "--p", "10", "--h2e", "1", "--case", "ae", *sizes])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: bias factor is zero; it underflows" in err
+        assert "screened" not in err
+
     def test_r2_published_row(self, capsys):
         rc = main(["correct", "--r2", "0.001974", "--n1", "55374", "--p", "129052",
                    "--h2a", "0.100", "--h2e", "0.660", "--case", "ae"])

@@ -20,33 +20,33 @@ PINNED = {
     "fig1_gwas_properties": (
         C(scenario="fig1_gwas_properties", p=301, n1=9, sigma2=0.5,
           sparsity_grid=(0.1, 1.0), replicates=3, master_seed=11),
-        "dc2e7f672049e3d1"),
+        "45f34c9014fd9b2f"),
     # p = 2101 spans two column blocks of 2048
     "fig2_all_snp": (
         C(scenario="fig2_all_snp", p=2101, n1=60, n2=60, n3=60, m=50,
           phi_grid=(0.3, 0.8), replicates=3, master_seed=12),
-        "caf3606ad4e055f1"),
+        "919eb1c67002a591"),
     "fig3_screening": (
         C(scenario="fig3_screening", p=400, n1=200, n3=200, phi_grid=(0.8,),
           sparsity_grid=(0.02, 0.5), replicates=3, master_seed=13),
-        "e8f547dfbf49372d"),
+        "3955bf6cc5b66f65"),
     "fig4_overlap_ns40": (
         C(scenario="fig4_overlap", p=200, n1=80, n2=80, n3=80, n_s=40, m=40, h2=0.5,
           rho_eps=0.2, phi_grid=(0.5,), replicates=3, master_seed=14),
-        "c31e6ba31552cfe6"),
+        "2afa4860e4cf43cd"),
     # no shared samples: every stack holds one block
     "fig4_overlap_ns0": (
         C(scenario="fig4_overlap", p=200, n1=80, n2=80, n3=80, n_s=0, m=40,
           phi_grid=(0.5,), replicates=3, master_seed=15),
-        "a029f812f83c1a37"),
+        "09ca3a0fbb32ad81"),
     "figS2_sparsity": (
         C(scenario="figS2_sparsity", p=300, n1=150, n3=150, phi_grid=(0.6,),
           sparsity_grid=(0.05, 0.5), replicates=3, master_seed=16),
-        "e66b89be25a17e3a"),
+        "a00d114ab84f8356"),
     "figS5_summary_only": (
         C(scenario="figS5_summary_only", p=300, n1=150, n2=150, m=60,
           phi_grid=(0.2, 0.7), replicates=3, master_seed=17),
-        "fafc153fd58217cb"),
+        "6b615fc01554dcb0"),
 }
 
 
@@ -96,9 +96,9 @@ def test_file_pipeline_digests_pinned(tmp_path, capsys):
     got = {k: _sha16(P[k]) for k in
            ("y_alpha.tsv", "summary.tsv", "scores_all.tsv", "scores_p.tsv", "estimate.tsv")}
     assert got == {
-        "y_alpha.tsv": "61cd80253046321c",
-        "summary.tsv": "de5326c707675ab9",
-        "scores_all.tsv": "6c356e26b83be483",
-        "scores_p.tsv": "e159e585b92f3fc7",
-        "estimate.tsv": "c740c3fde450d30d",
+        "y_alpha.tsv": "a42e9446bfa333ee",
+        "summary.tsv": "38c62eaea0651dbf",
+        "scores_all.tsv": "ae3b0c6d83f4d3bd",
+        "scores_p.tsv": "93a02a3652905dc8",
+        "estimate.tsv": "d1ec12c5a7038178",
     }

@@ -2,6 +2,8 @@ import dataclasses
 import inspect
 import multiprocessing
 import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -212,10 +214,6 @@ def _patch_replicate(monkeypatch, rep_fn):
     monkeypatch.setitem(SCENARIOS, "fig2_all_snp", patched)
 
 
-def _blas_threads():
-    return experiments._openblas()[1]()
-
-
 class TestReplicateFailures:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_bug_in_replicate_propagates(self, monkeypatch, workers):
@@ -254,34 +252,39 @@ class TestWorkers:
         assert resolve_workers(None, 1) == 3
         assert resolve_workers(5, 1) == 5
 
-    @needs_fork
-    def test_pool_workers_run_one_blas_thread(self, monkeypatch):
-        if experiments._openblas() is None:
-            pytest.skip("numpy's BLAS is not a bundled OpenBLAS")
-
-        def report_threads(config, point, rep):
-            return [ReplicateRow(config.scenario, point["point_id"], "blas_threads", rep,
-                                 float(_blas_threads()), float("nan"), float("nan"))]
-
-        _patch_replicate(monkeypatch, report_threads)
-        parent = _blas_threads()
-        pooled = run(tiny_fig2(), workers=2)
-        assert {r.raw for r in pooled.replicate_rows} == {1.0}
-        assert pooled.blas_threads_per_worker == "1"
-        serial = run(tiny_fig2(), workers=1)
-        assert {r.raw for r in serial.replicate_rows} == {float(parent)}
-        assert serial.blas_threads_per_worker == "unpinned"
-        assert _blas_threads() == parent
+    @pytest.mark.parametrize("cfg", [
+        dict(scenario="fig2_all_snp", p=10050, n1=61, n2=61, n3=63, m=100,
+             phi_grid=(0.3, 0.8), replicates=2, master_seed=41),
+        dict(scenario="fig3_screening", p=10050, n1=61, n3=63, phi_grid=(0.8,),
+             sparsity_grid=(0.01, 0.2), replicates=2, master_seed=42),
+    ], ids=["fig2_all_snp", "fig3_screening"])
+    def test_identical_at_any_workers_and_blas_thread_count(self, tmp_path, cfg):
+        # n % 4 != 0 and p > 10,000: the sizes at which a threaded OpenBLAS
+        # GEMV or dot product rounds differently; no replicate calls BLAS, so
+        # neither the pool nor the BLAS thread count may move a bit
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        outs = []
+        for threads in ("1", "2"):
+            for workers in (1, 2):
+                out = tmp_path / f"t{threads}w{workers}"
+                code = ("from crosstrait.experiments import ExperimentConfig, run; "
+                        f"run(ExperimentConfig(**{cfg!r}), workers={workers}, out_dir={str(out)!r})")
+                env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+                subprocess.run([sys.executable, "-c", code], env=env, check=True)
+                outs.append((out / "replicates.tsv").read_bytes())
+        assert outs[0] and outs.count(outs[0]) == 4
 
     @pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
-    def test_initializer_under_start_method(self, method):
-        if experiments._openblas() is None:
-            pytest.skip("numpy's BLAS is not a bundled OpenBLAS")
+    def test_pool_under_start_method(self, method):
+        # a worker started by any method, with numpy imported afresh or
+        # inherited, gives the parent's bits
         if method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"start method {method} is not available")
-        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context(method),
-                                 initializer=experiments._pin_blas) as pool:
-            assert pool.submit(_blas_threads).result() == 1
+        cfg = tiny_fig2()
+        task = (cfg, experiments._points(cfg)[0], 0)
+        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context(method)) as pool:
+            pooled = pool.submit(experiments._run_task, task).result()
+        assert repr(pooled) == repr(experiments._run_task(task))
 
     def test_manifest_records_workers_outside_config_hash(self, tmp_path):
         cfg = tiny_fig2()
@@ -294,9 +297,6 @@ class TestWorkers:
         }
         assert lines["w1"]["config_hash"] == lines["w2"]["config_hash"]
         assert (lines["w1"]["workers"], lines["w2"]["workers"]) == ("1", "2")
-        assert lines["w1"]["blas_threads_per_worker"] == "unpinned"
-        pinned = "1" if experiments._openblas() is not None else "unpinned"
-        assert lines["w2"]["blas_threads_per_worker"] == pinned
 
     @pytest.mark.parametrize("cfg", [
         ExperimentConfig(scenario="fig2_all_snp", p=1000, n1=1000, n2=1000, n3=1000,
@@ -304,19 +304,18 @@ class TestWorkers:
         ExperimentConfig(scenario="fig3_screening", p=1000, n1=1000, n3=1000,
                          phi_grid=(0.8,), sparsity_grid=(0.01, 0.2), replicates=2,
                          master_seed=32),
-        # n % 4 != 0: a threaded GEMV rounds the tail rows of each thread's share
-        # on another path, so this differed before the kernels pinned their GEMVs
+        # n % 4 != 0: a threaded GEMV rounds the tail rows of each thread's
+        # share on another path
         ExperimentConfig(scenario="fig2_all_snp", p=2000, n1=2001, n2=2001, n3=2001,
                          m=200, phi_grid=(0.3, 0.8), replicates=2, master_seed=7),
-        # p > 10,000: a threaded dot product of p terms adds its partial sums in
-        # another order (score offsets, the effect-effect cosine)
+        # p > 10,000: a threaded dot product of p terms adds its partial sums
+        # in another order
         ExperimentConfig(scenario="fig2_all_snp", p=10001, n1=60, n2=60, n3=60,
                          m=50, phi_grid=(0.3, 0.8), replicates=2, master_seed=8),
     ], ids=["fig2_all_snp", "fig3_screening", "fig2_all_snp_n2001", "fig2_all_snp_p10001"])
     def test_serial_parallel_identical_at_threaded_blas_size(self, tmp_path, cfg):
-        # each config reaches a size at which OpenBLAS threads a GEMV or a dot
-        # product; the serial path runs BLAS at its default thread count, the
-        # workers at one
+        # each config reaches a size at which OpenBLAS would thread a GEMV or
+        # a dot product; the replicates call none
         run(cfg, workers=1, out_dir=str(tmp_path / "serial"))
         run(cfg, workers=2, out_dir=str(tmp_path / "parallel"))
         serial = (tmp_path / "serial" / "replicates.tsv").read_bytes()

@@ -239,6 +239,46 @@ def test_cli_corrupt_summary_exits_3(tmp_path, capsys):
     assert f"{summary}:3: column 'se' is not a number: 'oops'" in capsys.readouterr().err
 
 
+def score_summary(tmp_path, *ns):
+    """``crosstrait score`` of a summary TSV whose rows carry the ``n`` values
+    ``ns``, a blank line after the first row; returns (summary path, exit code)."""
+    geno = str(tmp_path / "geno.xtg")
+    io_files.write_genotype_bin(geno, gen_genotypes(10, len(ns), seed=2))
+    rows = [f"snp{j:07d}\t0.5\t0.1\t5\t0.01\t{n}" for j, n in enumerate(ns)]
+    summary = write_lines(tmp_path, "\t".join(io_files.SUMMARY_HEADER), rows[0], "",
+                          *rows[1:], "")
+    return summary, main(["score", "--genotypes", geno, "--summary", summary,
+                          "--out", str(tmp_path / "scores.tsv")])
+
+
+class TestSummaryN:
+    @pytest.mark.parametrize("bad", ["60.9", "nan", "inf", "-inf", "0", "-3", "1e300"])
+    def test_cli_refuses_n_that_is_not_a_positive_integer(self, tmp_path, capsys, bad):
+        summary, rc = score_summary(tmp_path, "60", "60", bad, "60")
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"{summary}:5: column 'n' is not an integer >= 1: {bad!r}" in err
+
+    def test_cli_refuses_n_that_varies_between_rows(self, tmp_path, capsys):
+        summary, rc = score_summary(tmp_path, "60", "60.0", "70", "60")
+        assert rc == 3
+        assert f"{summary}:5: column 'n' is 70, but 60 on the first row" in capsys.readouterr().err
+
+    def test_cli_scores_a_constant_n(self, tmp_path):
+        assert score_summary(tmp_path, "60", "60.0", "60", "60")[1] == 0
+
+
+@pytest.mark.parametrize("table, j", [("replicates", 3), ("aggregates", 5)])
+@pytest.mark.parametrize("bad", ["-1", "1.5", "nan", "inf"])
+def test_count_columns_refuse_non_integers(tmp_path, table, j, bad):
+    read, header, row, _ = TABLES[table]
+    wrong = list(row)
+    wrong[j] = bad
+    path = write_lines(tmp_path, "\t".join(header), "\t".join(row), "", "\t".join(wrong), "")
+    with raises_at(path, 4, f"column {header[j]!r} is not an integer >= 0: {bad!r}"):
+        read(path)
+
+
 class TestSummaryTsv:
     def test_round_trip_bit_exact(self, stats, tmp_path):
         path = str(tmp_path / "sum.tsv")
@@ -257,10 +297,11 @@ class TestSummaryTsv:
         with pytest.raises(DataFormatError, match=":1:"):
             io_files.read_summary_tsv(str(path))
 
-    def test_n_is_the_first_rows_value(self, tmp_path):
-        rows = [f"rs{j}\t0.5\t0.1\t5\t0.01\t{n}" for j, n in enumerate(["60.9", "70", "70"])]
+    def test_n_written_as_a_float_reads_as_an_int(self, tmp_path):
+        rows = [f"rs{j}\t0.5\t0.1\t5\t0.01\t{n}" for j, n in enumerate(["60.0", "60", "6e1"])]
         path = write_lines(tmp_path, "\t".join(io_files.SUMMARY_HEADER), *rows, "")
-        assert io_files.read_summary_tsv(path).n == 60
+        n = io_files.read_summary_tsv(path).n
+        assert n == 60 and type(n) is int
 
     def test_bad_number_reports_line(self, stats, tmp_path):
         path = tmp_path / "sum.tsv"

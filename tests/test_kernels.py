@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -5,13 +9,15 @@ from crosstrait import kernels
 
 
 def gather_matvec(codes, col_mean, col_sd, weights, indices, block_size):
-    """Reference: every block is a fancy-index gather of its columns."""
+    """Reference: every block is a gather of its columns into a C-ordered
+    float64 block, reduced by einsum."""
     v = weights / col_sd[indices]
-    offset = float(np.dot(v, col_mean[indices]))
+    offset = np.einsum("j,j->", v, col_mean[indices])
     out = np.zeros(codes.shape[0])
     for k0 in range(0, len(indices), block_size):
         k1 = min(k0 + block_size, len(indices))
-        out += codes[:, indices[k0:k1]].astype(np.float64) @ v[k0:k1]
+        blk = np.ascontiguousarray(codes[:, indices[k0:k1]], dtype=np.float64)
+        out += np.einsum("ij,j->i", blk, v[k0:k1])
     return out - offset
 
 
@@ -87,7 +93,7 @@ def test_column_counts_add_over_row_blocks(codes):
 
 @pytest.fixture(scope="module")
 def tall_codes():
-    # p > 2048: the default block is full-width, so its row tiles are 64 rows
+    # p > 2048: more than one default block
     return np.random.default_rng(3).integers(0, 3, size=(4097, 2100), dtype=np.uint8)
 
 
@@ -118,10 +124,9 @@ class TestTileEdges:
             got = kernels.std_matvec(codes, mean, sd, weights, indices=indices,
                                      block_size=block_size)
             got = got.reshape(n, -1)
-            with kernels._one_blas_thread():
-                for c in range(got.shape[1]):
-                    ref = gather_matvec(codes, mean, sd, W[:, c], full, block_size)
-                    assert np.array_equal(got[:, c], ref)
+            for c in range(got.shape[1]):
+                ref = gather_matvec(codes, mean, sd, W[:, c], full, block_size)
+                assert np.array_equal(got[:, c], ref)
 
     @pytest.mark.parametrize("shape", [(1, 2100), (65, 2100), (2001, 2100), (10003, 300)],
                              ids=lambda s: f"{s[0]}x{s[1]}")
@@ -135,19 +140,45 @@ class TestTileEdges:
         ref = (np.einsum("ij,i->j", codes.astype(np.float64), y) - mean * y.sum()) / sd
         assert np.array_equal(kernels.std_crossprod(codes, mean, sd, y), ref)
 
-    @pytest.mark.parametrize("tile_bytes", [kernels._SCORE_TILE_BYTES, 1 << 40],
-                             ids=["tiled", "one_tile"])
-    @pytest.mark.parametrize("shape", [(2001, 2100), (2003, 2100), (4097, 2100), (64, 10001)],
-                             ids=lambda s: f"{s[0]}x{s[1]}")
-    def test_matvec_independent_of_caller_blas_threads(self, monkeypatch, shape, tile_bytes,
-                                                       at_one_and_two_blas_threads):
-        # OpenBLAS threads a GEMV only above a size that may exceed a default
-        # tile, so one tile per block checks the pin at sizes that do thread;
-        # p > 10,000 threads the dot products of the offsets
-        monkeypatch.setattr(kernels, "_SCORE_TILE_BYTES", tile_bytes)
-        codes = np.random.default_rng(shape[0]).integers(0, 3, size=shape, dtype=np.uint8)
-        mean, sd = kernels.column_stats(codes)
-        w = np.random.default_rng(1).standard_normal(shape[1])
-        one, two = at_one_and_two_blas_threads(lambda: kernels.std_matvec(codes, mean, sd, w))
-        assert np.array_equal(one, two)
 
+KERNEL_BITS = """
+import hashlib
+import numpy as np
+from crosstrait import kernels
+from crosstrait.estimators import raw_cosine
+codes = np.random.default_rng(4).integers(0, 3, size=(2003, 2100), dtype=np.uint8)
+mean, sd = kernels.column_stats(codes)
+rng = np.random.default_rng(5)
+W = rng.standard_normal((2100, 2))
+idx = rng.permutation(2100)[:700]
+h = hashlib.sha256()
+for a in (kernels.std_crossprod(codes, mean, sd, rng.standard_normal(2003)),
+          kernels.std_matvec(codes, mean, sd, W),
+          kernels.std_matvec(codes, mean, sd, W[idx, 0], indices=idx),
+          np.array(raw_cosine(*kernels.std_matvec(codes, mean, sd, W).T)),
+          np.array(raw_cosine(*rng.standard_normal((2, 20001))))):
+    h.update(a.tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_kernel_bits_independent_of_environment():
+    # n % 4 != 0, blocks of more than 460,800 cells and a cosine of more than
+    # 10,000 terms: the sizes at which a threaded OpenBLAS rounds differently.
+    # einsum's loops are compiled for numpy's baseline target, so switching
+    # off every run-time dispatch target the host enables moves no bit either
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+        enabled = [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]
+    except ImportError:
+        enabled = []
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    envs = [{"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"}]
+    if enabled:
+        envs.append({"NPY_DISABLE_CPU_FEATURES": " ".join(enabled)})
+    digests = [
+        subprocess.run([sys.executable, "-c", KERNEL_BITS], check=True, capture_output=True,
+                       text=True, env={**os.environ, "PYTHONPATH": src, **e}).stdout
+        for e in envs
+    ]
+    assert digests[0] and digests.count(digests[0]) == len(envs)
