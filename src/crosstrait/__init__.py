@@ -42,7 +42,7 @@ from .estimators import (
 )
 from .experiments import ExperimentConfig, ExperimentResult, aggregate, run
 from .gwas import ScreenMetrics, Selection, SummaryStats, marginal_gwas, screen_metrics, threshold_select
-from .moments import MomentCheckReport, MomentPrediction, monte_carlo_check, monte_carlo_check_many, predict
+from .moments import MomentCheckReport, MomentPrediction, monte_carlo_check_many, predict
 from .prs import PrsVector, ScreenRule, score
 from .rng import substream
 from .synth import (

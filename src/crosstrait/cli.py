@@ -96,9 +96,19 @@ def cmd_simulate(args, parser):
     return 0
 
 
+def _phenotype_for(G, geno_path: str, pheno_path: str) -> np.ndarray:
+    """The phenotype of ``pheno_path``, refused unless it has one row per
+    sample of the genotypes ``G`` read from ``geno_path``."""
+    y, _ = io_files.read_phenotype_tsv(pheno_path)
+    if y.shape[0] != G.n:
+        raise DataFormatError(
+            f"{pheno_path}: {y.shape[0]} phenotype rows, but {geno_path} holds {G.n} samples")
+    return y
+
+
 def cmd_gwas(args, parser):
     G = io_files.read_genotypes(args.genotypes)
-    y, _ = io_files.read_phenotype_tsv(args.phenotype)
+    y = _phenotype_for(G, args.genotypes, args.phenotype)
     stats = marginal_gwas(G, y, standardize_y=not args.no_standardize_y)
     io_files.write_summary_tsv(args.out, stats)
     print(f"wrote {stats.p} SNPs to {args.out}")
@@ -117,7 +127,7 @@ def cmd_score(args, parser):
 
 def _raw_phenotype_score(args, rule) -> float:
     W = io_files.read_genotypes(args.target_geno)
-    y, _ = io_files.read_phenotype_tsv(args.target_pheno)
+    y = _phenotype_for(W, args.target_geno, args.target_pheno)
     stats_a = io_files.read_summary_tsv(args.summary_a)
     return raw_cosine(y, score(W, stats_a, rule).scores)
 

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .errors import (
     CorrectionUnavailableError,
     DegenerateScoreError,
@@ -117,17 +118,17 @@ def raw_cosine(u: np.ndarray, v: np.ndarray) -> float:
     """Uncentered cosine similarity; the single primitive behind every raw
     estimator in this module.
 
-    Its norms and dot product are einsum reductions of contiguous copies, not
-    BLAS calls, so their bits depend neither on a BLAS thread count nor on
-    the layout of the vectors passed in.
+    Its norms and dot product are ``kernels.dot`` reductions, so their bits
+    depend neither on a BLAS thread count nor on the layout of the vectors
+    passed in.
     """
     u = np.ascontiguousarray(u, dtype=np.float64)
     v = np.ascontiguousarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise ParameterError("vectors must have equal length")
-    nu = math.sqrt(np.einsum("i,i->", u, u))
-    nv = math.sqrt(np.einsum("i,i->", v, v))
-    uv = np.einsum("i,i->", u, v)
+    nu = math.sqrt(kernels.dot(u, u))
+    nv = math.sqrt(kernels.dot(v, v))
+    uv = kernels.dot(u, v)
     if nu == 0.0 or nv == 0.0:
         raise DegenerateScoreError("cosine of a zero-norm vector (empty or constant score?)")
     return float(np.clip(uv / (nu * nv), -1.0, 1.0))
@@ -204,24 +205,6 @@ def _screened_ae(meta: DesignMeta, c: ScreenCounts) -> float:
     return screened_factor_ae(meta, c.q_alpha, c.q_alpha1, c.q_alpha_eta, c.m_alpha, c.m_alpha_eta)
 
 
-def screened_factor_ae_optimistic(meta: DesignMeta, m_alpha: int) -> float:
-    """Limiting factor for a perfect screen (all causal kept, nothing else)."""
-    _require(meta, "screened_ae")
-    return float(
-        np.sqrt(meta.n1 / (meta.n1 + m_alpha / meta.h2_alpha)) * np.sqrt(meta.h2_eta)
-    )
-
-
-def screened_factor_ae_mixed_up(meta: DesignMeta, q_alpha: int) -> float:
-    """Limiting factor when the scan cannot rank causal above null SNPs,
-    so the selection is a effectively random subset of size q_alpha."""
-    _require(meta, "screened_ae")
-    return float(
-        np.sqrt(meta.n1 * q_alpha / (meta.n1 * meta.p + meta.p**2 / meta.h2_alpha))
-        * np.sqrt(meta.h2_eta)
-    )
-
-
 def screened_factor_ab(meta: DesignMeta, counts: ScreenCounts) -> float:
     """Attenuation of the screened score-vs-score estimator."""
     _require(meta, "screened_ab")
@@ -233,16 +216,6 @@ def screened_factor_ab(meta: DesignMeta, counts: ScreenCounts) -> float:
     t_a = meta.n1 * c.m_alpha / (meta.n1 * c.q_alpha1 + c.m_alpha * c.q_alpha / meta.h2_alpha)
     t_b = meta.n2 * c.m_beta / (meta.n2 * c.q_beta1 + c.m_beta * c.q_beta / meta.h2_beta)
     return float(np.sqrt(t_a * t_b) * (c.q_alpha_beta / c.m_alpha_beta))
-
-
-def screened_factor_ab_optimistic(meta: DesignMeta, m_alpha: int, m_beta: int) -> float:
-    _require(meta, "screened_ab")
-    return float(
-        np.sqrt(
-            meta.n1 / (meta.n1 + m_alpha / meta.h2_alpha)
-            * meta.n2 / (meta.n2 + m_beta / meta.h2_beta)
-        )
-    )
 
 
 def overlap_factor_case_i(meta: DesignMeta) -> float:

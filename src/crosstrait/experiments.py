@@ -58,11 +58,7 @@ WORKERS_ENV = "CROSSTRAIT_WORKERS"
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One scenario run, read from a flat key=value file.
-
-    ``block_size`` is the column block of the scans and scores only;
-    phenotype generation keeps the default block.
-    """
+    """One scenario run, read from a flat key=value file."""
 
     scenario: str
     p: int
@@ -82,7 +78,6 @@ class ExperimentConfig:
     sigma2_eps: float | None = None
     standardize_y: bool = True
     overlap_cases: tuple = ("i", "ii")
-    block_size: int = kernels.DEFAULT_BLOCK_SIZE
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
@@ -96,10 +91,13 @@ class ExperimentConfig:
 
     _GRID_KEYS = ("phi_grid", "sparsity_grid", "thresholds")
     _FLOAT_KEYS = ("sigma2", "h2", "rho_eps", "sigma2_eps")
+    _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+              "0": False, "false": False, "no": False, "off": False}
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        """Build from the flat key=value config-file mapping."""
+        """Build from the flat key=value config-file mapping; an unknown key or
+        a value that does not parse raises ``ParameterError``."""
         known = {f.name for f in fields(cls)}
         alias = {"ns": "n_s", "seed": "master_seed"}
         kwargs = {}
@@ -107,18 +105,21 @@ class ExperimentConfig:
             name = alias.get(key, key)
             if name not in known:
                 raise ParameterError(f"unknown config key {key!r}")
-            if name in cls._GRID_KEYS:
-                kwargs[name] = tuple(float(v) for v in str(value).split(",") if str(v).strip())
-            elif name == "overlap_cases":
-                kwargs[name] = tuple(v.strip() for v in str(value).split(",") if v.strip())
-            elif name == "standardize_y":
-                kwargs[name] = str(value).strip().lower() in ("1", "true", "yes", "on")
-            elif name in cls._FLOAT_KEYS:
-                kwargs[name] = float(value)
-            elif name == "scenario":
-                kwargs[name] = str(value).strip()
-            else:
-                kwargs[name] = int(value)
+            try:
+                if name in cls._GRID_KEYS:
+                    kwargs[name] = tuple(float(v) for v in str(value).split(",") if str(v).strip())
+                elif name == "overlap_cases":
+                    kwargs[name] = tuple(v.strip() for v in str(value).split(",") if v.strip())
+                elif name == "standardize_y":
+                    kwargs[name] = cls._BOOLS[str(value).strip().lower()]
+                elif name in cls._FLOAT_KEYS:
+                    kwargs[name] = float(value)
+                elif name == "scenario":
+                    kwargs[name] = str(value).strip()
+                else:
+                    kwargs[name] = int(value)
+            except (KeyError, ValueError):
+                raise ParameterError(f"config key {key!r} has a bad value: {value!r}") from None
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
@@ -199,16 +200,14 @@ def _rep_seed(config: ExperimentConfig, point_id: str, rep: int, stream: str = "
     return int(substream(config.master_seed, label, rep).integers(2**63))
 
 
-def _estimate_row(
-    config, point_id, rep, name, u, v, meta, screen=None
-) -> ReplicateRow:
+def _estimate_row(config, point_id, rep, name, u, v, meta) -> ReplicateRow:
     """Cosine + correction, with degenerate scores recorded, not raised."""
     try:
         raw = raw_cosine(u, v)
     except DegenerateScoreError:
         return ReplicateRow(config.scenario, point_id, name, rep, 0.0, float("nan"),
                             0.0, "degenerate_score")
-    est = correct(raw, meta, screen)
+    est = correct(raw, meta)
     flag = est.regime_flag
     if est.out_of_range:
         flag += ";corrected_out_of_range"
@@ -216,12 +215,12 @@ def _estimate_row(
                         est.corrected, est.bias_factor, flag)
 
 
-def _all_snp_scores(W, stats_list, block_size) -> np.ndarray:
+def _all_snp_scores(W, stats_list) -> np.ndarray:
     """All-SNP scores of several simulated scans on one target, each block of
     the target converted once; row i is bitwise equal to
     ``score(W, stats_list[i]).scores`` (simulated SNPs align by position)."""
     effects = np.column_stack([st.effect for st in stats_list])
-    return kernels.std_matvec(W.codes, W.col_mean, W.col_sd, effects, block_size=block_size).T
+    return kernels.std_matvec(W.codes, W.col_mean, W.col_sd, effects).T
 
 
 def _pvalue_bins(pvalue: np.ndarray, cuts: np.ndarray) -> list:
@@ -234,7 +233,7 @@ def _pvalue_bins(pvalue: np.ndarray, cuts: np.ndarray) -> list:
     return [order[edges[b]:edges[b + 1]] for b in range(len(cuts))]
 
 
-def _ladder_scores(W, stats, thresholds, block_size=kernels.DEFAULT_BLOCK_SIZE) -> dict:
+def _ladder_scores(W, stats, thresholds) -> dict:
     """Screened scores for a ladder of p-value cutoffs, in one pass over the SNPs.
 
     The rungs are nested (``pvalue <= cutoff``), so each SNP falls in one bin
@@ -250,8 +249,7 @@ def _ladder_scores(W, stats, thresholds, block_size=kernels.DEFAULT_BLOCK_SIZE) 
     for cut, idx in zip(cuts, _pvalue_bins(stats.pvalue, cuts)):
         if idx.size:
             running = running + kernels.std_matvec(
-                W.codes, W.col_mean, W.col_sd, stats.effect[idx], indices=idx,
-                block_size=block_size)
+                W.codes, W.col_mean, W.col_sd, stats.effect[idx], indices=idx)
         out[float(cut)] = running
     return out
 
@@ -308,10 +306,10 @@ def _independent_scans(config, point, rep):
         arch, sizes, _rep_seed(config, point["point_id"], rep), traits=traits
     )
     stats = {"alpha": marginal_gwas(bundle.disc_alpha, bundle.y_alpha.y, config.standardize_y,
-                                    trait_tag="alpha", block_size=config.block_size)}
+                                    trait_tag="alpha")}
     if bundle.disc_beta is not None:
         stats["beta"] = marginal_gwas(bundle.disc_beta, bundle.y_beta.y, config.standardize_y,
-                                      trait_tag="beta", block_size=config.block_size)
+                                      trait_tag="beta")
     return arch, bundle, stats
 
 
@@ -323,7 +321,7 @@ def _rep_all_snp(config, point, rep):
     pid = point["point_id"]
     rows = []
     if b.target is not None:
-        prs = _all_snp_scores(b.target, list(stats.values()), config.block_size)
+        prs = _all_snp_scores(b.target, list(stats.values()))
         meta = DesignMeta(case_tag="indep_ae", p=config.p, n1=config.n1, n3=config.n3,
                           h2_alpha=config.h2, h2_eta=config.h2)
         rows.append(_estimate_row(config, pid, rep, "G_ae", b.y_eta.y, prs[0], meta))
@@ -347,7 +345,7 @@ def _rep_fig3(config, point, rep):
     pid = point["point_id"]
     meta = DesignMeta(case_tag="screened_ae", p=config.p, n1=config.n1, n3=config.n3,
                       h2_alpha=config.h2, h2_eta=config.h2)
-    scores = _ladder_scores(bundle.target, stats, config.thresholds, config.block_size)
+    scores = _ladder_scores(bundle.target, stats, config.thresholds)
     rows = []
     for thr in config.thresholds:
         rule = ScreenRule("pvalue_cutoff", thr)
@@ -393,9 +391,8 @@ def _rep_fig4(config, point, rep):
         )
         design_i = OverlapDesign(n_s=config.n_s, pair="discovery_target", rho_eps=config.rho_eps)
         b = gen_overlapping_cohorts(design_i, arch_i, CohortSizes(n1=config.n1, n3=config.n3), seed_i)
-        stats = marginal_gwas(b.disc_alpha, b.y_alpha.y, config.standardize_y,
-                              block_size=config.block_size)
-        (prs,) = _all_snp_scores(b.target, (stats,), config.block_size)
+        stats = marginal_gwas(b.disc_alpha, b.y_alpha.y, config.standardize_y)
+        (prs,) = _all_snp_scores(b.target, (stats,))
         meta_i = DesignMeta(case_tag="overlap_case_i", p=config.p, n1=config.n1, n3=config.n3,
                             n_s=config.n_s, h2_alpha=config.h2, h2_eta=config.h2,
                             h_alpha_eta=genetic_share(arch_i, config.rho_eps, "ae"))
@@ -411,11 +408,9 @@ def _rep_fig4(config, point, rep):
         b = gen_overlapping_cohorts(
             design_ii, arch_ii, CohortSizes(n1=config.n1, n2=config.n2, n3=config.n3), seed_ii
         )
-        stats_a = marginal_gwas(b.disc_alpha, b.y_alpha.y, config.standardize_y,
-                                block_size=config.block_size)
-        stats_b = marginal_gwas(b.disc_beta, b.y_beta.y, config.standardize_y,
-                                block_size=config.block_size)
-        prs_a, prs_b = _all_snp_scores(b.target, (stats_a, stats_b), config.block_size)
+        stats_a = marginal_gwas(b.disc_alpha, b.y_alpha.y, config.standardize_y)
+        stats_b = marginal_gwas(b.disc_beta, b.y_beta.y, config.standardize_y)
+        prs_a, prs_b = _all_snp_scores(b.target, (stats_a, stats_b))
         meta_ii = DesignMeta(case_tag="overlap_case_ii", p=config.p, n1=config.n1, n2=config.n2,
                              n3=config.n3, n_s=config.n_s, h2_alpha=config.h2, h2_beta=config.h2,
                              h_alpha_beta=genetic_share(arch_ii, config.rho_eps, "ab"))
@@ -433,8 +428,7 @@ def _rep_fig1(config, point, rep):
     arch = TraitArchitecture(p=p_total, m_alpha=m, sigma2_alpha=config.sigma2, h2_alpha=h2)
     seed = _rep_seed(config, pid, rep)
     bundle = gen_independent_cohorts(arch, CohortSizes(n1=config.n1), seed, traits=("alpha",))
-    stats = marginal_gwas(bundle.disc_alpha, bundle.y_alpha.y, config.standardize_y,
-                          block_size=config.block_size)
+    stats = marginal_gwas(bundle.disc_alpha, bundle.y_alpha.y, config.standardize_y)
     rows = []
     if m < p_total:
         metrics = screen_metrics(stats, bundle.effects["alpha"])

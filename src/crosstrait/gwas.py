@@ -20,6 +20,10 @@ from .synth import EffectVector, GenotypeMatrix
 
 # smallest positive double; p-values are floored here so they stay in (0, 1]
 MIN_PVALUE = 5e-324
+# family-wise level of the Bonferroni power metric, and the share of SNPs
+# ranked first by |t| that the enrichment metric looks at
+POWER_ALPHA = 0.05
+TOP_FRAC = 0.1
 
 __all__ = [
     "SummaryStats",
@@ -34,9 +38,13 @@ __all__ = [
 
 @dataclass
 class SummaryStats:
-    """Per-SNP marginal effect, standard error, test statistic and p-value."""
+    """Per-SNP marginal effect, standard error, test statistic and p-value.
 
-    snp_id: np.ndarray
+    ``snp_id`` is None for positional SNPs: a scan of a matrix without SNP
+    ids, such as a simulated one, whose row j is column j.
+    """
+
+    snp_id: np.ndarray | None
     effect: np.ndarray
     se: np.ndarray
     tstat: np.ndarray
@@ -54,7 +62,6 @@ def marginal_gwas(
     y: np.ndarray,
     standardize_y: bool = True,
     trait_tag: str = "",
-    block_size: int = kernels.DEFAULT_BLOCK_SIZE,
 ) -> SummaryStats:
     """Compute the simulated "published GWAS" for one phenotype.
 
@@ -75,7 +82,7 @@ def marginal_gwas(
             raise ParameterError("phenotype is constant; cannot standardize")
         y_c = y_c / sd
 
-    effect = kernels.std_crossprod(X.codes, X.col_mean, X.col_sd, y_c, block_size) / X.n
+    effect = kernels.std_crossprod(X.codes, X.col_mean, X.col_sd, y_c) / X.n
     var_y = float(np.mean(y_c * y_c))
     se = np.sqrt(np.maximum(var_y - effect * effect, 0.0) / X.n)
 
@@ -87,7 +94,7 @@ def marginal_gwas(
     pvalue = np.maximum(erfc(np.abs(tstat) / np.sqrt(2.0)), MIN_PVALUE)
 
     return SummaryStats(
-        snp_id=X.ids(),
+        snp_id=X.snp_ids,
         effect=effect,
         se=se,
         tstat=tstat,
@@ -113,15 +120,13 @@ class ScreenMetrics:
 def screen_metrics(
     stats: SummaryStats,
     truth: EffectVector,
-    alpha_level: float = 0.05,
-    top_frac: float = 0.1,
 ) -> ScreenMetrics:
     """How well the scan separates causal from null SNPs.
 
     auc         Mann-Whitney AUC of |t| for causal versus null SNPs.
     power       fraction of causal SNPs significant at the Bonferroni
-                level ``alpha_level / p``.
-    enrichment  causal fraction among the top ceil(top_frac * p) SNPs by |t|.
+                level ``POWER_ALPHA / p``.
+    enrichment  causal fraction among the top ceil(TOP_FRAC * p) SNPs by |t|.
     beta_mse    sum of squared deviations of the estimated effects.
     """
     if stats.p < 2:
@@ -141,9 +146,9 @@ def screen_metrics(
     u = ranks[causal].sum() - m * (m + 1) / 2.0
     auc = float(u / (m * (stats.p - m)))
 
-    power = float(np.mean(stats.pvalue[causal] < alpha_level / stats.p))
+    power = float(np.mean(stats.pvalue[causal] < POWER_ALPHA / stats.p))
 
-    k = int(np.ceil(top_frac * stats.p))
+    k = int(np.ceil(TOP_FRAC * stats.p))
     top = significance_order(stats)[:k]
     enrichment = float(np.mean(causal[top]))
 

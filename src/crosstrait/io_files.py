@@ -29,7 +29,7 @@ from .errors import DataFormatError
 from .experiments import AggregateRow, ExperimentResult, ReplicateRow
 from .gwas import SummaryStats
 from .moments import MomentCheckReport
-from .synth import GenotypeMatrix
+from .synth import GenotypeMatrix, default_snp_ids
 
 GENO_MAGIC = b"XTGT"
 GENO_VERSION = 1
@@ -181,7 +181,10 @@ SUMMARY_HEADER = ["snp_id", "effect", "se", "tstat", "pvalue", "n"]
 
 
 def write_summary_tsv(path: str, stats: SummaryStats) -> None:
-    columns = (stats.snp_id, stats.effect, stats.se, stats.tstat, stats.pvalue)
+    """Write a summary TSV; positional SNPs (``snp_id`` None) are written with
+    the default ids, which read back as positional."""
+    ids = default_snp_ids(stats.p) if stats.snp_id is None else stats.snp_id
+    columns = (ids, stats.effect, stats.se, stats.tstat, stats.pvalue)
     _write_rows(path, SUMMARY_HEADER, "%s\t%.17g\t%.17g\t%.17g\t%.17g\t%s\n",
                 zip(*(np.asarray(c).tolist() for c in columns), repeat(stats.n)))
 
@@ -323,14 +326,6 @@ def read_genotype_bin(path: str) -> GenotypeMatrix:
     return GenotypeMatrix(
         n=int(n), p=int(p), codes=codes, maf=maf, col_mean=mean, col_sd=sd
     )
-
-
-def write_genotype_tsv(path: str, G: GenotypeMatrix) -> None:
-    ids = G.ids()
-    lines = ["\t".join(["sample_id", *map(str, ids)])]
-    for i in range(G.n):
-        lines.append("\t".join([f"sample{i:07d}", *map(str, G.codes[i])]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def read_genotype_tsv(path: str) -> GenotypeMatrix:

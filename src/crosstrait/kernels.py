@@ -5,8 +5,9 @@ matrix ``X_std = (codes - mean) / sd`` is never materialized.  All kernels
 walk fixed-size column blocks in index order, so results are reproducible
 bit-for-bit for a given block size.  Per-column reductions (``crossprod``)
 do not depend on the block size, unless a block is a single column, which
-einsum reduces on another loop; the accumulating matvec does, which is why
-the block size is part of the recorded configuration.
+einsum reduces on another loop; the accumulating matvec does.  Every caller
+above the kernels uses ``DEFAULT_BLOCK_SIZE``; the ``block_size`` parameter
+lets tests force several blocks at small sizes.
 
 Neither kernel calls BLAS, whose bits depend on its build, its thread count
 and the row count of an operand.  Both reduce with einsum, whose loops are
@@ -28,6 +29,7 @@ __all__ = [
     "DEFAULT_BLOCK_SIZE",
     "column_counts",
     "column_stats",
+    "dot",
     "stats_from_counts",
     "std_crossprod",
     "std_matvec",
@@ -59,6 +61,18 @@ def stats_from_counts(s: np.ndarray, n2: np.ndarray, n: int) -> tuple[np.ndarray
     mean = s / n
     var = (s + 2.0 * n2) / n - mean * mean
     return mean, np.sqrt(np.maximum(var, 0.0))
+
+
+def dot(u: np.ndarray, v: np.ndarray) -> float:
+    """``u . v`` as an einsum reduction of contiguous float64 copies.
+
+    Not a BLAS call, whose bits depend on its thread count above about
+    10,000 terms; and not an einsum over a strided view, which reduces on
+    another loop than the contiguous copy.
+    """
+    u = np.ascontiguousarray(u, dtype=np.float64)
+    v = np.ascontiguousarray(v, dtype=np.float64)
+    return float(np.einsum("i,i->", u, v))
 
 
 def std_crossprod(

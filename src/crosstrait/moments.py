@@ -2,8 +2,8 @@
 
 ``predict`` evaluates the exact first-moment formula of one of the random
 quadratic forms that make up the raw correlation estimators; the supported
-quantities and their conventions are listed below.  ``monte_carlo_check``
-simulates the same quantity end to end (genotypes, effects, phenotypes,
+quantities and their conventions are listed below.  ``monte_carlo_check_many``
+simulates the same quantities end to end (genotypes, effects, phenotypes,
 scan, score) and reports the z-score of the empirical mean against the
 prediction.  These checks are the ground truth the estimator factors are
 tested against: each bias factor equals a ratio of these moments.
@@ -80,6 +80,7 @@ SCREENED_TAGS = (
 OVERLAP_I_TAGS = ("overlap_i_cov_ae_num", "overlap_i_var_alpha_den", "overlap_i_var_eta_den")
 OVERLAP_II_TAGS = ("overlap_ii_cov_ab_num", "overlap_ii_var_alpha_den", "overlap_ii_var_beta_den")
 ALL_TAGS = INDEP_TAGS + SCREENED_TAGS + OVERLAP_I_TAGS + OVERLAP_II_TAGS
+Z_THRESHOLD = 4.0
 
 
 @dataclass
@@ -279,7 +280,8 @@ def _simulate_family(
 
     Two all-SNP scores on the same target are built in one
     ``kernels.std_matvec`` call with (p, 2) weights; each column is bitwise
-    equal to its single-vector score.
+    equal to its single-vector score.  Every inner product is a
+    ``kernels.dot``, so no BLAS thread count moves a bit.
     """
     sizes = CohortSizes(n1=meta.n1, n2=meta.n2 or 0, n3=meta.n3 or 0)
     out: dict[str, float] = {}
@@ -297,36 +299,36 @@ def _simulate_family(
             if wanted & {"cov_ab_num", "var_beta_den"}:
                 s_a, s_b = kernels.std_matvec(
                     W.codes, W.col_mean, W.col_sd, np.column_stack([t_a, t_b])).T
-                out["cov_ab_num"] = float(s_b @ s_a)
-                out["var_beta_den"] = float(s_b @ s_b)
+                out["cov_ab_num"] = kernels.dot(s_b, s_a)
+                out["var_beta_den"] = kernels.dot(s_b, s_b)
             elif wanted & {"cov_ae_num", "var_alpha_den"}:
                 s_a = kernels.std_matvec(W.codes, W.col_mean, W.col_sd, t_a)
             if wanted & {"cov_ae_num", "var_alpha_den", "cov_ab_num", "var_beta_den"}:
-                out["cov_ae_num"] = float(b.y_eta.y @ s_a)
-                out["var_alpha_den"] = float(s_a @ s_a)
+                out["cov_ae_num"] = kernels.dot(b.y_eta.y, s_a)
+                out["var_alpha_den"] = kernels.dot(s_a, s_a)
             if b.y_eta is not None:
-                out["var_eta_den"] = float(b.y_eta.y @ b.y_eta.y)
-            out["summary_alpha_den"] = float(t_a @ t_a)
+                out["var_eta_den"] = kernels.dot(b.y_eta.y, b.y_eta.y)
+            out["summary_alpha_den"] = kernels.dot(t_a, t_a)
             if need_beta:
-                out["summary_beta_den"] = float(t_b @ t_b)
-                out["summary_ab_num"] = float(t_a @ t_b)
+                out["summary_beta_den"] = kernels.dot(t_b, t_b)
+                out["summary_ab_num"] = kernels.dot(t_a, t_b)
         else:
             s_a = kernels.std_matvec(W.codes, W.col_mean, W.col_sd, t_a[sel_a], indices=sel_a)
-            out["screened_cov_ae_num"] = float(b.y_eta.y @ s_a)
-            out["screened_var_alpha_den"] = float(s_a @ s_a)
+            out["screened_cov_ae_num"] = kernels.dot(b.y_eta.y, s_a)
+            out["screened_var_alpha_den"] = kernels.dot(s_a, s_a)
             if need_beta and sel_b is not None and sel_b.shape[0]:
                 s_b = kernels.std_matvec(W.codes, W.col_mean, W.col_sd, t_b[sel_b], indices=sel_b)
-                out["screened_cov_ab_num"] = float(s_b @ s_a)
-                out["screened_var_beta_den"] = float(s_b @ s_b)
+                out["screened_cov_ab_num"] = kernels.dot(s_b, s_a)
+                out["screened_var_beta_den"] = kernels.dot(s_b, s_b)
     elif family == "overlap_i":
         design = OverlapDesign(n_s=meta.n_s, pair="discovery_target", rho_eps=rho_eps)
         b = gen_overlapping_cohorts(design, arch, sizes, rep_seed)
         X, W = b.disc_alpha, b.target
         t = kernels.std_crossprod(X.codes, X.col_mean, X.col_sd, b.y_alpha.y)
         s = kernels.std_matvec(W.codes, W.col_mean, W.col_sd, t)
-        out["overlap_i_cov_ae_num"] = float(b.y_eta.y @ s)
-        out["overlap_i_var_alpha_den"] = float(s @ s)
-        out["overlap_i_var_eta_den"] = float(b.y_eta.y @ b.y_eta.y)
+        out["overlap_i_cov_ae_num"] = kernels.dot(b.y_eta.y, s)
+        out["overlap_i_var_alpha_den"] = kernels.dot(s, s)
+        out["overlap_i_var_eta_den"] = kernels.dot(b.y_eta.y, b.y_eta.y)
     elif family == "overlap_ii":
         design = OverlapDesign(n_s=meta.n_s, pair="discovery_discovery", rho_eps=rho_eps)
         b = gen_overlapping_cohorts(design, arch, sizes, rep_seed)
@@ -334,9 +336,9 @@ def _simulate_family(
         t_a = kernels.std_crossprod(X.codes, X.col_mean, X.col_sd, b.y_alpha.y)
         t_b = kernels.std_crossprod(Z.codes, Z.col_mean, Z.col_sd, b.y_beta.y)
         s_a, s_b = kernels.std_matvec(W.codes, W.col_mean, W.col_sd, np.column_stack([t_a, t_b])).T
-        out["overlap_ii_cov_ab_num"] = float(s_a @ s_b)
-        out["overlap_ii_var_alpha_den"] = float(s_a @ s_a)
-        out["overlap_ii_var_beta_den"] = float(s_b @ s_b)
+        out["overlap_ii_cov_ab_num"] = kernels.dot(s_a, s_b)
+        out["overlap_ii_var_alpha_den"] = kernels.dot(s_a, s_a)
+        out["overlap_ii_var_beta_den"] = kernels.dot(s_b, s_b)
     else:
         raise ParameterError(f"unknown family {family!r}")
     return out
@@ -361,9 +363,10 @@ def monte_carlo_check_many(
     rho_eps: float = 0.0,
     screen: ScreenCounts | None = None,
     selection: tuple[int, int, int, int] | None = None,
-    z_threshold: float = 4.0,
 ) -> list[MomentCheckReport]:
     """Check several quantities against their predictions, sharing draws.
+
+    A quantity passes when its |z| is below ``Z_THRESHOLD``.
 
     ``selection`` gives (q_alpha1, q_alpha2, q_beta1, q_beta2) for the
     deterministic screen behind the screened quantities.  Replicates of one
@@ -419,19 +422,8 @@ def monte_carlo_check_many(
                 empirical_se=se,
                 z=float(z),
                 replicates=replicates,
-                passed=bool(abs(z) < z_threshold),
+                passed=bool(abs(z) < Z_THRESHOLD),
             )
         )
     return reports
 
-
-def monte_carlo_check(
-    quantity_tag: str,
-    arch: TraitArchitecture,
-    meta: DesignMeta,
-    replicates: int,
-    seed: int,
-    **kwargs,
-) -> MomentCheckReport:
-    """Single-quantity form of :func:`monte_carlo_check_many`."""
-    return monte_carlo_check_many([quantity_tag], arch, meta, replicates, seed, **kwargs)[0]

@@ -4,8 +4,9 @@ A score is the standardized-genotype weighted sum ``W_std @ a_hat`` where
 ``a_hat`` keeps each published effect that passes the screen and zeroes the
 rest.  SNPs are aligned between the summary statistics and the target matrix
 by identifier intersection (sorted id order) so imperfectly overlapping real
-files behave deterministically; simulated data uses positional ids and
-aligns trivially.
+files behave deterministically; positional SNPs (simulated data, ``.xtg``
+containers) align by index.  A positional side is never matched against one
+with ids: that is refused, not guessed.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import ParameterError
+from .errors import DataFormatError, ParameterError
 from .gwas import SummaryStats
-from .synth import GenotypeMatrix
+from .synth import GenotypeMatrix, default_snp_ids
 
 __all__ = ["ScreenRule", "RULE_NONE", "PrsVector", "score", "align_snps"]
 
@@ -66,20 +67,35 @@ class PrsVector:
     empty_selection: bool = False
 
 
+def _positional(ids: np.ndarray | None, p: int) -> bool:
+    """No ids, or the default ids in order: SNP j is the j-th SNP."""
+    return ids is None or np.array_equal(ids, default_snp_ids(p))
+
+
 def align_snps(W: GenotypeMatrix, stats: SummaryStats) -> tuple[np.ndarray, np.ndarray, int]:
-    """Match target columns to summary rows by SNP id.
+    """Match target columns to summary rows.
 
     Returns (target column indices, summary row indices, number of ids that
-    failed to match on either side).  When both sides carry the default
-    positional ids of equal length this is the identity map.
+    failed to match on either side).  Two positional sides of equal p align
+    by index; two sides with ids by id intersection.  Anything else raises
+    ``DataFormatError`` naming the side without ids.
     """
-    if W.snp_ids is None and stats.p == W.p:
+    w_pos = _positional(W.snp_ids, W.p)
+    s_pos = _positional(stats.snp_id, stats.p)
+    if w_pos != s_pos:
+        side = "genotypes" if w_pos else "summary statistics"
+        raise DataFormatError(f"the {side} carry no SNP ids (none, or the default ids in "
+                              "order) and the other side does; cannot align them")
+    if w_pos:
+        if W.p != stats.p:
+            raise DataFormatError(
+                f"genotypes and summary statistics carry no SNP ids and differ in SNP "
+                f"count ({W.p} against {stats.p}); cannot align them by position")
         idx = np.arange(W.p)
         return idx, idx, 0
-    w_ids = W.ids()
-    common, w_idx, s_idx = np.intersect1d(w_ids, stats.snp_id, return_indices=True)
+    common, w_idx, s_idx = np.intersect1d(W.snp_ids, stats.snp_id, return_indices=True)
     if common.shape[0] == 0:
-        raise ParameterError("no SNP ids in common between genotypes and summary statistics")
+        raise DataFormatError("no SNP ids in common between genotypes and summary statistics")
     mismatches = (W.p - common.shape[0]) + (stats.p - common.shape[0])
     return w_idx, s_idx, int(mismatches)
 
@@ -88,7 +104,6 @@ def score(
     W: GenotypeMatrix,
     stats: SummaryStats,
     rule: ScreenRule = RULE_NONE,
-    block_size: int = kernels.DEFAULT_BLOCK_SIZE,
 ) -> PrsVector:
     """Build the (optionally screened) risk score on the target samples."""
     w_idx, s_idx, _ = align_snps(W, stats)
@@ -104,7 +119,7 @@ def score(
             empty_selection=True,
         )
     cols = w_idx[keep]
-    s = kernels.std_matvec(W.codes, W.col_mean, W.col_sd, effect[keep], indices=cols, block_size=block_size)
+    s = kernels.std_matvec(W.codes, W.col_mean, W.col_sd, effect[keep], indices=cols)
     return PrsVector(
         scores=s,
         n_selected=n_selected,

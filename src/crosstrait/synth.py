@@ -17,6 +17,7 @@ All generators are pure functions of a master seed via :mod:`crosstrait.rng`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,18 +97,14 @@ class GenotypeMatrix:
             twos=n2,
         )
 
-    def standardized(self) -> np.ndarray:
-        """Dense standardized matrix; for small instances and tests only."""
-        return (self.codes.astype(np.float64) - self.col_mean) / self.col_sd
 
-    def ids(self) -> np.ndarray:
-        if self.snp_ids is not None:
-            return self.snp_ids
-        return default_snp_ids(self.p)
-
-
+@functools.lru_cache(maxsize=4)
 def default_snp_ids(p: int) -> np.ndarray:
-    return np.array([f"snp{j:07d}" for j in range(p)])
+    """The ids ``snp0000000``, ``snp0000001``, ... of p positional SNPs; built
+    once per p and read-only, as every caller shares the array."""
+    ids = np.array([f"snp{j:07d}" for j in range(p)])
+    ids.flags.writeable = False
+    return ids
 
 
 def _uniforms16(rng: np.random.Generator, r: int, k: int) -> np.ndarray:
@@ -117,9 +114,7 @@ def _uniforms16(rng: np.random.Generator, r: int, k: int) -> np.ndarray:
     return raw.astype("<u8", copy=False).view("<u2")[: r * k].reshape(r, k)
 
 
-def _gen_codes(
-    n: int, maf: np.ndarray, rng: np.random.Generator, block_size: int = kernels.DEFAULT_BLOCK_SIZE
-) -> GenotypeMatrix:
+def _gen_codes(n: int, maf: np.ndarray, rng: np.random.Generator) -> GenotypeMatrix:
     """Genotype matrix for all p SNPs, with its column statistics, in one pass.
 
     Each cell takes one 16-bit uniform u: code = [u >= t0] + [u >= t1] with
@@ -127,10 +122,10 @@ def _gen_codes(
     Hardy-Weinberg class probabilities are those multiples of 2^-16.  The
     comparisons are made as u > t - 1 in uint16: a threshold that rounds to
     2^16 ("never") stays in range instead of wrapping to 0 ("always").
-    Each column block is drawn in row tiles of at most ``TILE_ROWS`` rows; as
-    the tile height is a multiple of 4, the block's uniforms are the first
-    n * k lanes of ceil(n * k / 4) raw draws, whatever the tiling.  While a
-    tile is in cache its per-column code sums and counts of 2s are taken (as
+    Each column block of ``kernels.DEFAULT_BLOCK_SIZE`` columns is drawn in
+    row tiles of at most ``TILE_ROWS`` rows; as the tile height is a multiple
+    of 4, the block's uniforms are the first n * k lanes of ceil(n * k / 4)
+    raw draws, whatever the tiling.  While a tile is in cache its per-column code sums and counts of 2s are taken (as
     uint8, then added to int64 totals); they give the monomorphic test and the
     mean and SD without a second scan of the codes.  Monomorphic columns are
     redrawn one at a time, in column order, keeping p fixed; the redraw count
@@ -144,8 +139,9 @@ def _gen_codes(
     codes = np.empty((n, p), dtype=np.uint8)
     s = np.zeros(p, dtype=np.int64)   # sum of codes
     n2 = np.zeros(p, dtype=np.int64)  # number of 2s
-    for j0 in range(0, p, block_size):
-        j1 = min(j0 + block_size, p)
+    block = kernels.DEFAULT_BLOCK_SIZE
+    for j0 in range(0, p, block):
+        j1 = min(j0 + block, p)
         for i0 in range(0, n, TILE_ROWS):
             i1 = min(i0 + TILE_ROWS, n)
             u = _uniforms16(rng, i1 - i0, j1 - j0)
@@ -273,7 +269,7 @@ class TraitArchitecture:
     h2_alpha: float = 1.0
     h2_beta: float = 1.0
     h2_eta: float = 1.0
-    causal_sets: dict = field(default_factory=dict)
+    causal_sets: dict = field(init=False)
 
     def __post_init__(self):
         if self.p < 1:
@@ -298,9 +294,7 @@ class TraitArchitecture:
         for phi in (self.phi_alpha_eta, self.phi_alpha_beta):
             if abs(phi) > 1.0 + 1e-12:
                 raise ParameterError("implied genetic correlation outside [-1, 1]")
-        if not self.causal_sets:
-            self.causal_sets = self._default_causal_sets()
-        self._validate_causal_sets()
+        self.causal_sets = self._default_causal_sets()
 
     def _default_causal_sets(self) -> dict:
         eta_tail = self.m_eta - self.m_alpha_eta
@@ -313,22 +307,6 @@ class TraitArchitecture:
         eta = np.concatenate([np.arange(self.m_alpha_eta), eta_start + np.arange(eta_tail)])
         beta = np.concatenate([np.arange(self.m_alpha_beta), beta_start + np.arange(beta_tail)])
         return {"alpha": alpha, "eta": eta.astype(np.intp), "beta": beta.astype(np.intp)}
-
-    def _validate_causal_sets(self):
-        for tag, m in (("alpha", self.m_alpha), ("beta", self.m_beta), ("eta", self.m_eta)):
-            s = np.asarray(self.causal_sets.get(tag, np.empty(0, dtype=np.intp)), dtype=np.intp)
-            self.causal_sets[tag] = s
-            if s.shape[0] != m:
-                raise ParameterError(f"causal set for {tag} must have {m} indices")
-            if m and (s.min() < 0 or s.max() >= self.p):
-                raise ParameterError(f"causal set for {tag} out of range")
-        a = set(self.causal_sets["alpha"].tolist())
-        if len(a) != self.m_alpha:
-            raise ParameterError("duplicate indices in alpha causal set")
-        for tag, m_ov in (("eta", self.m_alpha_eta), ("beta", self.m_alpha_beta)):
-            ov = a.intersection(self.causal_sets[tag].tolist())
-            if len(ov) != m_ov:
-                raise ParameterError(f"alpha-{tag} causal overlap is {len(ov)}, declared {m_ov}")
 
     @property
     def sigma_alpha_eta(self) -> float:
@@ -471,12 +449,11 @@ def gen_phenotype(
     eff: EffectVector,
     h2: float,
     seed: int,
-    sigma2_eff: float | None = None,
     epsilon: np.ndarray | None = None,
 ) -> Phenotype:
     """Generate ``y = X_std @ eff + eps`` with heritability-calibrated noise.
 
-    The error variance is ``m * sigma2_eff * (1 - h2) / h2`` with m the
+    The error variance is ``m * eff.sigma2 * (1 - h2) / h2`` with m the
     causal count, so the *asymptotic* heritability equals ``h2``; the
     realized per-replicate variance ratio is recorded as a diagnostic.
     ``h2 == 1`` gives identically zero errors.  A pre-drawn ``epsilon``
@@ -485,10 +462,7 @@ def gen_phenotype(
     """
     if not (0.0 < h2 <= 1.0):
         raise ParameterError("h2 must lie in (0, 1]")
-    if sigma2_eff is None:
-        sigma2_eff = eff.sigma2
-    m = eff.m
-    sigma2_eps = m * sigma2_eff * (1.0 - h2) / h2
+    sigma2_eps = eff.m * eff.sigma2 * (1.0 - h2) / h2
 
     idx = np.flatnonzero(eff.values)
     g = kernels.std_matvec(X.codes, X.col_mean, X.col_sd, eff.values[idx], indices=idx)

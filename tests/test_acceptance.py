@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from crosstrait import kernels
 from crosstrait.cli import main as cli_main
 from crosstrait.estimators import (
     DesignMeta,
@@ -294,21 +295,25 @@ class TestCriterion12EngineeringInvariants:
         rng = np.random.default_rng(12)
         G = gen_genotypes(100, 50, seed=12)
         y = rng.standard_normal(100)
-        stats = marginal_gwas(G, y, block_size=13)
-        s = G.standardized()
+        s = (G.codes - G.col_mean) / G.col_sd
         y_std = (y - y.mean()) / np.sqrt(np.mean((y - y.mean()) ** 2))
         naive_effect = np.array([float(s[:, j] @ y_std) / 100 for j in range(50)])
-        rel_effect = np.max(np.abs(stats.effect - naive_effect)
-                            / np.maximum(np.abs(naive_effect), 1e-300))
+        # the scan and score (one block), and the kernels over several blocks
+        effects = (marginal_gwas(G, y).effect,
+                   kernels.std_crossprod(G.codes, G.col_mean, G.col_sd, y_std, block_size=13) / 100)
+        rel_effect = max(np.max(np.abs(e - naive_effect) / np.maximum(np.abs(naive_effect), 1e-300))
+                         for e in effects)
 
         w = rng.standard_normal(50)
         w_stats = SummaryStats(
-            snp_id=G.ids(), effect=w, se=np.ones(50), tstat=w,
+            snp_id=None, effect=w, se=np.ones(50), tstat=w,
             pvalue=np.full(50, 0.5), n=100,
         )
-        prs = score(G, w_stats, block_size=9)
+        scores = (score(G, w_stats).scores,
+                  kernels.std_matvec(G.codes, G.col_mean, G.col_sd, w, block_size=9))
         naive = np.array([float(s[i] @ w) for i in range(100)])
-        rel_score = np.max(np.abs(prs.scores - naive) / np.maximum(np.abs(naive), 1e-300))
+        rel_score = max(np.max(np.abs(t - naive) / np.maximum(np.abs(naive), 1e-300))
+                        for t in scores)
         ok = rel_effect <= 1e-9 and rel_score <= 1e-9
         report(12, "blocked kernels vs naive loops", ok,
                f"max rel err: crossprod={rel_effect:.2e}, score={rel_score:.2e} (<=1e-9)")

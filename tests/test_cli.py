@@ -204,6 +204,36 @@ class TestPipelineCommands:
                    "--out", str(tmp_path / "out.tsv")])
         assert rc == 3
 
+    def test_permuted_summary_refused(self, small_dataset, tmp_path, capsys):
+        # an .xtg carries no SNP ids; summary rows out of the default order
+        # cannot be aligned with it
+        head, *rows = open(small_dataset["summary"]).read().splitlines()
+        permuted = tmp_path / "permuted.tsv"
+        permuted.write_text("\n".join([head, *rows[::-1]]) + "\n")
+        rc = main(["score", "--genotypes", small_dataset["target_geno"],
+                   "--summary", str(permuted), "--out", str(tmp_path / "scores.tsv")])
+        assert rc == 3
+        assert "the genotypes carry no SNP ids" in capsys.readouterr().err
+        assert not (tmp_path / "scores.tsv").exists()
+
+    @pytest.mark.parametrize("command", ["gwas", "estimate"])
+    def test_phenotype_of_wrong_length_is_data_error(self, small_dataset, tmp_path, capsys,
+                                                     command):
+        geno, pheno = (("disc_geno", "disc_pheno") if command == "gwas"
+                       else ("target_geno", "target_pheno"))
+        short = tmp_path / "short.tsv"
+        short.write_text("".join(open(small_dataset[pheno]).readlines()[:-1]))
+        if command == "gwas":
+            argv = ["gwas", "--genotypes", small_dataset[geno], "--phenotype", str(short),
+                    "--out", str(tmp_path / "sum.tsv")]
+        else:
+            argv = ["estimate", "--case", "ae", "--target-geno", small_dataset[geno],
+                    "--target-pheno", str(short), "--summary-a", small_dataset["summary"],
+                    "--n1", "120", "--n3", "100", "--p", "60", "--h2a", "1", "--h2e", "1"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert str(short) in err and small_dataset[geno] in err
+
     def test_missing_file_is_data_error(self, tmp_path):
         rc = main(["gwas", "--genotypes", str(tmp_path / "nope.xtg"),
                    "--phenotype", str(tmp_path / "nope.tsv"),
@@ -252,3 +282,23 @@ class TestSimulateCommand:
         cfg.write_text("scenario=fig2_all_snp\np=80\nn1=60\nwat=1\n")
         rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    def test_block_size_is_not_a_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("scenario=fig2_all_snp\np=80\nn1=60\nn3=60\nm=20\nphi_grid=0.5\n"
+                       "block_size=64\n")
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "unknown config key 'block_size'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["p=abc", "replicates=2.5", "phi_grid=0.5,x",
+                                      "standardize_y=ture"],
+                             ids=["int", "int_given_float", "grid", "bool"])
+    def test_bad_config_value_is_usage_error(self, tmp_path, capsys, line):
+        key, _, value = line.partition("=")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("scenario=fig2_all_snp\np=80\nn1=60\nn3=60\nm=20\nphi_grid=0.5\n"
+                       f"{line}\n")
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"config key {key!r} has a bad value: {value!r}" in capsys.readouterr().err

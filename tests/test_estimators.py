@@ -26,10 +26,7 @@ from crosstrait.estimators import (
     raw_cosine,
     regime_flag,
     screened_factor_ab,
-    screened_factor_ab_optimistic,
     screened_factor_ae,
-    screened_factor_ae_mixed_up,
-    screened_factor_ae_optimistic,
 )
 
 
@@ -142,24 +139,38 @@ class TestScreenedFactors:
         assert abs(screened_factor_ab(m, counts) - bias_factor_ab(m)) <= 1e-12
 
     def test_optimistic_limit(self):
-        m = meta_ae(5000, 20000, h2a=0.5, h2e=1.0)
+        # a perfect screen keeps every causal SNP and nothing else:
+        # sqrt(n1 / (n1 + m_a / h2_a)) * sqrt(h2_e)
+        m = meta_ae(5000, 20000, h2a=0.5, h2e=0.64)
         direct = screened_factor_ae(m, q_alpha=4000, q_alpha1=4000, q_alpha_eta=1500,
                                     m_alpha=4000, m_alpha_eta=1500)
-        assert direct == pytest.approx(screened_factor_ae_optimistic(m, 4000), abs=1e-12)
-        assert screened_factor_ae_optimistic(m, 4000) == pytest.approx(
-            math.sqrt(5000 / (5000 + 4000 / 0.5)), abs=1e-12
-        )
+        assert direct == pytest.approx(math.sqrt(5000 / (5000 + 4000 / 0.5)) * 0.8, abs=1e-12)
 
     def test_mixed_up_grows_with_sqrt_q(self):
-        m = meta_ae(500, 20000)
-        f1 = screened_factor_ae_mixed_up(m, q_alpha=1000)
-        f4 = screened_factor_ae_mixed_up(m, q_alpha=4000)
-        assert f4 / f1 == pytest.approx(2.0, abs=1e-12)
+        # a screen that cannot rank causal above null SNPs keeps a random q of
+        # the p, so q1 = q m_a / p and q_ae = q m_ae / p:
+        # sqrt(n1 q / (n1 p + p^2 / h2_a)) * sqrt(h2_e)
+        n1, p, h2a, h2e = 500, 20000, 0.5, 0.64
+        m = meta_ae(n1, p, h2a=h2a, h2e=h2e)
+        f = {}
+        for q in (1000, 4000):
+            f[q] = screened_factor_ae(m, q_alpha=q, q_alpha1=q // 10, q_alpha_eta=q // 20,
+                                      m_alpha=p // 10, m_alpha_eta=p // 20)
+            limit = math.sqrt(n1 * q / (n1 * p + p**2 / h2a)) * math.sqrt(h2e)
+            assert f[q] == pytest.approx(limit, rel=1e-12)
+        assert f[4000] / f[1000] == pytest.approx(2.0, abs=1e-12)
 
     def test_ab_optimistic(self):
+        # perfect screens on both discoveries:
+        # sqrt(n1 / (n1 + m_a / h2_a) * n2 / (n2 + m_b / h2_b))
         m = meta_ab(5000, 4000, 20000, h2a=0.5, h2b=0.8)
+        counts = ScreenCounts(
+            m_alpha=3000, m_beta=2000, m_alpha_beta=1000,
+            q_alpha=3000, q_alpha1=3000, q_alpha_beta=1000,
+            q_beta=2000, q_beta1=2000,
+        )
         expected = math.sqrt(5000 / (5000 + 3000 / 0.5) * 4000 / (4000 + 2000 / 0.8))
-        assert screened_factor_ab_optimistic(m, 3000, 2000) == pytest.approx(expected)
+        assert screened_factor_ab(m, counts) == pytest.approx(expected, rel=1e-12)
 
     def test_empty_overlap_gives_zero(self):
         m = meta_ae(5000, 20000)

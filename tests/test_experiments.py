@@ -1,5 +1,4 @@
 import dataclasses
-import inspect
 import multiprocessing
 import os
 import subprocess
@@ -320,48 +319,6 @@ class TestWorkers:
         run(cfg, workers=2, out_dir=str(tmp_path / "parallel"))
         serial = (tmp_path / "serial" / "replicates.tsv").read_bytes()
         assert serial == (tmp_path / "parallel" / "replicates.tsv").read_bytes()
-
-
-# one small config per scenario, and the scan/score functions it calls
-SMALL = {
-    "fig1_gwas_properties": (dict(p=100, n1=40, sparsity_grid=(0.2,)),
-                             {"marginal_gwas"}),
-    "fig2_all_snp": (dict(p=100, n1=40, n2=40, n3=40, m=10, phi_grid=(0.5,)),
-                     {"marginal_gwas", "_all_snp_scores"}),
-    "fig3_screening": (dict(p=100, n1=40, n3=40, phi_grid=(0.5,), sparsity_grid=(0.1,),
-                            thresholds=(1.0, 0.1)),
-                       {"marginal_gwas", "_ladder_scores"}),
-    "fig4_overlap": (dict(p=100, n1=40, n2=40, n3=40, n_s=10, m=10, phi_grid=(0.5,)),
-                     {"marginal_gwas", "_all_snp_scores"}),
-    "figS2_sparsity": (dict(p=100, n1=40, n3=40, phi_grid=(0.5,), sparsity_grid=(0.1,)),
-                       {"marginal_gwas", "_all_snp_scores"}),
-    "figS5_summary_only": (dict(p=100, n1=40, n2=40, m=10, phi_grid=(0.5,)),
-                           {"marginal_gwas"}),
-}
-
-
-@pytest.mark.parametrize("scenario", sorted(SMALL))
-def test_block_size_reaches_every_scan_and_score(monkeypatch, scenario):
-    seen = []
-
-    def spy(name):
-        fn = getattr(experiments, name)
-        sig = inspect.signature(fn)
-
-        def wrapped(*args, **kwargs):
-            bound = sig.bind(*args, **kwargs)
-            bound.apply_defaults()
-            seen.append((name, bound.arguments["block_size"]))
-            return fn(*args, **kwargs)
-        monkeypatch.setattr(experiments, name, wrapped)
-
-    for name in ("marginal_gwas", "_all_snp_scores", "_ladder_scores"):
-        spy(name)
-    sizes, called = SMALL[scenario]
-    run(ExperimentConfig(scenario=scenario, replicates=1, master_seed=9, block_size=64, **sizes),
-        workers=1)
-    assert {name for name, _ in seen} == called
-    assert all(block == 64 for _, block in seen), seen
 
 
 class TestGeneticShare:

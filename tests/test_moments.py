@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -9,7 +13,6 @@ from crosstrait.moments import (
     OVERLAP_I_TAGS,
     OVERLAP_II_TAGS,
     SCREENED_TAGS,
-    monte_carlo_check,
     monte_carlo_check_many,
     predict,
     screen_counts_for_fixed_selection,
@@ -131,7 +134,7 @@ class TestMonteCarloCheck:
 
     def test_zero_covariance_case(self):
         arch = TraitArchitecture.shared_causal(400, 80, phi=0.0, h2=0.8)
-        r = monte_carlo_check("cov_ae_num", arch, self.META, replicates=60, seed=2)
+        (r,) = monte_carlo_check_many(["cov_ae_num"], arch, self.META, replicates=60, seed=2)
         assert r.predicted == 0.0
         assert abs(r.z) < 4
 
@@ -156,7 +159,7 @@ class TestMonteCarloCheck:
 
     def test_minimum_replicates_enforced(self):
         with pytest.raises(ParameterError):
-            monte_carlo_check("cov_ae_num", self.ARCH, self.META, replicates=5, seed=0)
+            monte_carlo_check_many(["cov_ae_num"], self.ARCH, self.META, replicates=5, seed=0)
 
     def test_all_tags_have_a_formula(self):
         counts = ScreenCounts(
@@ -178,7 +181,7 @@ class TestMonteCarloCheck:
 # them all
 PINNED_HEX = {
     "indep": {
-        "cov_ae_num": ("0x1.a400000000000p+13", "0x1.a42ca1fa222ecp+13"),
+        "cov_ae_num": ("0x1.a400000000000p+13", "0x1.a42ca1fa222ebp+13"),
         "var_alpha_den": ("0x1.7ed0000000000p+21", "0x1.9945f9ff54924p+21"),
         "var_eta_den": ("0x1.5e00000000000p+9", "0x1.7bd66cea7c7a5p+9"),
         "cov_ab_num": ("0x1.89c0000000000p+18", "0x1.0c5b6401c4b8dp+19"),
@@ -196,10 +199,10 @@ PINNED_HEX = {
     "overlap_i": {
         "overlap_i_cov_ae_num": ("0x1.d880000000000p+14", "0x1.d8af973acf1f9p+14"),
         "overlap_i_var_alpha_den": ("0x1.e5d7000000000p+22", "0x1.1169a34876006p+23"),
-        "overlap_i_var_eta_den": ("0x1.c200000000000p+9", "0x1.9998a413f6a5cp+9"),
+        "overlap_i_var_eta_den": ("0x1.c200000000000p+9", "0x1.9998a413f6a5dp+9"),
     },
     "overlap_ii": {
-        "overlap_ii_cov_ab_num": ("0x1.dbc8000000000p+19", "0x1.c4c392308d4b9p+19"),
+        "overlap_ii_cov_ab_num": ("0x1.dbc8000000000p+19", "0x1.c4c392308d4b6p+19"),
         "overlap_ii_var_alpha_den": ("0x1.0059000000000p+22", "0x1.08b2327ec7273p+22"),
         "overlap_ii_var_beta_den": ("0x1.7ed0000000000p+21", "0x1.5d6963f2ba516p+21"),
     },
@@ -219,3 +222,28 @@ def test_monte_carlo_bits_pinned(family):
                                      **FAMILY_KWARGS.get(family, {}))
     got = {r.quantity_tag: (r.predicted.hex(), r.empirical_mean.hex()) for r in reports}
     assert got == PINNED_HEX[family]
+
+
+MOMENT_BITS = """
+from crosstrait.estimators import DesignMeta
+from crosstrait.moments import INDEP_TAGS, monte_carlo_check_many
+from crosstrait.synth import TraitArchitecture
+arch = TraitArchitecture.shared_causal(10050, 100, phi=0.6, h2=0.8)
+m = DesignMeta(case_tag="indep_ae", p=10050, n1=21, n2=22, n3=23,
+               h2_alpha=0.8, h2_beta=0.8, h2_eta=0.8)
+for r in monte_carlo_check_many(list(INDEP_TAGS), arch, m, 30, 6):
+    print(r.quantity_tag, r.empirical_mean.hex())
+"""
+
+
+def test_monte_carlo_bits_independent_of_blas_threads():
+    # p > 10,000: a threaded OpenBLAS dot product of p terms adds its partial
+    # sums in another order; the moment checks call no BLAS
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    outs = [
+        subprocess.run([sys.executable, "-c", MOMENT_BITS], check=True, capture_output=True,
+                       text=True, env={**os.environ, "PYTHONPATH": src,
+                                       "OPENBLAS_NUM_THREADS": threads}).stdout
+        for threads in ("1", "2")
+    ]
+    assert outs[0] and outs[0] == outs[1]

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from crosstrait.errors import ParameterError
+from crosstrait import kernels
+from crosstrait.errors import DataFormatError
 from crosstrait.gwas import SummaryStats, marginal_gwas, threshold_select
 from crosstrait.prs import ScreenRule, align_snps, score
 from crosstrait.synth import (
@@ -42,7 +45,8 @@ class TestScore:
         W = GenotypeMatrix.from_codes(np.array([[0], [1], [2], [1]], dtype=np.uint8))
         stats = make_stats([2.0])
         prs = score(W, stats)
-        assert np.allclose(prs.scores, 2.0 * W.standardized()[:, 0], atol=1e-12)
+        assert np.allclose(prs.scores, 2.0 * (W.codes[:, 0] - W.col_mean[0]) / W.col_sd[0],
+                           atol=1e-12)
         assert prs.n_selected == 1
 
     def test_blocked_equals_naive_double_loop(self):
@@ -51,18 +55,23 @@ class TestScore:
         effect = rng.standard_normal(50)
         pval = rng.uniform(size=50)
         stats = make_stats(effect, pval)
-        rule = ScreenRule("pvalue_cutoff", 0.4)
-        prs = score(W, stats, rule, block_size=7)
-        oracle = naive_score(W, effect, pval <= 0.4)
-        rel = np.abs(prs.scores - oracle) / np.maximum(np.abs(oracle), 1e-300)
-        assert rel.max() <= 1e-9
+        keep = pval <= 0.4
+        oracle = naive_score(W, effect, keep)
+        cols = np.flatnonzero(keep)
+        for s in (score(W, stats, ScreenRule("pvalue_cutoff", 0.4)).scores,
+                  kernels.std_matvec(W.codes, W.col_mean, W.col_sd, effect[cols], indices=cols,
+                                     block_size=7)):
+            rel = np.abs(s - oracle) / np.maximum(np.abs(oracle), 1e-300)
+            assert rel.max() <= 1e-9
 
     def test_fixed_block_size_bit_reproducible(self):
         rng = np.random.default_rng(2)
         W = gen_genotypes(200, 80, seed=3)
-        stats = make_stats(rng.standard_normal(80))
-        a = score(W, stats, block_size=16).scores
-        b = score(W, stats, block_size=16).scores
+        effect = rng.standard_normal(80)
+        assert np.array_equal(score(W, make_stats(effect)).scores,
+                              score(W, make_stats(effect)).scores)
+        a = kernels.std_matvec(W.codes, W.col_mean, W.col_sd, effect, block_size=16)
+        b = kernels.std_matvec(W.codes, W.col_mean, W.col_sd, effect, block_size=16)
         assert np.array_equal(a, b)
 
     def test_monotone_selection_under_tightening(self):
@@ -160,7 +169,7 @@ class TestAlignment:
         W.snp_ids = np.array(["a", "b", "c"])
         stats = make_stats([5.0, -1.0], ids=["c", "b"])
         prs = score(W, stats)
-        s = W.standardized()
+        s = (W.codes - W.col_mean) / W.col_sd
         expected = -1.0 * s[:, 1] + 5.0 * s[:, 2]
         assert np.allclose(prs.scores, expected, atol=1e-12)
         assert prs.n_aligned == 2
@@ -169,8 +178,45 @@ class TestAlignment:
         W = gen_genotypes(10, 2, seed=12)
         W.snp_ids = np.array(["a", "b"])
         stats = make_stats([1.0], ids=["zzz"])
-        with pytest.raises(ParameterError):
+        with pytest.raises(DataFormatError, match="no SNP ids in common"):
             score(W, stats)
+
+    @pytest.mark.parametrize("w_ids, s_ids, side", [
+        (None, ["rs1", "rs2", "rs3"], "genotypes"),
+        (["rs1", "rs2", "rs3"], None, "summary statistics"),
+        (None, ["snp0000001", "snp0000000", "snp0000002"], "genotypes"),
+    ], ids=["no_genotype_ids", "no_summary_ids", "default_ids_out_of_order"])
+    def test_positional_against_ids_refused(self, w_ids, s_ids, side):
+        W = gen_genotypes(10, 3, seed=13)
+        W.snp_ids = None if w_ids is None else np.array(w_ids)
+        stats = make_stats([1.0, 2.0, 3.0])
+        stats.snp_id = None if s_ids is None else np.array(s_ids)
+        with pytest.raises(DataFormatError, match=f"the {side} carry no SNP ids"):
+            align_snps(W, stats)
+
+    def test_positional_sides_of_unequal_length_refused(self):
+        W = gen_genotypes(10, 3, seed=14)
+        with pytest.raises(DataFormatError, match="3 against 4"):
+            align_snps(W, make_stats(np.ones(4)))
+
+    @given(st.permutations(range(12)), st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_score_invariant_under_summary_row_permutation(self, perm, with_ids):
+        """Rows of a summary with ids may come in any order and give the same
+        bits; the default ids align only in order, and otherwise refuse."""
+        W = gen_genotypes(40, 12, seed=15)
+        ids = np.array([f"rs{j}" for j in range(12)]) if with_ids else None
+        W.snp_ids = ids
+        effect = np.random.default_rng(16).standard_normal(12)
+        stats = make_stats(effect, ids=ids)
+        perm = np.asarray(perm)
+        permuted = make_stats(effect[perm], ids=stats.snp_id[perm])
+        want = score(W, stats).scores
+        if with_ids or np.array_equal(perm, np.arange(12)):
+            assert np.array_equal(score(W, permuted).scores, want)
+        else:
+            with pytest.raises(DataFormatError):
+                score(W, permuted)
 
 
 class TestScoreVarianceGrowth:

@@ -12,6 +12,7 @@ from crosstrait.synth import (
     OverlapDesign,
     TraitArchitecture,
     _gen_codes,
+    default_snp_ids,
     gen_effects,
     gen_genotypes,
     gen_independent_cohorts,
@@ -31,7 +32,7 @@ class TestGenotypes:
     def test_standardized_view_exact(self):
         # per-column mean 0 and variance 1 to 1e-10 (1/n divisor)
         G = gen_genotypes(10000, 100, seed=1)
-        s = G.standardized()
+        s = (G.codes - G.col_mean) / G.col_sd
         assert np.abs(s.mean(axis=0)).max() < 1e-10
         assert np.abs(s.var(axis=0) - 1.0).max() < 1e-10
 
@@ -40,7 +41,7 @@ class TestGenotypes:
         G = GenotypeMatrix.from_codes(np.array([[0], [2]], dtype=np.uint8))
         assert G.col_mean[0] == 1.0
         assert G.col_sd[0] == 1.0
-        assert np.array_equal(G.standardized()[:, 0], [-1.0, 1.0])
+        assert np.array_equal((G.codes[:, 0] - G.col_mean[0]) / G.col_sd[0], [-1.0, 1.0])
 
     def test_maf_mean_matches_uniform_midpoint(self):
         # independent oracle: direct average of the drawn maf vector;
@@ -77,6 +78,13 @@ class TestGenotypes:
 
         with pytest.raises(GenerationError):
             _gen_codes(2, np.full(3, 0.2), ConstantRng())
+
+    def test_default_snp_ids_shared_and_read_only(self):
+        ids = default_snp_ids(3)
+        assert list(ids) == ["snp0000000", "snp0000001", "snp0000002"]
+        assert default_snp_ids(3) is ids
+        with pytest.raises(ValueError):
+            ids[0] = "snp9999999"
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
