@@ -96,19 +96,9 @@ def cmd_simulate(args, parser):
     return 0
 
 
-def _phenotype_for(G, geno_path: str, pheno_path: str) -> np.ndarray:
-    """The phenotype of ``pheno_path``, refused unless it has one row per
-    sample of the genotypes ``G`` read from ``geno_path``."""
-    y, _ = io_files.read_phenotype_tsv(pheno_path)
-    if y.shape[0] != G.n:
-        raise DataFormatError(
-            f"{pheno_path}: {y.shape[0]} phenotype rows, but {geno_path} holds {G.n} samples")
-    return y
-
-
 def cmd_gwas(args, parser):
     G = io_files.read_genotypes(args.genotypes)
-    y = _phenotype_for(G, args.genotypes, args.phenotype)
+    y = io_files.read_phenotype_of(args.phenotype, G, args.genotypes)
     stats = marginal_gwas(G, y, standardize_y=not args.no_standardize_y)
     io_files.write_summary_tsv(args.out, stats)
     print(f"wrote {stats.p} SNPs to {args.out}")
@@ -119,7 +109,7 @@ def cmd_score(args, parser):
     G = io_files.read_genotypes(args.genotypes)
     stats = io_files.read_summary_tsv(args.summary)
     prs = score(G, stats, _screen_rule(args))
-    io_files.write_scores_tsv(args.out, prs.scores)
+    io_files.write_scores_tsv(args.out, prs.scores, G.sample_ids)
     note = " (empty selection)" if prs.empty_selection else ""
     print(f"scored {G.n} samples from {prs.n_selected} SNPs{note} -> {args.out}")
     return 0
@@ -127,7 +117,7 @@ def cmd_score(args, parser):
 
 def _raw_phenotype_score(args, rule) -> float:
     W = io_files.read_genotypes(args.target_geno)
-    y = _phenotype_for(W, args.target_geno, args.target_pheno)
+    y = io_files.read_phenotype_of(args.target_pheno, W, args.target_geno)
     stats_a = io_files.read_summary_tsv(args.summary_a)
     return raw_cosine(y, score(W, stats_a, rule).scores)
 

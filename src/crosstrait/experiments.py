@@ -25,7 +25,10 @@ fig1_gwas_properties  scan quality (AUC, power, enrichment, MSE) and the
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import operator
 import os
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
@@ -54,6 +57,9 @@ DEFAULT_THRESHOLDS = (
 )
 
 WORKERS_ENV = "CROSSTRAIT_WORKERS"
+
+# glibc's mallopt parameters M_MMAP_THRESHOLD and M_TRIM_THRESHOLD
+_M_MMAP_THRESHOLD, _M_TRIM_THRESHOLD = -3, -1
 
 
 @dataclass(frozen=True)
@@ -470,7 +476,29 @@ SCENARIOS = {
 }
 
 
+@functools.cache
+def _keep_freed_memory() -> bool:
+    """Have glibc's malloc serve blocks below 64 MiB from the heap and keep up
+    to 256 MiB of freed heap, once per process; True if both took effect.
+
+    A replicate frees cohort code arrays of a few MB that the next replicate
+    allocates again; under glibc's defaults each is a fresh mmap whose pages
+    fault in on first touch.  Elsewhere than glibc this does nothing.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return False
+    except (AttributeError, ValueError, OSError):  # no confstr, or not glibc
+        return False
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return (mallopt(_M_MMAP_THRESHOLD, 64 << 20) == 1
+            and mallopt(_M_TRIM_THRESHOLD, 256 << 20) == 1)
+
+
 def _run_task(args):
+    _keep_freed_memory()  # pool workers not started by fork set it here
     config, point, rep = args
     try:
         return ("ok", SCENARIOS[config.scenario].replicate(config, point, rep))
@@ -478,14 +506,25 @@ def _run_task(args):
         return ("fail", (point["point_id"], rep, f"{type(exc).__name__}: {exc}"))
 
 
+def _worker_count(value, source: str) -> int:
+    """``value`` as a worker count; anything but an integer >= 1 is refused."""
+    try:
+        count = int(value) if isinstance(value, str) else operator.index(value)
+    except (TypeError, ValueError):
+        count = 0
+    if count < 1:
+        raise ParameterError(f"{source} must be an integer >= 1, got {value!r}")
+    return count
+
+
 def resolve_workers(workers: int | None, n_tasks: int) -> int:
     """``workers``, else $CROSSTRAIT_WORKERS, else one per usable core but no
     more than there are tasks."""
     if workers is not None:
-        return max(1, int(workers))
+        return _worker_count(workers, "workers")
     env = os.environ.get(WORKERS_ENV)
     if env:
-        return max(1, int(env))
+        return _worker_count(env, f"${WORKERS_ENV}")
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity API (macOS, Windows)
@@ -536,8 +575,11 @@ def run(
     recorded with their reason and excluded from the aggregates; the run
     aborts if more than 5% of tasks fail.  Any other exception is a bug and
     propagates.  No replicate calls BLAS (see ``kernels``), so one worker and
-    many give the same bits whatever the BLAS thread count.
+    many give the same bits whatever the BLAS thread count.  On glibc, the
+    first call sets the malloc thresholds of the whole process (see
+    ``_keep_freed_memory``).
     """
+    _keep_freed_memory()  # before the pool, so that forked workers inherit it
     tasks = [(config, point, rep) for point in _points(config) for rep in range(config.replicates)]
 
     nworkers = resolve_workers(workers, len(tasks))

@@ -230,6 +230,26 @@ def read_phenotype_tsv(path: str) -> tuple[np.ndarray, list[str]]:
     return values, ids
 
 
+def read_phenotype_of(path: str, G: GenotypeMatrix, geno_path: str) -> np.ndarray:
+    """The phenotype TSV ``path`` of the genotypes ``G`` read from
+    ``geno_path``, refused unless its rows are G's samples in order: G's
+    sample ids, or the default ids when G has none (a container stores none).
+    """
+    y, ids = read_phenotype_tsv(path)
+    if y.shape[0] != G.n:
+        raise DataFormatError(
+            f"{path}: {y.shape[0]} phenotype rows, but {geno_path} holds {G.n} samples")
+    want = np.asarray(_default_sample_ids(G.n) if G.sample_ids is None else G.sample_ids)
+    bad = np.flatnonzero(np.asarray(ids) != want)
+    if bad.size:
+        i = int(bad[0])
+        note = "" if G.sample_ids is not None else ", as it stores no sample ids"
+        raise DataFormatError(
+            f"{path}:{_line_of_row(path, i)}: sample id {ids[i]!r}, but sample {i + 1} "
+            f"of {geno_path} is {str(want[i])!r}{note}")
+    return y
+
+
 def write_scores_tsv(path: str, scores: np.ndarray, sample_ids=None) -> None:
     if sample_ids is None:
         sample_ids = _default_sample_ids(len(scores))
@@ -329,8 +349,7 @@ def read_genotype_bin(path: str) -> GenotypeMatrix:
 
 
 def read_genotype_tsv(path: str) -> GenotypeMatrix:
-    rows = []
-    snp_ids = None
+    rows, sample_ids = [], []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if header[:1] != ["sample_id"]:
@@ -344,6 +363,7 @@ def read_genotype_tsv(path: str) -> GenotypeMatrix:
                 raise DataFormatError(
                     f"{path}:{lineno}: expected {len(header)} columns, got {len(f)}"
                 )
+            sample_ids.append(f[0])
             try:
                 rows.append([int(v) for v in f[1:]])
             except ValueError:
@@ -353,7 +373,7 @@ def read_genotype_tsv(path: str) -> GenotypeMatrix:
     codes = np.array(rows, dtype=np.uint8)
     if codes.max(initial=0) > 2:
         raise DataFormatError(f"{path}: genotype codes must be in {{0,1,2}}")
-    return GenotypeMatrix.from_codes(codes, snp_ids=snp_ids)
+    return GenotypeMatrix.from_codes(codes, snp_ids=snp_ids, sample_ids=np.array(sample_ids))
 
 
 def read_genotypes(path: str) -> GenotypeMatrix:

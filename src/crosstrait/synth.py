@@ -50,7 +50,8 @@ class GenotypeMatrix:
     estimate when the matrix was read from a file that lacks them).
     ``code_sum`` / ``twos`` are the int64 per-column code sums and counts of
     2s that the statistics come from; None when the matrix was read with
-    stored statistics.
+    stored statistics.  ``sample_ids`` are the row ids of a genotype TSV;
+    None for simulated and container genotypes, whose rows are positional.
     """
 
     n: int
@@ -63,6 +64,7 @@ class GenotypeMatrix:
     resample_count: int = 0
     code_sum: np.ndarray | None = None
     twos: np.ndarray | None = None
+    sample_ids: np.ndarray | None = None
 
     @classmethod
     def from_codes(
@@ -71,6 +73,7 @@ class GenotypeMatrix:
         maf: np.ndarray | None = None,
         snp_ids: np.ndarray | None = None,
         resample_count: int = 0,
+        sample_ids: np.ndarray | None = None,
     ) -> "GenotypeMatrix":
         codes = np.ascontiguousarray(codes, dtype=np.uint8)
         if codes.ndim != 2:
@@ -95,6 +98,7 @@ class GenotypeMatrix:
             resample_count=resample_count,
             code_sum=s,
             twos=n2,
+            sample_ids=sample_ids,
         )
 
 

@@ -3,7 +3,7 @@ import argparse
 import numpy as np
 import pytest
 
-from crosstrait import io_files
+from crosstrait import experiments, io_files
 from crosstrait.cli import build_parser, main
 from crosstrait.gwas import marginal_gwas
 from crosstrait.synth import (
@@ -276,6 +276,23 @@ class TestSimulateCommand:
         rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "at least 2 samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, env", [("0", None), ("-3", None), (None, "abc"),
+                                           (None, "0")],
+                             ids=["flag_zero", "flag_negative", "env_text", "env_zero"])
+    def test_bad_worker_count_is_usage_error(self, tmp_path, capsys, monkeypatch, flag, env):
+        monkeypatch.delenv(experiments.WORKERS_ENV, raising=False)
+        if env is not None:
+            monkeypatch.setenv(experiments.WORKERS_ENV, env)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("scenario=fig2_all_snp\np=80\nn1=60\nn3=60\nm=20\nphi_grid=0.5\n")
+        argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        rc = main(argv + (["--workers", flag] if flag is not None else []))
+        assert rc == 2
+        source, value = ("workers", int(flag)) if flag is not None else ("$CROSSTRAIT_WORKERS", env)
+        assert (f"error: {source} must be an integer >= 1, got {value!r}\n"
+                == capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
 
     def test_bad_config_key(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

@@ -1,8 +1,10 @@
+import ctypes
 import dataclasses
 import multiprocessing
 import os
 import subprocess
 import sys
+import types
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -319,6 +321,114 @@ class TestWorkers:
         run(cfg, workers=2, out_dir=str(tmp_path / "parallel"))
         serial = (tmp_path / "serial" / "replicates.tsv").read_bytes()
         assert serial == (tmp_path / "parallel" / "replicates.tsv").read_bytes()
+
+
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+def _second_round_faults(task=None):
+    """Run ``task``, if given, then malloc, touch and free 40 MiB twice through
+    the C library; the minor page faults of the second round.  Under glibc's
+    defaults a block this large is always a fresh mmap, so each round faults
+    its pages in.  (Not numpy: it asks for huge pages, which fault in few.)"""
+    import resource
+
+    if task is not None:
+        experiments._run_task(task)
+    libc = ctypes.CDLL(None)
+    libc.malloc.argtypes, libc.malloc.restype = (ctypes.c_size_t,), ctypes.c_void_p
+    libc.free.argtypes = (ctypes.c_void_p,)
+    for _ in range(2):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        block = libc.malloc(40 << 20)
+        ctypes.memset(block, 1, 40 << 20)
+        libc.free(block)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
+@pytest.mark.skipif(not _glibc(), reason="the malloc thresholds are set on glibc only")
+class TestFreedMemoryStaysInTheHeap:
+    def test_steady_state_run_takes_no_page_faults(self):
+        # a fresh process: the first run grows the heap, later runs reuse it;
+        # under glibc's defaults each run took about 540 faults at this size
+        code = (
+            "import resource\n"
+            "from crosstrait.experiments import ExperimentConfig, run\n"
+            "cfg = ExperimentConfig(scenario='fig2_all_snp', p=600, n1=600, n2=600, n3=600,\n"
+            "                       m=60, h2=0.5, phi_grid=(0.3, 0.8), replicates=1)\n"
+            "for _ in range(4):\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    run(cfg, workers=1)\n"
+            "    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                             check=True, capture_output=True, text=True).stdout
+        faults = [int(f) for f in out.split()]
+        assert len(faults) == 4 and faults[-1] < 50, faults
+
+    def test_set_in_the_calling_process_of_a_pool_run(self):
+        # every task runs in a worker, yet run() sets it in the caller too,
+        # before the pool starts, so that forked workers inherit it
+        here = os.path.dirname(__file__)
+        code = (
+            f"import sys; sys.path.insert(0, {here!r})\n"
+            "from crosstrait.experiments import ExperimentConfig, run\n"
+            "from test_experiments import _second_round_faults\n"
+            "run(ExperimentConfig(scenario='fig2_all_snp', p=60, n1=50, n2=50, n3=50, m=10,\n"
+            "                     phi_grid=(0.5,), replicates=2), workers=2)\n"
+            "print(_second_round_faults())\n"
+        )
+        src = os.path.join(os.path.dirname(here), "src")
+        out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                             check=True, capture_output=True, text=True).stdout
+        assert int(out) < 50
+
+    @pytest.mark.parametrize("method", ["forkserver", "spawn"])
+    def test_pool_worker_sets_it_in_run_task(self, method):
+        # such a worker starts from a fresh interpreter and inherits nothing
+        # of the parent's malloc state
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"start method {method} is not available")
+        cfg = tiny_fig2()
+        task = (cfg, experiments._points(cfg)[0], 0)
+        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context(method)) as pool:
+            assert pool.submit(_second_round_faults, task).result() < 50
+
+    def test_sets_both_thresholds(self):
+        assert experiments._keep_freed_memory.__wrapped__() is True
+
+    @pytest.mark.parametrize("confstr", ["missing", "unknown_name", "unset"])
+    def test_silent_no_op_off_glibc(self, monkeypatch, confstr):
+        # no os.confstr (Windows), a name the C library does not define
+        # (musl, macOS), or a name it defines without a value
+        if confstr == "missing":
+            monkeypatch.delattr(os, "confstr")
+        else:
+            def fake(name):
+                if confstr == "unknown_name":
+                    raise ValueError("unrecognized configuration name")
+            monkeypatch.setattr(os, "confstr", fake)
+
+        def no_libc(*args):
+            raise AssertionError("the C library was loaded")
+        monkeypatch.setattr(experiments.ctypes, "CDLL", no_libc)
+        assert experiments._keep_freed_memory.__wrapped__() is False
+
+    def test_refused_mallopt_is_silent(self, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 0
+        monkeypatch.setattr(experiments.ctypes, "CDLL",
+                            lambda name: types.SimpleNamespace(mallopt=mallopt))
+        assert experiments._keep_freed_memory.__wrapped__() is False
+        assert calls == [(-3, 64 << 20)]
 
 
 class TestGeneticShare:

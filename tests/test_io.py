@@ -18,10 +18,11 @@ from crosstrait.synth import default_snp_ids, gen_genotypes
 SPECIAL = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1.7976931348623157e308]
 
 
-def write_genotype_tsv(path, G, snp_ids):
+def write_genotype_tsv(path, G, snp_ids, sample_ids=None):
     """A genotype TSV: a ``sample_id`` column, then one column of codes per SNP."""
+    sample_ids = sample_ids or [f"sample{i:07d}" for i in range(G.n)]
     lines = ["\t".join(["sample_id", *snp_ids])]
-    lines += ["\t".join([f"sample{i:07d}", *map(str, row)]) for i, row in enumerate(G.codes)]
+    lines += ["\t".join([i, *map(str, row)]) for i, row in zip(sample_ids, G.codes)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -396,6 +397,10 @@ class TestGenotypeContainers:
         back = io_files.read_genotype_tsv(path)
         assert np.array_equal(back.codes, G.codes)
         assert list(back.snp_ids) == ids
+        assert list(back.sample_ids) == [f"sample{i:07d}" for i in range(G.n)]
+        xtg = str(tmp_path / "geno.xtg")
+        io_files.write_genotype_bin(xtg, G)
+        assert io_files.read_genotypes(xtg).sample_ids is None
 
     def test_dispatch_on_magic(self, tmp_path):
         G = gen_genotypes(8, 4, seed=7)
@@ -442,6 +447,103 @@ class TestScoresAndPhenotypes:
         io_files.write_phenotype_tsv(path, vals)
         back, _ = io_files.read_phenotype_tsv(path)
         assert np.array_equal(back, vals)
+
+
+class TestSampleAlignment:
+    """A phenotype's rows must be the genotypes' samples, in order."""
+
+    NAMES = ["alice", "bob", "carol", "dave", "erin", "frank"]
+
+    @given(st.permutations(range(6)), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_only_the_identity_order_is_accepted(self, order, named):
+        # named: the genotypes carry sample ids (a TSV); otherwise their rows
+        # are positional (a container) and the default ids are expected
+        G = gen_genotypes(6, 3, seed=1)
+        if named:
+            G.sample_ids = np.array(self.NAMES)
+        ids = list(G.sample_ids) if named else [f"sample{i:07d}" for i in range(6)]
+        y = np.arange(6.0)
+        with tempfile.TemporaryDirectory() as d:
+            path = f"{d}/pheno.tsv"
+            io_files.write_phenotype_tsv(path, y[list(order)], [ids[i] for i in order])
+            if list(order) == sorted(order):
+                assert np.array_equal(io_files.read_phenotype_of(path, G, "geno"), y)
+            else:
+                first = next(r for r, i in enumerate(order) if r != i)
+                with pytest.raises(DataFormatError, match=rf"pheno.tsv:{first + 2}: .* geno "):
+                    io_files.read_phenotype_of(path, G, "geno")
+
+    def genotype_tsv(self, tmp_path):
+        G = gen_genotypes(len(self.NAMES), 5, seed=3)
+        path = str(tmp_path / "geno.tsv")
+        write_genotype_tsv(path, G, [f"rs{j}" for j in range(G.p)], self.NAMES)
+        return path
+
+    def phenotype(self, tmp_path, ids):
+        path = str(tmp_path / "pheno.tsv")
+        io_files.write_phenotype_tsv(path, np.linspace(-1.0, 1.0, len(ids)), ids)
+        return path
+
+    def test_gwas_on_named_samples_in_order(self, tmp_path):
+        geno = self.genotype_tsv(tmp_path)
+        pheno = self.phenotype(tmp_path, self.NAMES)
+        assert main(["gwas", "--genotypes", geno, "--phenotype", pheno,
+                     "--out", str(tmp_path / "sum.tsv")]) == 0
+
+    @pytest.mark.parametrize("command", ["gwas", "estimate"])
+    @pytest.mark.parametrize("ids", ["swapped", "default"])
+    def test_misaligned_phenotype_is_data_error(self, tmp_path, capsys, command, ids):
+        geno = self.genotype_tsv(tmp_path)
+        names = (["alice", "bob", "dave", "carol", "erin", "frank"] if ids == "swapped"
+                 else [f"sample{i:07d}" for i in range(len(self.NAMES))])
+        pheno = self.phenotype(tmp_path, names)
+        if command == "gwas":
+            argv = ["gwas", "--genotypes", geno, "--phenotype", pheno,
+                    "--out", str(tmp_path / "out.tsv")]
+        else:
+            summary = str(tmp_path / "sum.tsv")
+            io_files.write_summary_tsv(summary, marginal_gwas(
+                gen_genotypes(len(self.NAMES), 5, seed=4), np.arange(6.0)))
+            argv = ["estimate", "--case", "ae", "--target-geno", geno, "--target-pheno", pheno,
+                    "--summary-a", summary, "--n1", "6", "--n3", "6", "--p", "5",
+                    "--h2a", "1", "--h2e", "1"]
+        assert main(argv) == 3
+        row, got, want = ((2, "dave", "carol") if ids == "swapped"
+                          else (0, "sample0000000", "alice"))
+        assert (f"error: {pheno}:{row + 2}: sample id {got!r}, but sample {row + 1} of {geno} "
+                f"is {want!r}\n") == capsys.readouterr().err
+        assert not (tmp_path / "out.tsv").exists()
+
+    @pytest.mark.parametrize("command", ["gwas", "estimate"])
+    def test_permuted_phenotype_against_container_is_data_error(self, tmp_path, capsys,
+                                                                 command):
+        # each row keeps its own id, but a container's rows are positional
+        G = gen_genotypes(6, 5, seed=5)
+        geno = str(tmp_path / "geno.xtg")
+        io_files.write_genotype_bin(geno, G)
+        ids = [f"sample{i:07d}" for i in range(G.n)]
+        pheno = self.phenotype(tmp_path, ids[::-1])
+        summary = str(tmp_path / "sum.tsv")
+        if command == "gwas":
+            argv = ["gwas", "--genotypes", geno, "--phenotype", pheno, "--out", summary]
+        else:
+            io_files.write_summary_tsv(summary, marginal_gwas(G, np.arange(6.0)))
+            argv = ["estimate", "--case", "ae", "--target-geno", geno, "--target-pheno", pheno,
+                    "--summary-a", summary, "--n1", "6", "--n3", "6", "--p", "5",
+                    "--h2a", "1", "--h2e", "1"]
+        assert main(argv) == 3
+        assert (f"error: {pheno}:2: sample id 'sample0000005', but sample 1 of {geno} is "
+                "'sample0000000', as it stores no sample ids\n") == capsys.readouterr().err
+
+    def test_scores_are_labelled_with_the_genotype_sample_ids(self, tmp_path):
+        geno = self.genotype_tsv(tmp_path)
+        summary = str(tmp_path / "sum.tsv")
+        io_files.write_summary_tsv(summary, marginal_gwas(
+            io_files.read_genotypes(geno), np.arange(6.0)))
+        out = str(tmp_path / "scores.tsv")
+        assert main(["score", "--genotypes", geno, "--summary", summary, "--out", out]) == 0
+        assert io_files.read_scores_tsv(out)[1] == self.NAMES
 
 
 class TestReplicatesAggregates:
