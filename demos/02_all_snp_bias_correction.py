@@ -15,8 +15,6 @@ import numpy as np
 from crosstrait import DesignMeta, ExperimentConfig, bias_factor_ae, run
 
 
-# run() uses a process pool, which under the spawn start method re-imports
-# this file; the guard keeps that import from starting the study again
 def main() -> None:
     n = p = 3000
     m = 600

@@ -11,8 +11,6 @@ and the all-SNP score is already the best one can do.
 from crosstrait import ExperimentConfig, run
 
 
-# run() uses a process pool, which under the spawn start method re-imports
-# this file; the guard keeps that import from starting the study again
 def main() -> None:
     p = n = 2000
     thresholds = (1.0, 0.5, 0.1, 0.01, 1e-3, 1e-4, 1e-6)

@@ -10,8 +10,6 @@ heritability the estimator is unbiased on its own.
 from crosstrait import DesignMeta, ExperimentConfig, overlap_factor_case_i, run
 
 
-# run() uses a process pool, which under the spawn start method re-imports
-# this file; the guard keeps that import from starting the study again
 def main() -> None:
     n = 1500
     p = 3000

@@ -238,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--out", required=True)
     p_sim.add_argument("--workers", type=int, default=None,
-                       help=f"worker processes (default: "
+                       help=f"worker threads (default: "
                             f"${experiments.WORKERS_ENV}, else one per usable core, at most "
                             "one per task)")
     p_sim.add_argument("--seed", type=int, default=None, help="override master_seed")

@@ -31,8 +31,8 @@ import math
 import operator
 import os
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -102,8 +102,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        """Build from the flat key=value config-file mapping; an unknown key or
-        a value that does not parse raises ``ParameterError``."""
+        """Build from the flat key=value config-file mapping; an unknown key,
+        a value that does not parse or a missing required key raises
+        ``ParameterError``."""
         known = {f.name for f in fields(cls)}
         alias = {"ns": "n_s", "seed": "master_seed"}
         kwargs = {}
@@ -126,6 +127,9 @@ class ExperimentConfig:
                     kwargs[name] = int(value)
             except (KeyError, ValueError):
                 raise ParameterError(f"config key {key!r} has a bad value: {value!r}") from None
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in kwargs]
+        if missing:
+            raise ParameterError(f"config lacks required key(s): {', '.join(missing)}")
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
@@ -298,8 +302,12 @@ def _independent_scans(config, point, rep):
     """arch -> independent cohorts -> scans for one task.
 
     The scenario's cohort fields that the config sets pick the traits: alpha
-    discovery (n1), beta discovery (n2) and the eta target (n3).  Returns the
-    architecture, the bundle and ``{trait: SummaryStats}`` of each discovery.
+    discovery (n1), beta discovery (n2) and the eta target (n3).  Each
+    discovery cohort is drawn, scanned and dropped before the next is drawn,
+    and the target comes last, so a task holds one cohort's codes at a time;
+    each cohort has its own substream, so the order moves no bit.  Returns
+    the architecture, the bundle of the target (none drawn without n3) and
+    ``{trait: SummaryStats}`` of each discovery.
     """
     cohorts = SCENARIOS[config.scenario].cohorts
     drawn = [(f, t) for f, t in _COHORT_TRAITS if f in cohorts and getattr(config, f)]
@@ -307,16 +315,19 @@ def _independent_scans(config, point, rep):
     arch = TraitArchitecture.shared_causal(
         config.p, point["m"], phi=point["phi"], sigma2=config.sigma2, h2=config.h2, traits=traits
     )
-    sizes = CohortSizes(**{f: getattr(config, f) for f, _ in drawn})
-    bundle = gen_independent_cohorts(
-        arch, sizes, _rep_seed(config, point["point_id"], rep), traits=traits
-    )
-    stats = {"alpha": marginal_gwas(bundle.disc_alpha, bundle.y_alpha.y, config.standardize_y,
-                                    trait_tag="alpha")}
-    if bundle.disc_beta is not None:
-        stats["beta"] = marginal_gwas(bundle.disc_beta, bundle.y_beta.y, config.standardize_y,
-                                      trait_tag="beta")
-    return arch, bundle, stats
+    seed = _rep_seed(config, point["point_id"], rep)
+
+    def draw(field):
+        size = CohortSizes(**{field: getattr(config, field) if field in cohorts else 0})
+        return gen_independent_cohorts(arch, size, seed, traits=traits)
+
+    def scan(field, trait):
+        b = draw(field)
+        return marginal_gwas(getattr(b, f"disc_{trait}"), getattr(b, f"y_{trait}").y,
+                             config.standardize_y, trait_tag=trait)
+
+    stats = {t: scan(f, t) for f, t in drawn if f != "n3"}
+    return arch, draw("n3"), stats
 
 
 def _rep_all_snp(config, point, rep):
@@ -498,7 +509,6 @@ def _keep_freed_memory() -> bool:
 
 
 def _run_task(args):
-    _keep_freed_memory()  # pool workers not started by fork set it here
     config, point, rep = args
     try:
         return ("ok", SCENARIOS[config.scenario].replicate(config, point, rep))
@@ -571,23 +581,29 @@ def run(
 ) -> ExperimentResult:
     """Execute a scenario; optionally persist replicate/aggregate TSVs.
 
-    Replicate failures (a ``CrosstraitError`` raised by a replicate) are
-    recorded with their reason and excluded from the aggregates; the run
-    aborts if more than 5% of tasks fail.  Any other exception is a bug and
-    propagates.  No replicate calls BLAS (see ``kernels``), so one worker and
-    many give the same bits whatever the BLAS thread count.  On glibc, the
-    first call sets the malloc thresholds of the whole process (see
-    ``_keep_freed_memory``).
+    With more than one worker the tasks run on a pool of threads of the
+    calling process: the numpy loops that do a replicate's work release the
+    GIL.  The rows come back in task order, so one worker and many write the
+    same bytes.  Replicate failures (a ``CrosstraitError`` raised by a
+    replicate) are recorded with their reason and excluded from the
+    aggregates; the run aborts if more than 5% of tasks fail.  Any other
+    exception is a bug: the tasks not yet started are cancelled and it
+    propagates.  No replicate calls BLAS (see ``kernels``), so the BLAS
+    thread count moves no bit either.  On glibc, the first call sets the
+    malloc thresholds of the whole process (see ``_keep_freed_memory``).
     """
-    _keep_freed_memory()  # before the pool, so that forked workers inherit it
+    _keep_freed_memory()
     tasks = [(config, point, rep) for point in _points(config) for rep in range(config.replicates)]
 
     nworkers = resolve_workers(workers, len(tasks))
     if nworkers == 1:
         outcomes = [_run_task(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            outcomes = list(pool.map(_run_task, tasks, chunksize=1))
+        pool = ThreadPoolExecutor(max_workers=nworkers)
+        try:
+            outcomes = list(pool.map(_run_task, tasks))
+        finally:
+            pool.shutdown(cancel_futures=True)
 
     rows, failures = [], []
     for status, payload in outcomes:

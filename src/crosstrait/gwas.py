@@ -9,10 +9,10 @@ closed form ``se^2 = (var(y_c) - effect^2) / n``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from . import kernels
 from .errors import ParameterError
@@ -33,6 +33,7 @@ __all__ = [
     "screen_metrics",
     "threshold_select",
     "significance_order",
+    "average_ranks",
 ]
 
 
@@ -90,8 +91,10 @@ def marginal_gwas(
     pos = se > 0.0
     tstat[pos] = effect[pos] / se[pos]
     tstat[~pos] = np.sign(effect[~pos]) * np.inf
-    # two-sided tail of the standard normal reference null
-    pvalue = np.maximum(erfc(np.abs(tstat) / np.sqrt(2.0)), MIN_PVALUE)
+    # two-sided tail of the standard normal reference null, from the C
+    # library's erfc: within a few ulp everywhere, subnormal tail included
+    z = (np.abs(tstat) / math.sqrt(2.0)).tolist()
+    pvalue = np.maximum(np.fromiter(map(math.erfc, z), np.float64, len(z)), MIN_PVALUE)
 
     return SummaryStats(
         snp_id=X.snp_ids,
@@ -107,6 +110,25 @@ def marginal_gwas(
 def significance_order(stats: SummaryStats) -> np.ndarray:
     """Indices sorted by |t| descending, ties broken by SNP index."""
     return np.lexsort((np.arange(stats.p), -np.abs(stats.tstat)))
+
+
+def average_ranks(a: np.ndarray) -> np.ndarray:
+    """Ranks 1..n of ``a`` in ascending order, each run of equal values given
+    the mean of the ranks it spans; all NaN if any value is NaN.
+
+    Equal to ``scipy.stats.rankdata(a)`` bit for bit: a run over sorted
+    positions [i, j) gets (i + 1 + j) / 2, exact in float64.
+    """
+    a = np.asarray(a)
+    if np.isnan(a).any():
+        return np.full(a.shape, np.nan)
+    order = np.argsort(a, kind="stable")
+    s = a[order]
+    starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
+    ends = np.append(starts[1:], a.size)
+    ranks = np.empty(a.size)
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
 
 
 @dataclass
@@ -138,11 +160,7 @@ def screen_metrics(
     if m == 0 or m == stats.p:
         raise ParameterError("need at least one causal and one null SNP")
 
-    # scipy.stats costs about a second to import and nothing else needs it
-    from scipy.stats import rankdata
-
-    a = np.abs(stats.tstat)
-    ranks = rankdata(a)
+    ranks = average_ranks(np.abs(stats.tstat))
     u = ranks[causal].sum() - m * (m + 1) / 2.0
     auc = float(u / (m * (stats.p - m)))
 

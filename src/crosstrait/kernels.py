@@ -13,7 +13,7 @@ Neither kernel calls BLAS, whose bits depend on its build, its thread count
 and the row count of an operand.  Both reduce with einsum, whose loops are
 numpy's own (compiled for numpy's baseline CPU target, not dispatched at run
 time), so a given block size gives the same bits in the serial path and in
-pool workers, at any ``OPENBLAS_NUM_THREADS``.  Neither converts a whole
+worker threads, at any ``OPENBLAS_NUM_THREADS``.  Neither converts a whole
 block to float64: einsum's buffered iterator hands the ``uint8`` codes over
 a few thousand elements at a time, in cache, with the bits of an einsum over
 the converted C-ordered block.

@@ -1,4 +1,5 @@
 import argparse
+import os
 
 import numpy as np
 import pytest
@@ -319,3 +320,17 @@ class TestSimulateCommand:
         rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert f"config key {key!r} has a bad value: {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, missing", [
+        (None, "scenario, p, n1"),
+        ("scenario=fig2_all_snp\np=100\n", "n1"),
+    ], ids=["dev_null", "partial"])
+    def test_missing_required_keys_is_usage_error(self, tmp_path, capsys, text, missing):
+        path = os.devnull
+        if text is not None:
+            path = tmp_path / "exp.cfg"
+            path.write_text(text)
+        rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: config lacks required key(s): {missing}\n"
+        assert not (tmp_path / "o").exists()

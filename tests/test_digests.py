@@ -97,7 +97,7 @@ def test_file_pipeline_digests_pinned(tmp_path, capsys):
            ("y_alpha.tsv", "summary.tsv", "scores_all.tsv", "scores_p.tsv", "estimate.tsv")}
     assert got == {
         "y_alpha.tsv": "a42e9446bfa333ee",
-        "summary.tsv": "38c62eaea0651dbf",
+        "summary.tsv": "96a04bb480e7b445",
         "scores_all.tsv": "ae3b0c6d83f4d3bd",
         "scores_p.tsv": "93a02a3652905dc8",
         "estimate.tsv": "d1ec12c5a7038178",

@@ -1,16 +1,18 @@
 import ctypes
 import dataclasses
-import multiprocessing
+import multiprocessing.process
 import os
 import subprocess
 import sys
+import threading
+import time
 import types
-from concurrent.futures import ProcessPoolExecutor
+import weakref
 
 import numpy as np
 import pytest
 
-from crosstrait import experiments
+from crosstrait import experiments, synth
 from crosstrait.errors import ExperimentError, GenerationError, ParameterError
 from crosstrait.experiments import (
     WORKERS_ENV,
@@ -203,11 +205,7 @@ class TestRun:
         assert abs(slope - 0.5) < 0.03  # factor sqrt(1/2 * 1/2)
 
 
-needs_fork = pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="patched scenario functions reach pool workers only under fork",
-)
-WORKER_COUNTS = [1, pytest.param(2, marks=needs_fork)]
+WORKER_COUNTS = [1, 2]
 
 
 def _patch_replicate(monkeypatch, rep_fn):
@@ -239,6 +237,68 @@ class TestReplicateFailures:
         _patch_replicate(monkeypatch, flaky)
         res = run(tiny_fig2(replicates=40), workers=workers)
         assert res.failures == [("phi=0.5", 3, "GenerationError: resampling cap hit")]
+
+
+class TestThreadPool:
+    def test_starts_no_process(self, monkeypatch):
+        # more workers than cores, switching threads every microsecond
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process was started")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        monkeypatch.setattr(os, "fork", refuse)
+        cfg = tiny_fig2(replicates=8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = run(cfg, workers=5)
+        finally:
+            sys.setswitchinterval(interval)
+        assert pooled.workers == 5
+        assert pooled.replicate_rows == run(cfg, workers=1).replicate_rows
+
+    def test_two_tasks_run_at_once(self, monkeypatch):
+        barrier = threading.Barrier(2, timeout=10)
+
+        def meet(config, point, rep):
+            barrier.wait()
+            return []
+
+        _patch_replicate(monkeypatch, meet)
+        assert run(tiny_fig2(replicates=4), workers=2).failures == []
+
+    def test_bug_cancels_the_tasks_not_started(self, monkeypatch):
+        started = []
+
+        def buggy(config, point, rep):
+            started.append(rep)
+            if rep == 0:
+                raise RuntimeError("bug in replicate 0")
+            time.sleep(0.05)
+            return []
+
+        _patch_replicate(monkeypatch, buggy)
+        with pytest.raises(RuntimeError, match="bug in replicate 0"):
+            run(tiny_fig2(replicates=40), workers=2)
+        assert 0 in started and len(started) < 10, started
+
+    @pytest.mark.parametrize("scenario, labels", [("fig2_all_snp", "XZW"),
+                                                  ("fig3_screening", "XW")])
+    def test_one_cohort_held_at_a_time(self, monkeypatch, scenario, labels):
+        # every cohort drawn before is gone when the next one is drawn
+        drawn, live_at_draw = [], []
+        gen_cohort = synth._gen_cohort
+
+        def tracked(seed, label, n, maf):
+            live_at_draw.append(sum(ref() is not None for _, ref in drawn))
+            out = gen_cohort(seed, label, n, maf)
+            drawn.append((label, weakref.ref(out)))
+            return out
+
+        monkeypatch.setattr(synth, "_gen_cohort", tracked)
+        run(tiny_fig2(scenario=scenario, sparsity_grid=(0.1,), replicates=2), workers=1)
+        assert "".join(label for label, _ in drawn) == labels * 2
+        assert live_at_draw == [0] * len(drawn)
 
 
 class TestWorkers:
@@ -274,18 +334,6 @@ class TestWorkers:
                 subprocess.run([sys.executable, "-c", code], env=env, check=True)
                 outs.append((out / "replicates.tsv").read_bytes())
         assert outs[0] and outs.count(outs[0]) == 4
-
-    @pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
-    def test_pool_under_start_method(self, method):
-        # a worker started by any method, with numpy imported afresh or
-        # inherited, gives the parent's bits
-        if method not in multiprocessing.get_all_start_methods():
-            pytest.skip(f"start method {method} is not available")
-        cfg = tiny_fig2()
-        task = (cfg, experiments._points(cfg)[0], 0)
-        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context(method)) as pool:
-            pooled = pool.submit(experiments._run_task, task).result()
-        assert repr(pooled) == repr(experiments._run_task(task))
 
     def test_manifest_records_workers_outside_config_hash(self, tmp_path):
         cfg = tiny_fig2()
@@ -330,15 +378,13 @@ def _glibc() -> bool:
         return False
 
 
-def _second_round_faults(task=None):
-    """Run ``task``, if given, then malloc, touch and free 40 MiB twice through
-    the C library; the minor page faults of the second round.  Under glibc's
-    defaults a block this large is always a fresh mmap, so each round faults
-    its pages in.  (Not numpy: it asks for huge pages, which fault in few.)"""
+def _second_round_faults():
+    """Malloc, touch and free 40 MiB twice through the C library; the minor
+    page faults of the second round.  Under glibc's defaults a block this
+    large is always a fresh mmap, so each round faults its pages in.  (Not
+    numpy: it asks for huge pages, which fault in few.)"""
     import resource
 
-    if task is not None:
-        experiments._run_task(task)
     libc = ctypes.CDLL(None)
     libc.malloc.argtypes, libc.malloc.restype = (ctypes.c_size_t,), ctypes.c_void_p
     libc.free.argtypes = (ctypes.c_void_p,)
@@ -372,8 +418,8 @@ class TestFreedMemoryStaysInTheHeap:
         assert len(faults) == 4 and faults[-1] < 50, faults
 
     def test_set_in_the_calling_process_of_a_pool_run(self):
-        # every task runs in a worker, yet run() sets it in the caller too,
-        # before the pool starts, so that forked workers inherit it
+        # the pool's threads run the tasks in the calling process, which
+        # run() has set
         here = os.path.dirname(__file__)
         code = (
             f"import sys; sys.path.insert(0, {here!r})\n"
@@ -387,17 +433,6 @@ class TestFreedMemoryStaysInTheHeap:
         out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                              check=True, capture_output=True, text=True).stdout
         assert int(out) < 50
-
-    @pytest.mark.parametrize("method", ["forkserver", "spawn"])
-    def test_pool_worker_sets_it_in_run_task(self, method):
-        # such a worker starts from a fresh interpreter and inherits nothing
-        # of the parent's malloc state
-        if method not in multiprocessing.get_all_start_methods():
-            pytest.skip(f"start method {method} is not available")
-        cfg = tiny_fig2()
-        task = (cfg, experiments._points(cfg)[0], 0)
-        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context(method)) as pool:
-            assert pool.submit(_second_round_faults, task).result() < 50
 
     def test_sets_both_thresholds(self):
         assert experiments._keep_freed_memory.__wrapped__() is True

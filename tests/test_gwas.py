@@ -1,9 +1,12 @@
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import crosstrait
 from crosstrait import kernels
@@ -11,6 +14,7 @@ from crosstrait.errors import ParameterError
 from crosstrait.gwas import (
     MIN_PVALUE,
     SummaryStats,
+    average_ranks,
     marginal_gwas,
     screen_metrics,
     significance_order,
@@ -19,6 +23,7 @@ from crosstrait.gwas import (
 from crosstrait.prs import ScreenRule
 from crosstrait.synth import (
     CohortSizes,
+    GenotypeMatrix,
     TraitArchitecture,
     gen_effects,
     gen_genotypes,
@@ -108,6 +113,26 @@ class TestMarginalGwas:
         y = np.random.default_rng(11).standard_normal(200)
         stats = marginal_gwas(G, y)
         assert np.all(stats.pvalue > 0) and np.all(stats.pvalue <= 1)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_pvalue_is_the_c_library_erfc_tail(self, sign):
+        # the phenotype is SNP 0, and SNP j keeps a falling share of its codes:
+        # |t| sweeps from inf through the subnormal tail (|t| >= 37.5) to 0
+        rng = np.random.default_rng(5)
+        n = 2000
+        x0 = rng.binomial(2, 0.3, n).astype(np.uint8)
+        cols = []
+        for k in np.linspace(0, n, 400).astype(int):
+            c = x0.copy()
+            c[rng.choice(n, k, replace=False)] = rng.binomial(2, 0.3, k)
+            cols.append(c)
+        G = GenotypeMatrix.from_codes(np.column_stack(cols))
+        stats = marginal_gwas(G, sign * x0)
+        t = stats.tstat
+        assert sign * t[0] == np.inf
+        assert np.count_nonzero((np.abs(t) >= 37.5) & (np.abs(t) < 38.5)) >= 2
+        want = [max(math.erfc(abs(v) / math.sqrt(2.0)), MIN_PVALUE) for v in t.tolist()]
+        assert stats.pvalue.tolist() == want
 
     def test_dimension_mismatch(self):
         G = gen_genotypes(50, 5, seed=12)
@@ -209,6 +234,28 @@ class TestScreenMetrics:
         assert m.beta_mse == pytest.approx(0.0 + 1.0 + 0.25)
 
 
+def _oracle_ranks(a):
+    """O(n^2) average ranks: the values below, plus the mean position among
+    the equal ones."""
+    return np.array([(2 * np.sum(a < v) + np.sum(a == v) + 1) / 2 for v in a])
+
+
+class TestAverageRanks:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-3, 3) | st.floats(-1e3, 1e3, allow_nan=False,
+                                                   allow_subnormal=True),
+                    min_size=1, max_size=60))
+    def test_matches_quadratic_oracle(self, values):
+        a = np.array(values, dtype=np.float64)
+        assert average_ranks(a).tolist() == _oracle_ranks(a).tolist()
+
+    def test_nan_gives_all_nan(self):
+        assert np.isnan(average_ranks(np.array([1.0, np.nan, 0.5]))).all()
+
+    def test_empty(self):
+        assert average_ranks(np.array([])).shape == (0,)
+
+
 class TestThresholdSelect:
     def _setup(self, seed=14):
         arch = TraitArchitecture.shared_causal(200, 40, phi=0.9, traits=("alpha", "eta"))
@@ -254,8 +301,17 @@ class TestThresholdSelect:
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats takes about a second to import; only screen_metrics needs it
+    # crosstrait needs numpy only: neither the import nor a fig1 run, the one
+    # that ranks, may load any part of scipy
     src = os.path.dirname(os.path.dirname(crosstrait.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, crosstrait; sys.exit('scipy.stats' in sys.modules)"
+    code = (
+        "import sys, crosstrait\n"
+        "def scipy(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not scipy(), scipy()\n"
+        "from crosstrait.experiments import ExperimentConfig, run\n"
+        "run(ExperimentConfig(scenario='fig1_gwas_properties', p=50, n1=60,\n"
+        "                     sparsity_grid=(0.2,), replicates=2), workers=2)\n"
+        "assert not scipy(), scipy()\n"
+    )
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
