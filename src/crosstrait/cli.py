@@ -161,7 +161,7 @@ def cmd_estimate(args, parser):
         )
     line = (
         f"{case}\t{io_files.fmt(est.raw)}\t{io_files.fmt(est.bias_factor)}"
-        f"\t{io_files.fmt(est.corrected)}\t{est.regime_flag}"
+        f"\t{io_files.fmt(est.corrected)}\t{est.flag}"
     )
     print("case\traw\tfactor\tcorrected\tregime_flag")
     print(line)
@@ -196,7 +196,7 @@ def cmd_correct(args, parser):
         )
     print("raw\tfactor\tcorrected\tregime_flag")
     print(f"{io_files.fmt(est.raw)}\t{io_files.fmt(est.bias_factor)}"
-          f"\t{io_files.fmt(est.corrected)}\t{est.regime_flag}")
+          f"\t{io_files.fmt(est.corrected)}\t{est.flag}")
     return 0
 
 

@@ -113,6 +113,12 @@ class CorrelationEstimate:
     meta: DesignMeta
     out_of_range: bool = False
 
+    @property
+    def flag(self) -> str:
+        """The regime flag, then ``;corrected_out_of_range`` when the corrected
+        value lies outside [-1, 1]."""
+        return self.regime_flag + (";corrected_out_of_range" if self.out_of_range else "")
+
 
 def raw_cosine(u: np.ndarray, v: np.ndarray) -> float:
     """Uncentered cosine similarity; the single primitive behind every raw
@@ -366,8 +372,11 @@ def correct(raw: float, meta: DesignMeta, screen: ScreenCounts | None = None) ->
 
     The corrected value is deliberately not clamped to [-1, 1]: corrections
     can overshoot at finite samples and clamping would hide the estimator's
-    variance.  Out-of-range results are flagged instead.
+    variance.  Out-of-range results are flagged instead.  A raw value that
+    is not a cosine (outside [-1, 1], or NaN) is refused.
     """
+    if not (-1.0 <= raw <= 1.0):
+        raise ParameterError(f"raw cosine must lie in [-1, 1], got {raw!r}")
     factor = bias_factor(meta, screen)
     flag = regime_flag(meta)
     if factor == 0.0:

@@ -46,6 +46,7 @@ from .synth import (
     CohortSizes,
     OverlapDesign,
     TraitArchitecture,
+    _independent_cohort_draws,
     gen_independent_cohorts,
     gen_overlapping_cohorts,
 )
@@ -218,11 +219,8 @@ def _estimate_row(config, point_id, rep, name, u, v, meta) -> ReplicateRow:
         return ReplicateRow(config.scenario, point_id, name, rep, 0.0, float("nan"),
                             0.0, "degenerate_score")
     est = correct(raw, meta)
-    flag = est.regime_flag
-    if est.out_of_range:
-        flag += ";corrected_out_of_range"
     return ReplicateRow(config.scenario, point_id, name, rep, raw,
-                        est.corrected, est.bias_factor, flag)
+                        est.corrected, est.bias_factor, est.flag)
 
 
 def _all_snp_scores(W, stats_list) -> np.ndarray:
@@ -315,11 +313,10 @@ def _independent_scans(config, point, rep):
     arch = TraitArchitecture.shared_causal(
         config.p, point["m"], phi=point["phi"], sigma2=config.sigma2, h2=config.h2, traits=traits
     )
-    seed = _rep_seed(config, point["point_id"], rep)
+    cohorts_of = _independent_cohort_draws(arch, _rep_seed(config, point["point_id"], rep), traits)
 
     def draw(field):
-        size = CohortSizes(**{field: getattr(config, field) if field in cohorts else 0})
-        return gen_independent_cohorts(arch, size, seed, traits=traits)
+        return cohorts_of(CohortSizes(**{field: getattr(config, field) if field in cohorts else 0}))
 
     def scan(field, trait):
         b = draw(field)

@@ -5,7 +5,8 @@ significant digits so that write-then-read reproduces every IEEE double
 bit-exactly.  A table is read by columns (one split of the whole file, then
 ``float`` over each number column) and written from one row template, so no
 Python call runs per field.  Genotypes have a compact binary container (2 bits
-per code, decoded two bytes per table lookup) for large runs and a plain-TSV
+per code, decoded two bytes per table lookup) for large runs, whose codes stay
+packed in memory and are decoded one column block at a time, and a plain-TSV
 fallback for small fixtures.  All writes go through a temp-file-then-rename so
 partially written outputs never appear under the final name.
 """
@@ -79,6 +80,20 @@ def atomic_write_text(path: str, text: str) -> None:
 
 def _floats(col: list[str]) -> np.ndarray:
     return np.array(list(map(float, col)))
+
+
+def _finite(col: list[str]) -> np.ndarray:
+    x = _floats(col)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("is not finite")
+    return x
+
+
+def _pvalues(col: list[str]) -> np.ndarray:
+    x = _floats(col)
+    if not np.all((x > 0.0) & (x <= 1.0)):
+        raise ValueError("is not in (0, 1]")
+    return x
 
 
 def _ints(least: int):
@@ -190,11 +205,12 @@ def write_summary_tsv(path: str, stats: SummaryStats) -> None:
 
 
 def read_summary_tsv(path: str, trait_tag: str = "") -> SummaryStats:
-    """Read a summary TSV; its ``n`` must be one positive integer, the same on
-    every row."""
+    """Read a summary TSV.  Its effects must be finite, its p-values in (0, 1],
+    and its ``n`` one positive integer, the same on every row; ``se`` and
+    ``tstat`` may be infinite, as ``marginal_gwas`` writes them when se is 0."""
     ids, effect, se, tstat, pvalue, ns = _read_columns(
         path, SUMMARY_HEADER,
-        {1: _floats, 2: _floats, 3: _floats, 4: _floats, 5: _ints(1)})
+        {1: _finite, 2: _floats, 3: _floats, 4: _pvalues, 5: _ints(1)})
     if not ids:
         raise DataFormatError(f"{path}:2: no data rows")
     if ns.count(ns[0]) != len(ns):
@@ -224,7 +240,8 @@ def write_phenotype_tsv(path: str, y: np.ndarray, sample_ids=None) -> None:
 
 
 def read_phenotype_tsv(path: str) -> tuple[np.ndarray, list[str]]:
-    ids, values = _read_columns(path, ["sample_id", "value"], {1: _floats})
+    """The values (finite) and sample ids of a phenotype TSV."""
+    ids, values = _read_columns(path, ["sample_id", "value"], {1: _finite})
     if not ids:
         raise DataFormatError(f"{path}:2: no data rows")
     return values, ids
@@ -301,6 +318,48 @@ def unpack_codes(packed: np.ndarray, p: int) -> np.ndarray:
     return codes
 
 
+class PackedCodes:
+    """The (n, p) codes of a container, kept 2-bit packed as ``pack_codes``
+    writes them: n * ceil(p / 4) bytes.
+
+    Codes are decoded only by the two reads the kernels make, each of which
+    returns a fresh uint8 block: ``codes[:, a:b]`` decodes the bytes that
+    hold columns a to b, and ``codes.take(cols, axis=1)`` gathers the byte
+    of each column and shifts its code out.  ``np.asarray(codes)`` decodes
+    the whole matrix.
+    """
+
+    def __init__(self, packed: np.ndarray, p: int):
+        self.packed = packed
+        self.shape = (packed.shape[0], p)
+
+    def __getitem__(self, key):
+        rows, cols = key
+        if rows != slice(None) or not isinstance(cols, slice) or cols.step not in (None, 1):
+            raise TypeError("packed codes are read as [:, a:b] or take(cols, axis=1)")
+        a, b, _ = cols.indices(self.shape[1])
+        b = max(a, b)
+        a4 = a - a % 4
+        return unpack_codes(self.packed[:, a4 // 4:-(-b // 4)], b - a4)[:, a - a4:]
+
+    def take(self, cols, axis: int) -> np.ndarray:
+        if axis != 1:
+            raise TypeError("packed codes are read as [:, a:b] or take(cols, axis=1)")
+        cols = np.asarray(cols, dtype=np.intp)
+        if cols.size and (cols.min() < 0 or cols.max() >= self.shape[1]):
+            raise IndexError(f"column index out of range for p={self.shape[1]}")
+        block = self.packed.take(cols >> 2, axis=1)
+        block >>= (2 * (cols & 3)).astype(np.uint8)
+        block &= 3
+        return block
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("decoding packed codes makes a copy")
+        codes = unpack_codes(self.packed, self.shape[1])
+        return codes if dtype is None else codes.astype(dtype, copy=False)
+
+
 def write_genotype_bin(path: str, G: GenotypeMatrix) -> None:
     header = GENO_MAGIC + struct.pack("<IQQ", GENO_VERSION, G.n, G.p)
     packed = pack_codes(G.codes)
@@ -317,6 +376,11 @@ def write_genotype_bin(path: str, G: GenotypeMatrix) -> None:
 
 
 def read_genotype_bin(path: str) -> GenotypeMatrix:
+    """A container's genotypes, their codes kept packed (``PackedCodes``).
+
+    A code 3 in any of the p columns is refused here; the padding past
+    column p is not read.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != GENO_MAGIC:
@@ -340,11 +404,18 @@ def read_genotype_bin(path: str) -> GenotypeMatrix:
     mean = np.frombuffer(data, dtype="<f8", count=p, offset=off).copy()
     off += 8 * p
     sd = np.frombuffer(data, dtype="<f8", count=p, offset=off).copy()
-    codes = unpack_codes(packed, p)
-    if codes.max(initial=0) > 2:
-        raise DataFormatError(f"{path}: corrupt codes (value 3 present)")
+    # a code is 3 when both of its bits are set; the last byte of a row
+    # masks the codes past column p
+    mask = np.full(row_bytes, 0x55, dtype=np.uint8)
+    if p % 4:
+        mask[-1] = 0x55 >> 2 * (4 - p % 4)
+    rows = max(1, _UNPACK_TILE_BYTES // max(row_bytes, 1))
+    for r in range(0, n, rows):
+        tile = packed[r:r + rows]
+        if np.any(tile & (tile >> 1) & mask):
+            raise DataFormatError(f"{path}: corrupt codes (value 3 present)")
     return GenotypeMatrix(
-        n=int(n), p=int(p), codes=codes, maf=maf, col_mean=mean, col_sd=sd
+        n=int(n), p=int(p), codes=PackedCodes(packed, int(p)), maf=maf, col_mean=mean, col_sd=sd
     )
 
 

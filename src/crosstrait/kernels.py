@@ -17,6 +17,13 @@ worker threads, at any ``OPENBLAS_NUM_THREADS``.  Neither converts a whole
 block to float64: einsum's buffered iterator hands the ``uint8`` codes over
 a few thousand elements at a time, in cache, with the bits of an einsum over
 the converted C-ordered block.
+
+``codes`` is any (n, p) source of ``uint8`` codes that has ``shape`` and
+supports the two reads the kernels make: ``codes[:, a:b]`` and
+``codes.take(cols, axis=1)``.  A ``GenotypeMatrix`` holds a numpy array, or
+for a container ``io_files.PackedCodes``, which decodes each block from its
+2-bit packed bytes when it is read; a freshly decoded block gives the bits
+of a view of the unpacked array.
 """
 
 from __future__ import annotations

@@ -43,7 +43,10 @@ TRAITS = ("alpha", "beta", "eta")
 class GenotypeMatrix:
     """SNP codes plus the statistics of their standardized view.
 
-    ``codes`` is an (n, p) uint8 array of allele counts; ``col_mean`` /
+    ``codes`` holds the (n, p) uint8 allele counts: a numpy array, or for
+    genotypes read from a container an ``io_files.PackedCodes``, which keeps
+    them 2-bit packed and decodes the column blocks the kernels read
+    (``np.asarray`` gives the dense array); ``col_mean`` /
     ``col_sd`` use the population-style 1/n divisor so that the standardized
     columns have exact unit sample variance (see kernels.column_stats).
     ``maf`` holds the generating minor allele frequencies (or the sample
@@ -555,24 +558,37 @@ def gen_independent_cohorts(
     discovery data for alpha (n1) and beta (n2), target data with the eta
     phenotype (n3).
     """
-    rng_maf = substream(seed, "cohorts/maf")
-    maf = rng_maf.uniform(MAF_LOW, MAF_HIGH, size=arch.p)
-    effects = gen_effects(arch, seed=seed)
-    bundle = CohortBundle(
-        design=OverlapDesign(n_s=0, pair="discovery_discovery"), arch=arch, effects=effects
-    )
+    return _independent_cohort_draws(arch, seed, traits)(sizes)
 
-    if "alpha" in traits and sizes.n1:
-        bundle.disc_alpha = _gen_cohort(seed, "X", sizes.n1, maf)
-        bundle.y_alpha = gen_phenotype(bundle.disc_alpha, effects["alpha"], arch.h2_alpha, seed)
-    if "beta" in traits and sizes.n2:
-        bundle.disc_beta = _gen_cohort(seed, "Z", sizes.n2, maf)
-        bundle.y_beta = gen_phenotype(bundle.disc_beta, effects["beta"], arch.h2_beta, seed)
-    if sizes.n3:
-        bundle.target = _gen_cohort(seed, "W", sizes.n3, maf)
-        if "eta" in traits:
-            bundle.y_eta = gen_phenotype(bundle.target, effects["eta"], arch.h2_eta, seed)
-    return bundle
+
+def _cohort_maf(seed: int, p: int) -> np.ndarray:
+    """The MAFs that every cohort of one seed shares, from their own substream."""
+    return substream(seed, "cohorts/maf").uniform(MAF_LOW, MAF_HIGH, size=p)
+
+
+def _independent_cohort_draws(arch: TraitArchitecture, seed: int, traits: tuple = TRAITS):
+    """``gen_independent_cohorts(arch, sizes, seed, traits)`` as a function of
+    ``sizes``; the MAFs and the effects are drawn once, for every call."""
+    maf = _cohort_maf(seed, arch.p)
+    effects = gen_effects(arch, seed=seed)
+
+    def draw(sizes: CohortSizes) -> CohortBundle:
+        bundle = CohortBundle(
+            design=OverlapDesign(n_s=0, pair="discovery_discovery"), arch=arch, effects=effects
+        )
+        if "alpha" in traits and sizes.n1:
+            bundle.disc_alpha = _gen_cohort(seed, "X", sizes.n1, maf)
+            bundle.y_alpha = gen_phenotype(bundle.disc_alpha, effects["alpha"], arch.h2_alpha, seed)
+        if "beta" in traits and sizes.n2:
+            bundle.disc_beta = _gen_cohort(seed, "Z", sizes.n2, maf)
+            bundle.y_beta = gen_phenotype(bundle.disc_beta, effects["beta"], arch.h2_beta, seed)
+        if sizes.n3:
+            bundle.target = _gen_cohort(seed, "W", sizes.n3, maf)
+            if "eta" in traits:
+                bundle.y_eta = gen_phenotype(bundle.target, effects["eta"], arch.h2_eta, seed)
+        return bundle
+
+    return draw
 
 
 def _correlated_errors(
@@ -601,9 +617,7 @@ def gen_overlapping_cohorts(
     n1, n2, n3, ns = sizes.n1, sizes.n2, sizes.n3, design.n_s
     if min(n1, n2, n3) < 0:
         raise ParameterError("cohort sizes must be >= 0")
-    rng_maf = substream(seed, "cohorts/maf")
-    maf = rng_maf.uniform(MAF_LOW, MAF_HIGH, size=arch.p)
-
+    maf = _cohort_maf(seed, arch.p)
     effects = gen_effects(arch, seed=seed)
     sd_ea = np.sqrt(arch.sigma2_eps("alpha"))
     sd_eb = np.sqrt(arch.sigma2_eps("beta"))

@@ -81,6 +81,24 @@ class TestCorrect:
         assert rc == 0
         assert "degenerate_regime" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("raw", ["nan", "5", "-1.5", "inf"])
+    def test_raw_that_is_not_a_cosine_is_usage_error(self, capsys, raw):
+        rc = main(["correct", "--raw", raw, "--n1", "100", "--p", "50",
+                   "--h2a", "1", "--h2e", "1", "--case", "ae"])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: raw cosine must lie in [-1, 1]" in err
+
+    def test_corrected_out_of_range_is_flagged(self, capsys):
+        # factor sqrt(100 / 1100) = 0.30, so 0.9 corrects to 2.98
+        rc = main(["correct", "--raw", "0.9", "--n1", "100", "--p", "1000",
+                   "--h2a", "1", "--h2e", "1", "--case", "ae"])
+        assert rc == 0
+        fields = capsys.readouterr().out.splitlines()[1].split("\t")
+        assert float(fields[2]) > 1.0
+        assert fields[3].endswith(";corrected_out_of_range")
+
     def test_strict_degenerate_refusal(self, capsys):
         rc = main(["correct", "--raw", "0.05", "--n1", "50", "--n3", "50",
                    "--p", "50000", "--h2a", "1", "--h2e", "1", "--case", "ae",
@@ -98,9 +116,11 @@ CASES = {
     "ae": (["n1", "p", "h2a", "h2e"], ["n1", "n3", "p", "h2a", "h2e"],
            "0.37\t0.44721359549995798\t0.82734515167492206\tconsistent_regime"),
     "ab": (["n1", "n2", "p", "h2a", "h2b"], ["n1", "n2", "n3", "p", "h2a", "h2b"],
-           "0.37\t0.25400025400038101\t1.4566914566921849\tconsistent_regime"),
+           "0.37\t0.25400025400038101\t1.4566914566921849"
+           "\tconsistent_regime;corrected_out_of_range"),
     "summary-ab": (["n1", "n2", "p", "h2a", "h2b"], ["n1", "n2", "p", "h2a", "h2b"],
-                   "0.37\t0.25400025400038101\t1.4566914566921849\tconsistent_regime"),
+                   "0.37\t0.25400025400038101\t1.4566914566921849"
+           "\tconsistent_regime;corrected_out_of_range"),
     "overlap-i": (["n1", "n3", "ns", "p", "h2a", "h2e", "hae"],
                   ["n1", "n3", "ns", "p", "h2a", "h2e", "hae"],
                   "0.37\t0.60418889570904333\t0.61239126145439671\tconsistent_regime"),
@@ -190,6 +210,19 @@ class TestPipelineCommands:
         fields = text[1].split("\t")
         raw, factor, corrected = float(fields[1]), float(fields[2]), float(fields[3])
         assert corrected == pytest.approx(raw / factor)
+
+    @pytest.mark.parametrize("h2e", ["1", "1e-6"])
+    def test_estimate_flags_corrected_out_of_range(self, small_dataset, capsys, h2e):
+        rc = main(["estimate", "--case", "ae",
+                   "--target-geno", small_dataset["target_geno"],
+                   "--target-pheno", small_dataset["target_pheno"],
+                   "--summary-a", small_dataset["summary"],
+                   "--n1", "120", "--n3", "100", "--p", "60", "--h2a", "1", "--h2e", h2e])
+        assert rc == 0
+        fields = capsys.readouterr().out.splitlines()[1].split("\t")
+        out_of_range = abs(float(fields[3])) > 1.0
+        assert out_of_range == (h2e != "1")
+        assert fields[4].endswith(";corrected_out_of_range") == out_of_range
 
     def test_estimate_summary_ab_missing_file_flags(self, small_dataset):
         with pytest.raises(SystemExit) as exc:

@@ -327,6 +327,11 @@ class TestCorrect:
         assert est.bias_factor == f
         assert est.corrected == (r * f) / f
 
+    @pytest.mark.parametrize("raw", [float("nan"), 1.0000000000000002, -1.5, float("inf")])
+    def test_raw_that_is_not_a_cosine_is_refused(self, raw):
+        with pytest.raises(ParameterError, match=r"raw cosine must lie in \[-1, 1\]"):
+            correct(raw, meta_ae(100, 50, n3=100))
+
     def test_zero_factor_rejected(self):
         m = DesignMeta(case_tag="screened_ae", p=100, n1=50, h2_alpha=1.0, h2_eta=1.0)
         counts = ScreenCounts(m_alpha=10, m_alpha_eta=5, q_alpha=3, q_alpha1=1,

@@ -300,6 +300,21 @@ class TestThreadPool:
         assert "".join(label for label, _ in drawn) == labels * 2
         assert live_at_draw == [0] * len(drawn)
 
+    @pytest.mark.parametrize("scenario", ["fig2_all_snp", "fig3_screening"])
+    def test_mafs_and_effects_drawn_once_per_task(self, monkeypatch, scenario):
+        calls = {"maf": 0, "effects": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(synth, "_cohort_maf", counted("maf", synth._cohort_maf))
+        monkeypatch.setattr(synth, "gen_effects", counted("effects", synth.gen_effects))
+        run(tiny_fig2(scenario=scenario, sparsity_grid=(0.1,), replicates=2), workers=1)
+        assert calls == {"maf": 2, "effects": 2}
+
 
 class TestWorkers:
     def test_default_is_usable_cores_capped_by_tasks(self, monkeypatch):

@@ -1,12 +1,13 @@
 import re
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crosstrait import io_files
+from crosstrait import io_files, kernels, prs
 from crosstrait.cli import main
 from crosstrait.errors import DataFormatError
 from crosstrait.experiments import AggregateRow, ReplicateRow, aggregate
@@ -116,21 +117,26 @@ doubles = st.floats(allow_nan=False) | st.just(float("nan"))
 @settings(max_examples=60, deadline=None)
 def test_write_read_round_trip_bitwise(xs):
     v = np.array(xs + SPECIAL)
+    # summary effects and phenotype values are finite and p-values lie in
+    # (0, 1], as their readers require; se, tstat and scores take any double
+    finite = np.resize(v[np.isfinite(v)], v.size)
+    pvalue = np.abs(finite)
+    pvalue = np.resize(np.append(pvalue[(pvalue > 0.0) & (pvalue <= 1.0)], 1.0), v.size)
     with tempfile.TemporaryDirectory() as d:
         path = f"{d}/t.tsv"
         io_files.write_summary_tsv(path, SummaryStats(
-            snp_id=np.array([f"rs{j}" for j in range(v.size)]), effect=v, se=v[::-1].copy(),
-            tstat=np.roll(v, 1), pvalue=np.roll(v, 2), n=17))
+            snp_id=np.array([f"rs{j}" for j in range(v.size)]), effect=finite, se=v[::-1].copy(),
+            tstat=np.roll(v, 1), pvalue=pvalue, n=17))
         back = io_files.read_summary_tsv(path)
-        for got, want in ((back.effect, v), (back.se, v[::-1]), (back.tstat, np.roll(v, 1)),
-                          (back.pvalue, np.roll(v, 2))):
+        for got, want in ((back.effect, finite), (back.se, v[::-1]), (back.tstat, np.roll(v, 1)),
+                          (back.pvalue, pvalue)):
             assert np.array_equal(bits(got), bits(want))
         assert back.n == 17
 
-        for write, read in ((io_files.write_phenotype_tsv, io_files.read_phenotype_tsv),
-                            (io_files.write_scores_tsv, io_files.read_scores_tsv)):
-            write(path, v)
-            assert np.array_equal(bits(read(path)[0]), bits(v))
+        for write, read, x in ((io_files.write_phenotype_tsv, io_files.read_phenotype_tsv, finite),
+                               (io_files.write_scores_tsv, io_files.read_scores_tsv, v)):
+            write(path, x)
+            assert np.array_equal(bits(read(path)[0]), bits(x))
 
         # -nan prints as "nan" too, so the columns are rolled, not negated
         cols = [v.tolist(), np.roll(v, 1).tolist(), np.roll(v, 2).tolist()]
@@ -258,6 +264,54 @@ def score_summary(tmp_path, *ns):
                           *rows[1:], "")
     return summary, main(["score", "--genotypes", geno, "--summary", summary,
                           "--out", str(tmp_path / "scores.tsv")])
+
+
+NON_FINITE = ["nan", "inf", "-inf"]
+
+
+class TestNonFiniteInput:
+    """A summary effect or a phenotype value that is not finite, or a p-value
+    outside (0, 1], is a data error naming its line."""
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_cli_refuses_summary_effect(self, tmp_path, capsys, bad):
+        self._refuses_summary_field(tmp_path, capsys, 1, bad, "is not finite")
+
+    @pytest.mark.parametrize("bad", ["nan", "0", "-0.5", "7", "inf"])
+    def test_cli_refuses_summary_pvalue(self, tmp_path, capsys, bad):
+        self._refuses_summary_field(tmp_path, capsys, 4, bad, "is not in (0, 1]")
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_cli_refuses_phenotype_value(self, tmp_path, capsys, bad):
+        G = gen_genotypes(10, 3, seed=2)
+        geno = str(tmp_path / "geno.xtg")
+        io_files.write_genotype_bin(geno, G)
+        pheno = str(tmp_path / "pheno.tsv")
+        y = np.random.default_rng(3).standard_normal(10)
+        io_files.write_phenotype_tsv(pheno, y)
+        lines = open(pheno).read().split("\n")
+        lines[4] = lines[4].split("\t")[0] + "\t" + bad
+        write_lines(tmp_path, *lines)
+        rc = main(["gwas", "--genotypes", geno, "--phenotype", str(tmp_path / "t.tsv"),
+                   "--out", str(tmp_path / "summary.tsv")])
+        assert rc == 3
+        assert (f"{tmp_path / 't.tsv'}:5: column 'value' is not finite: {bad!r}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "summary.tsv").exists()
+
+    def _refuses_summary_field(self, tmp_path, capsys, j, bad, message):
+        geno = str(tmp_path / "geno.xtg")
+        io_files.write_genotype_bin(geno, gen_genotypes(10, 3, seed=2))
+        rows = [f"snp{k:07d}\t0.5\t0.1\t5\t0.01\t10".split("\t") for k in range(3)]
+        rows[1][j] = bad
+        summary = write_lines(tmp_path, "\t".join(io_files.SUMMARY_HEADER),
+                              *map("\t".join, rows), "")
+        rc = main(["score", "--genotypes", geno, "--summary", summary, "--rule", "pvalue",
+                   "--cutoff", "0.05", "--out", str(tmp_path / "scores.tsv")])
+        assert rc == 3
+        header = io_files.SUMMARY_HEADER[j]
+        assert f"{summary}:3: column {header!r} {message}: {bad!r}" in capsys.readouterr().err
+        assert not (tmp_path / "scores.tsv").exists()
 
 
 class TestSummaryN:
@@ -430,6 +484,127 @@ class TestGenotypeContainers:
         path.write_text("sample_id\ts1\nsample0\t3\n")
         with pytest.raises(DataFormatError):
             io_files.read_genotype_tsv(str(path))
+
+
+@st.composite
+def packed_reads(draw):
+    """A code matrix (as n, p and a seed), a column range [a, b) and a list of
+    column indices, sorted or not, with repeats."""
+    n, p = draw(st.integers(1, 9)), draw(st.integers(1, 41))
+    a = draw(st.integers(0, p - 1))
+    b = draw(st.integers(a, p))
+    cols = draw(st.lists(st.integers(0, p - 1), max_size=3 * p))
+    if draw(st.booleans()):
+        cols.sort()
+    return n, p, draw(st.integers(0, 2**32 - 1)), a, b, cols
+
+
+def bitwise_equal(u, v):
+    return np.array_equal(bits(u), bits(v))
+
+
+class TestPackedCodes:
+    """A container's codes stay packed; the kernels decode the blocks they read."""
+
+    @given(packed_reads())
+    @settings(max_examples=200, deadline=None)
+    def test_reads_equal_the_dense_codes(self, case):
+        n, p, seed, a, b, cols = case
+        codes = np.random.default_rng(seed).integers(0, 3, size=(n, p), dtype=np.uint8)
+        src = io_files.PackedCodes(io_files.pack_codes(codes), p)
+        assert src.shape == codes.shape
+        for got, want in ((src[:, a:b], codes[:, a:b]), (src[:, a:a + 1], codes[:, a:a + 1]),
+                          (src.take(cols, axis=1), codes.take(cols, axis=1)),
+                          (np.asarray(src), codes)):
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, want)
+        # blocks of 3 start at every residue mod 4; a contiguous run from a
+        # is read as one range, a scattered list with take
+        mean, sd = kernels.column_stats(codes)
+        sd = np.where(sd > 0.0, sd, 1.0)
+        y = np.random.default_rng(seed + 1).standard_normal(n)
+        for block in (3, 2048):
+            assert bitwise_equal(kernels.std_crossprod(src, mean, sd, y, block_size=block),
+                                 kernels.std_crossprod(codes, mean, sd, y, block_size=block))
+            for idx in (np.arange(a, max(a + 1, b)), np.array(cols or [a], dtype=np.intp)):
+                w = np.random.default_rng(seed + 2).standard_normal((idx.size, 2))
+                assert bitwise_equal(
+                    kernels.std_matvec(src, mean, sd, w, indices=idx, block_size=block),
+                    kernels.std_matvec(codes, mean, sd, w, indices=idx, block_size=block))
+
+    def test_reads_outside_the_two_kernel_reads_are_refused(self):
+        src = io_files.PackedCodes(io_files.pack_codes(np.ones((2, 5), dtype=np.uint8)), 5)
+        for key in ((0, slice(None)), (slice(None), 3), (slice(None), slice(0, 4, 2))):
+            with pytest.raises(TypeError):
+                src[key]
+        for cols in ([5], [-1]):
+            with pytest.raises(IndexError):
+                src.take(cols, axis=1)
+
+    def test_gwas_and_score_are_bitwise_those_of_the_codes_in_memory(self, tmp_path):
+        # p = 4101 spans three column blocks of 2048, the last of 5 columns
+        G = gen_genotypes(50, 4101, seed=21)
+        path = str(tmp_path / "geno.xtg")
+        io_files.write_genotype_bin(path, G)
+        F = io_files.read_genotypes(path)
+        assert isinstance(F.codes, io_files.PackedCodes)
+        y = np.random.default_rng(22).standard_normal(50)
+        mem, file = marginal_gwas(G, y), marginal_gwas(F, y)
+        for f in ("effect", "se", "tstat", "pvalue"):
+            assert bitwise_equal(getattr(file, f), getattr(mem, f))
+        for rule in (prs.RULE_NONE, prs.ScreenRule("pvalue_cutoff", 0.3),
+                     prs.ScreenRule("effect_cutoff", 0.1)):
+            assert bitwise_equal(prs.score(F, mem, rule).scores, prs.score(G, mem, rule).scores)
+
+    def test_gwas_and_screened_score_hold_less_than_the_unpacked_codes(self, tmp_path):
+        """Reading a container and scanning or scoring it peaks below the n * p
+        bytes of its unpacked codes.  The TSV text of p = 20,000 rows alone
+        takes about 2 n * p, so the phenotype and the summary are made before
+        tracing starts."""
+        n, p = 400, 20_000
+        G = gen_genotypes(n, p, seed=23)
+        path = str(tmp_path / "geno.xtg")
+        io_files.write_genotype_bin(path, G)
+        y = np.random.default_rng(24).standard_normal(n)
+        stats = marginal_gwas(G, y)
+        del G
+        rule = prs.ScreenRule("pvalue_cutoff", 0.05)
+        for run in (lambda: marginal_gwas(io_files.read_genotypes(path), y),
+                    lambda: prs.score(io_files.read_genotypes(path), stats, rule)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < n * p
+
+    def test_code_3_in_a_column_the_screen_drops_exits_3(self, tmp_path, capsys):
+        G = gen_genotypes(8, 10, seed=4)  # 3 bytes per row
+        geno = tmp_path / "geno.xtg"
+        io_files.write_genotype_bin(str(geno), G)
+        data = bytearray(geno.read_bytes())
+        data[24 + 2 * 3 + 2] |= 0b11  # column 8 of the third row becomes 3
+        geno.write_bytes(bytes(data))
+        stats = marginal_gwas(G, np.random.default_rng(5).standard_normal(8))
+        stats.pvalue = np.full(10, 1e-3)
+        stats.pvalue[8] = 1.0
+        summary = str(tmp_path / "summary.tsv")
+        io_files.write_summary_tsv(summary, stats)
+        rc = main(["score", "--genotypes", str(geno), "--summary", summary, "--rule", "pvalue",
+                   "--cutoff", "0.05", "--out", str(tmp_path / "scores.tsv")])
+        assert rc == 3
+        assert "corrupt codes (value 3 present)" in capsys.readouterr().err
+
+    def test_code_3_in_the_padding_is_ignored(self, tmp_path):
+        G = gen_genotypes(8, 9, seed=4)  # the last byte of a row holds 1 code
+        path = tmp_path / "geno.xtg"
+        io_files.write_genotype_bin(str(path), G)
+        data = bytearray(path.read_bytes())
+        for row in range(8):
+            data[24 + 3 * row + 2] |= 0b11111100
+        path.write_bytes(bytes(data))
+        assert np.array_equal(io_files.read_genotype_bin(str(path)).codes, G.codes)
 
 
 class TestScoresAndPhenotypes:
