@@ -202,8 +202,10 @@ def genetic_share(arch: TraitArchitecture, rho_eps: float, pair: str) -> float:
 
 
 def _h2_for_fixed_noise(m: int, sigma2: float, sigma2_eps: float) -> float:
-    """Heritability whose calibrated error variance equals sigma2_eps."""
-    return m * sigma2 / (m * sigma2 + sigma2_eps)
+    """Heritability whose calibrated error variance equals sigma2_eps; NaN,
+    which no architecture accepts, when the total variance is 0."""
+    total = m * sigma2 + sigma2_eps
+    return m * sigma2 / total if total else math.nan
 
 
 def _rep_seed(config: ExperimentConfig, point_id: str, rep: int, stream: str = "") -> int:
@@ -273,8 +275,10 @@ _COHORT_ROLES = {"n1": "discovery (n1)", "n2": "discovery (n2)", "n3": "target (
 
 def _points(config) -> list:
     """One point per value of the scenario's grid, each with its causal
-    count ``m`` and effect correlation ``phi``; refuses a config the scenario
-    cannot run before any task starts.
+    count ``m``, its effect correlation ``phi`` and what the scenario's
+    ``build`` makes of them (its architecture); refuses a config the
+    scenario cannot run, or a point whose architecture it refuses, before
+    any task starts.
 
     A phi point keeps ``config.m``; a sparsity point sets m from the sparsity
     and takes the first phi of ``phi_grid``.
@@ -290,29 +294,49 @@ def _points(config) -> list:
     if sc.check is not None:
         sc.check(config)
     if sc.grids[0] == "phi_grid":
-        return [{"point_id": f"phi={phi:g}", "m": config.m, "phi": phi} for phi in config.phi_grid]
-    phi = config.phi_grid[0] if config.phi_grid else None
-    return [{"point_id": f"mp={s:g}", "m": max(1, round(s * config.p)), "phi": phi}
-            for s in config.sparsity_grid]
+        points = [(f"phi={phi:g}", config.m, phi) for phi in config.phi_grid]
+    else:
+        phi = config.phi_grid[0] if config.phi_grid else None
+        points = [(f"mp={s:g}", max(1, round(s * config.p)), phi) for s in config.sparsity_grid]
+    out = []
+    for pid, m, phi in points:
+        try:
+            out.append({"point_id": pid, "m": m, "phi": phi, **sc.build(config, m, phi)})
+        except ParameterError as exc:
+            raise ParameterError(f"{config.scenario} point {pid}: {exc}") from None
+    return out
+
+
+def _drawn(config) -> list:
+    """(cohort field, trait) of each independent cohort a task draws: the
+    scenario's cohort fields that the config sets."""
+    cohorts = SCENARIOS[config.scenario].cohorts
+    return [(f, t) for f, t in _COHORT_TRAITS if f in cohorts and getattr(config, f)]
+
+
+def _shared_arch(config, m, phi) -> dict:
+    """The architecture of the traits of the independent cohorts, all sharing
+    the m causal SNPs."""
+    traits = tuple(t for _, t in _drawn(config))
+    return {"arch": TraitArchitecture.shared_causal(
+        config.p, m, phi=phi, sigma2=config.sigma2, h2=config.h2, traits=traits)}
 
 
 def _independent_scans(config, point, rep):
     """arch -> independent cohorts -> scans for one task.
 
-    The scenario's cohort fields that the config sets pick the traits: alpha
-    discovery (n1), beta discovery (n2) and the eta target (n3).  Each
-    discovery cohort is drawn, scanned and dropped before the next is drawn,
-    and the target comes last, so a task holds one cohort's codes at a time;
-    each cohort has its own substream, so the order moves no bit.  Returns
-    the architecture, the bundle of the target (none drawn without n3) and
-    ``{trait: SummaryStats}`` of each discovery.
+    The traits are those of ``_drawn``: alpha discovery (n1), beta discovery
+    (n2) and the eta target (n3).  Each discovery cohort is drawn, scanned
+    and dropped before the next is drawn, and the target comes last, so a
+    task holds one cohort's codes at a time; each cohort has its own
+    substream, so the order moves no bit.  Returns the architecture, the
+    bundle of the target (none drawn without n3) and ``{trait:
+    SummaryStats}`` of each discovery.
     """
     cohorts = SCENARIOS[config.scenario].cohorts
-    drawn = [(f, t) for f, t in _COHORT_TRAITS if f in cohorts and getattr(config, f)]
+    drawn = _drawn(config)
     traits = tuple(t for _, t in drawn)
-    arch = TraitArchitecture.shared_causal(
-        config.p, point["m"], phi=point["phi"], sigma2=config.sigma2, h2=config.h2, traits=traits
-    )
+    arch = point["arch"]
     cohorts_of = _independent_cohort_draws(arch, _rep_seed(config, point["point_id"], rep), traits)
 
     def draw(field):
@@ -361,8 +385,7 @@ def _rep_fig3(config, point, rep):
                       h2_alpha=config.h2, h2_eta=config.h2)
     scores = _ladder_scores(bundle.target, stats, config.thresholds)
     rows = []
-    for thr in config.thresholds:
-        rule = ScreenRule("pvalue_cutoff", thr)
+    for thr, rule in zip(config.thresholds, point["rules"]):
         sel = threshold_select(stats, rule, truth=bundle.effects["alpha"],
                                overlap_truth=bundle.effects["eta"])
         name = f"G_T@{thr:g}"
@@ -386,6 +409,29 @@ def _rep_fig3(config, point, rep):
     return rows
 
 
+def _fig3_build(config, m, phi) -> dict:
+    """The shared architecture and the screen rule of each threshold."""
+    rules = tuple(ScreenRule("pvalue_cutoff", thr) for thr in config.thresholds)
+    return {**_shared_arch(config, m, phi), "rules": rules}
+
+
+# fig4 overlap case -> (traits, overlap pair, genetic-share pair)
+_FIG4_CASES = {"i": (("alpha", "eta"), "discovery_target", "ae"),
+               "ii": (("alpha", "beta"), "discovery_discovery", "ab")}
+
+
+def _fig4_build(config, m, phi) -> dict:
+    """(architecture, overlap design, genetic share) of each overlap case."""
+    cases = {}
+    for case in config.overlap_cases:
+        traits, pair, share = _FIG4_CASES[case]
+        arch = TraitArchitecture.shared_causal(
+            config.p, m, phi=phi, sigma2=config.sigma2, h2=config.h2, traits=traits)
+        design = OverlapDesign(n_s=config.n_s, pair=pair, rho_eps=config.rho_eps)
+        cases[case] = (arch, design, genetic_share(arch, config.rho_eps, share))
+    return {"cases": cases}
+
+
 def _check_fig4(config):
     if "i" in config.overlap_cases and config.n1 + config.n_s < 2:
         raise ParameterError("fig4_overlap case i needs discovery samples (n1 + n_s)")
@@ -394,31 +440,23 @@ def _check_fig4(config):
 
 
 def _rep_fig4(config, point, rep):
-    phi = point["phi"]
     pid = point["point_id"]
+    cases = point["cases"]
     rows = []
-    if "i" in config.overlap_cases:
+    if "i" in cases:
+        arch_i, design_i, h_i = cases["i"]
         seed_i = _rep_seed(config, pid, rep, "case_i")
-        arch_i = TraitArchitecture.shared_causal(
-            config.p, config.m, phi=phi, sigma2=config.sigma2, h2=config.h2,
-            traits=("alpha", "eta"),
-        )
-        design_i = OverlapDesign(n_s=config.n_s, pair="discovery_target", rho_eps=config.rho_eps)
         b = gen_overlapping_cohorts(design_i, arch_i, CohortSizes(n1=config.n1, n3=config.n3), seed_i)
         stats = marginal_gwas(b.disc_alpha, b.y_alpha.y, config.standardize_y)
         (prs,) = _all_snp_scores(b.target, (stats,))
         meta_i = DesignMeta(case_tag="overlap_case_i", p=config.p, n1=config.n1, n3=config.n3,
                             n_s=config.n_s, h2_alpha=config.h2, h2_eta=config.h2,
-                            h_alpha_eta=genetic_share(arch_i, config.rho_eps, "ae"))
+                            h_alpha_eta=h_i)
         rows.append(_estimate_row(config, pid, rep, "G_S_ae", b.y_eta.y, prs, meta_i))
 
-    if "ii" in config.overlap_cases:
+    if "ii" in cases:
+        arch_ii, design_ii, h_ii = cases["ii"]
         seed_ii = _rep_seed(config, pid, rep, "case_ii")
-        arch_ii = TraitArchitecture.shared_causal(
-            config.p, config.m, phi=phi, sigma2=config.sigma2, h2=config.h2,
-            traits=("alpha", "beta"),
-        )
-        design_ii = OverlapDesign(n_s=config.n_s, pair="discovery_discovery", rho_eps=config.rho_eps)
         b = gen_overlapping_cohorts(
             design_ii, arch_ii, CohortSizes(n1=config.n1, n2=config.n2, n3=config.n3), seed_ii
         )
@@ -427,19 +465,27 @@ def _rep_fig4(config, point, rep):
         prs_a, prs_b = _all_snp_scores(b.target, (stats_a, stats_b))
         meta_ii = DesignMeta(case_tag="overlap_case_ii", p=config.p, n1=config.n1, n2=config.n2,
                              n3=config.n3, n_s=config.n_s, h2_alpha=config.h2, h2_beta=config.h2,
-                             h_alpha_beta=genetic_share(arch_ii, config.rho_eps, "ab"))
+                             h_alpha_beta=h_ii)
         rows.append(_estimate_row(config, pid, rep, "G_S_ab", prs_b, prs_a, meta_ii))
     return rows
+
+
+def _fig1_build(config, m, phi) -> dict:
+    """The one-trait architecture of a sparsity point, its error variance
+    fixed at sigma2_eps (default 1)."""
+    # keep one null SNP available as the variance-law probe
+    p_total = config.p + 1 if m == config.p else config.p
+    sigma2_eps = config.sigma2_eps if config.sigma2_eps is not None else 1.0
+    h2 = _h2_for_fixed_noise(m, config.sigma2, sigma2_eps)
+    return {"arch": TraitArchitecture(p=p_total, m_alpha=m, sigma2_alpha=config.sigma2,
+                                      h2_alpha=h2)}
 
 
 def _rep_fig1(config, point, rep):
     pid = point["point_id"]
     m = point["m"]
-    # keep one null SNP available as the variance-law probe
-    p_total = config.p + 1 if m == config.p else config.p
-    sigma2_eps = config.sigma2_eps if config.sigma2_eps is not None else 1.0
-    h2 = _h2_for_fixed_noise(m, config.sigma2, sigma2_eps)
-    arch = TraitArchitecture(p=p_total, m_alpha=m, sigma2_alpha=config.sigma2, h2_alpha=h2)
+    arch = point["arch"]
+    p_total = arch.p
     seed = _rep_seed(config, pid, rep)
     bundle = gen_independent_cohorts(arch, CohortSizes(n1=config.n1), seed, traits=("alpha",))
     stats = marginal_gwas(bundle.disc_alpha, bundle.y_alpha.y, config.standardize_y)
@@ -463,22 +509,26 @@ class Scenario:
     ``grids`` are the config grids it needs; it walks the first.  ``cohorts``
     maps each cohort-size field it draws to the least size it needs (0: the
     cohort is drawn when the config sets it).  ``check`` refuses any further
-    config it cannot run, and ``replicate(config, point, rep)`` returns one
-    task's rows.
+    config it cannot run.  ``build(config, m, phi)`` makes the objects that
+    every task of a point shares (its architecture), once per point and
+    before any task, so that it refuses an out-of-domain value as a usage
+    error; ``replicate(config, point, rep)`` returns one task's rows.
     """
 
     grids: tuple
     cohorts: dict
     replicate: Callable
+    build: Callable = _shared_arch
     check: Callable | None = None
 
 
 SCENARIOS = {
-    "fig1_gwas_properties": Scenario(("sparsity_grid",), {"n1": 2}, _rep_fig1),
+    "fig1_gwas_properties": Scenario(("sparsity_grid",), {"n1": 2}, _rep_fig1, _fig1_build),
     "fig2_all_snp": Scenario(("phi_grid",), {"n1": 2, "n2": 0, "n3": 2}, _rep_all_snp),
-    "fig3_screening": Scenario(("sparsity_grid", "phi_grid"), {"n1": 2, "n3": 2}, _rep_fig3),
+    "fig3_screening": Scenario(("sparsity_grid", "phi_grid"), {"n1": 2, "n3": 2}, _rep_fig3,
+                               _fig3_build),
     "fig4_overlap": Scenario(("phi_grid",), {"n1": 0, "n2": 0, "n3": 2}, _rep_fig4,
-                             _check_fig4),
+                             _fig4_build, _check_fig4),
     "figS2_sparsity": Scenario(("sparsity_grid", "phi_grid"), {"n1": 2, "n3": 2}, _rep_all_snp),
     "figS5_summary_only": Scenario(("phi_grid",), {"n1": 2, "n2": 2}, _rep_all_snp),
 }

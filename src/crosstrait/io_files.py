@@ -2,13 +2,17 @@
 
 Text tables are tab-separated with a header row; floats are written with 17
 significant digits so that write-then-read reproduces every IEEE double
-bit-exactly.  A table is read by columns (one split of the whole file, then
-``float`` over each number column) and written from one row template, so no
-Python call runs per field.  Genotypes have a compact binary container (2 bits
-per code, decoded two bytes per table lookup) for large runs, whose codes stay
-packed in memory and are decoded one column block at a time, and a plain-TSV
-fallback for small fixtures.  All writes go through a temp-file-then-rename so
-partially written outputs never appear under the final name.
+bit-exactly.  A table is read and written one chunk of rows at a time, about
+``_TABLE_CHUNK_CHARS`` characters: a chunk is read by columns (one split of
+its lines, then ``float`` over each number column) and written from one row
+template, so no Python call runs per field and no more than one chunk of
+text, and of the Python objects of its fields, is alive at once.  Genotypes
+have a compact binary container (2 bits per code, decoded two bytes per table
+lookup) for large runs, whose codes stay packed in memory and are decoded one
+column block at a time, and a plain-TSV fallback for small fixtures, read one
+line at a time into a preallocated code matrix.  All writes go through a
+temp-file-then-rename so partially written outputs never appear under the
+final name.  Repeated SNP or sample ids are refused when a file is read.
 """
 
 from __future__ import annotations
@@ -18,16 +22,17 @@ import hashlib
 import os
 import struct
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import attrgetter
 
 import numpy as np
 
 from . import __version__
 from .errors import DataFormatError
-from .experiments import AggregateRow, ExperimentResult, ReplicateRow
+from .experiments import ExperimentResult
 from .gwas import SummaryStats
 from .moments import MomentCheckReport
 from .synth import GenotypeMatrix, default_snp_ids
@@ -55,23 +60,39 @@ def _unpack_pair_lut() -> np.ndarray:
 # so a tile stays in cache and no index array of the whole matrix is built
 _UNPACK_TILE_BYTES = 1 << 19
 
+# characters of a table read per chunk; a written chunk holds this many
+# characters of rows of up to 128 characters (a summary row has about 95)
+_TABLE_CHUNK_CHARS = 1 << 18
+
+
+def _chunk_rows() -> int:
+    return max(1, _TABLE_CHUNK_CHARS // 128)
+
 
 def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def atomic_write_bytes(path: str, data: bytes) -> None:
+@contextmanager
+def _atomic_file(path: str):
+    """A binary file handle whose contents appear under ``path`` only once
+    the block exits without raising."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp_", suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_bytes(path: str, data: bytes) -> None:
+    with _atomic_file(path) as fh:
+        fh.write(data)
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -108,12 +129,44 @@ def _ints(least: int):
     return parse
 
 
+def _data_lines(fh):
+    """(line number, line without its newline) of each line after the first
+    of an open table; blank lines hold no row and are skipped."""
+    for lineno, line in enumerate(fh, start=2):
+        if line != "\n":
+            yield lineno, line.rstrip("\n")
+
+
 def _line_of_row(path: str, row: int) -> int:
-    """The line number of data row ``row`` (from 0) of a table; blank lines
-    hold no row."""
+    """The line number of data row ``row`` (from 0) of a table."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    return [i for i, line in enumerate(lines[1:], start=2) if line][row]
+        fh.readline()
+        return next(islice(_data_lines(fh), row, None))[0]
+
+
+def _repeat(ids: np.ndarray) -> tuple[int, int] | None:
+    """(i, j) with ``ids[i] == ids[j]``, i < j and j the first position whose
+    id occurs before it; None when the ids are distinct.  One stable sort of
+    the array, so no Python object is made per id."""
+    order = np.argsort(ids, kind="stable")
+    ranked = ids[order]
+    same = np.flatnonzero(ranked[1:] == ranked[:-1])
+    if not same.size:
+        return None
+    j = int(order[same + 1].min())
+    return int(np.flatnonzero(ids == ids[j])[0]), j
+
+
+def _refuse_repeats(path: str, ids: np.ndarray, column: str, line_of=None) -> None:
+    """Refuse a table whose column ``column`` (the ids of its data rows)
+    repeats a value, naming it and the lines of both of its rows;
+    ``line_of(row)`` is the line of a row, by default ``_line_of_row``."""
+    rep = _repeat(ids)
+    if rep is not None:
+        line_of = line_of or functools.partial(_line_of_row, path)
+        i, j = rep
+        raise DataFormatError(f"{path}:{line_of(j)}: {column} {str(ids[j])!r} "
+                              f"repeats line {line_of(i)}")
 
 
 def _read_columns(path: str, header: list[str], parse: dict) -> list:
@@ -121,67 +174,93 @@ def _read_columns(path: str, header: list[str], parse: dict) -> list:
 
     Blank lines are skipped.  Column ``j`` is a list of strings, or
     ``parse[j](strings)`` for the columns in ``parse``, whose functions parse
-    with ``float`` and raise ``ValueError`` for a value they refuse.  A line
-    with the wrong number of fields, or with a value in a ``parse`` column
-    that is not a number or is refused, raises ``DataFormatError`` naming the
-    first such line.
+    with ``float``, return an array or a list, and raise ``ValueError`` for a
+    value they refuse.  The table is read ``_TABLE_CHUNK_CHARS`` characters
+    of whole lines at a time; each chunk is split and parsed alone, and the
+    chunks of each column are joined at the end.  A line with the wrong
+    number of fields, or with a value in a ``parse`` column that is not a
+    number or is refused, raises ``DataFormatError`` naming the first such
+    line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if not text:
-        raise DataFormatError(f"{path}:1: empty file")
-    head, _, body = text.partition("\n")
-    cols = head.split("\t")
-    if cols != header:
-        raise DataFormatError(f"{path}:1: expected header {header}, got {cols}")
-    rows = list(filter(None, body.split("\n")))
     k = len(header)
-    try:
-        if list(map(str.count, rows, repeat("\t"))).count(k - 1) != len(rows):
-            raise ValueError("wrong number of fields")
-        fields = "\t".join(rows).split("\t") if rows else []
-        columns = [fields[j::k] for j in range(k)]
-        for j, fn in parse.items():
-            columns[j] = fn(columns[j])
-    except ValueError:
-        _raise_first_fault(path, header, parse, body)
-        raise
-    return columns
+    parts = [[] for _ in range(k)]
+    with open(path, "r", encoding="utf-8") as fh:
+        head = fh.readline()
+        if not head:
+            raise DataFormatError(f"{path}:1: empty file")
+        cols = head.rstrip("\n").split("\t")
+        if cols != header:
+            raise DataFormatError(f"{path}:1: expected header {header}, got {cols}")
+        start = 2  # the line number of the chunk's first line
+        try:
+            # the last, empty chunk gives every column at least one part
+            while True:
+                lines = fh.readlines(_TABLE_CHUNK_CHARS)
+                rows = list(filter(None, "".join(lines).split("\n")))
+                if list(map(str.count, rows, repeat("\t"))).count(k - 1) != len(rows):
+                    raise ValueError("wrong number of fields")
+                fields = "\t".join(rows).split("\t") if rows else []
+                del rows
+                for j in range(k):
+                    col = fields[j::k]
+                    parts[j].append(parse[j](col) if j in parse else col)
+                del fields
+                if not lines:
+                    break
+                start += len(lines)
+        except ValueError:
+            _raise_first_fault(path, header, parse, start)
+            raise
+    return [np.concatenate(p) if isinstance(p[0], np.ndarray) else list(chain.from_iterable(p))
+            for p in parts]
 
 
-def _raise_first_fault(path: str, header: list[str], parse: dict, body: str) -> None:
-    """Walk the lines of ``body`` (line 2 on) in order and raise for the first
-    one with the wrong number of fields, or a non-number or a refused value in
-    a ``parse`` column."""
-    for lineno, line in enumerate(body.split("\n"), start=2):
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != len(header):
-            raise DataFormatError(
-                f"{path}:{lineno}: expected {len(header)} columns, got {len(fields)}"
-            )
-        for j, fn in parse.items():
-            try:
-                float(fields[j])
-            except ValueError:
+def _raise_first_fault(path: str, header: list[str], parse: dict, start: int = 2) -> None:
+    """Walk the lines of a table from line ``start`` on, in order, and raise
+    for the first one with the wrong number of fields, or a non-number or a
+    refused value in a ``parse`` column."""
+    with open(path, "r", encoding="utf-8") as fh:
+        fh.readline()
+        for lineno, line in _data_lines(fh):
+            if lineno < start:
+                continue
+            fields = line.split("\t")
+            if len(fields) != len(header):
                 raise DataFormatError(
-                    f"{path}:{lineno}: column {header[j]!r} is not a number: {fields[j]!r}"
-                ) from None
-            try:
-                fn([fields[j]])
-            except ValueError as exc:
-                raise DataFormatError(
-                    f"{path}:{lineno}: column {header[j]!r} {exc}: {fields[j]!r}"
-                ) from None
+                    f"{path}:{lineno}: expected {len(header)} columns, got {len(fields)}"
+                )
+            for j, fn in parse.items():
+                try:
+                    float(fields[j])
+                except ValueError:
+                    raise DataFormatError(
+                        f"{path}:{lineno}: column {header[j]!r} is not a number: {fields[j]!r}"
+                    ) from None
+                try:
+                    fn([fields[j]])
+                except ValueError as exc:
+                    raise DataFormatError(
+                        f"{path}:{lineno}: column {header[j]!r} {exc}: {fields[j]!r}"
+                    ) from None
 
 
 def _write_rows(path: str, header: list[str], template: str, rows) -> None:
-    """Write ``header`` and one ``template % row`` line per row.  ``%.17g``
-    prints a float exactly as ``fmt`` does."""
-    rows = list(rows)
-    body = (template * len(rows)) % tuple(chain.from_iterable(rows))
-    atomic_write_text(path, "\t".join(header) + "\n" + body)
+    """Write ``header`` and one ``template % row`` line per row, one chunk of
+    rows at a time.  ``%.17g`` prints a float exactly as ``fmt`` does."""
+    rows = iter(rows)
+    with _atomic_file(path) as fh:
+        fh.write(("\t".join(header) + "\n").encode("utf-8"))
+        while chunk := list(islice(rows, _chunk_rows())):
+            text = (template * len(chunk)) % tuple(chain.from_iterable(chunk))
+            fh.write(text.encode("utf-8"))
+
+
+def _rows_of(*columns):
+    """The rows of equal-length columns (arrays or sequences), each column
+    converted to Python values one chunk at a time."""
+    step = _chunk_rows()
+    for a in range(0, len(columns[0]), step):
+        yield from zip(*(np.asarray(c[a:a + step]).tolist() for c in columns))
 
 
 def _default_sample_ids(n: int) -> list[str]:
@@ -199,15 +278,15 @@ def write_summary_tsv(path: str, stats: SummaryStats) -> None:
     """Write a summary TSV; positional SNPs (``snp_id`` None) are written with
     the default ids, which read back as positional."""
     ids = default_snp_ids(stats.p) if stats.snp_id is None else stats.snp_id
-    columns = (ids, stats.effect, stats.se, stats.tstat, stats.pvalue)
-    _write_rows(path, SUMMARY_HEADER, "%s\t%.17g\t%.17g\t%.17g\t%.17g\t%s\n",
-                zip(*(np.asarray(c).tolist() for c in columns), repeat(stats.n)))
+    _write_rows(path, SUMMARY_HEADER, f"%s\t%.17g\t%.17g\t%.17g\t%.17g\t{stats.n}\n",
+                _rows_of(ids, stats.effect, stats.se, stats.tstat, stats.pvalue))
 
 
 def read_summary_tsv(path: str, trait_tag: str = "") -> SummaryStats:
     """Read a summary TSV.  Its effects must be finite, its p-values in (0, 1],
     and its ``n`` one positive integer, the same on every row; ``se`` and
-    ``tstat`` may be infinite, as ``marginal_gwas`` writes them when se is 0."""
+    ``tstat`` may be infinite, as ``marginal_gwas`` writes them when se is 0.
+    A repeated ``snp_id`` is refused."""
     ids, effect, se, tstat, pvalue, ns = _read_columns(
         path, SUMMARY_HEADER,
         {1: _finite, 2: _floats, 3: _floats, 4: _pvalues, 5: _ints(1)})
@@ -217,8 +296,10 @@ def read_summary_tsv(path: str, trait_tag: str = "") -> SummaryStats:
         row = next(i for i, n in enumerate(ns) if n != ns[0])
         raise DataFormatError(f"{path}:{_line_of_row(path, row)}: column 'n' is {ns[row]}, "
                               f"but {ns[0]} on the first row")
+    ids = np.array(ids)
+    _refuse_repeats(path, ids, "snp_id")
     return SummaryStats(
-        snp_id=np.array(ids),
+        snp_id=ids,
         effect=effect,
         se=se,
         tstat=tstat,
@@ -235,15 +316,15 @@ def read_summary_tsv(path: str, trait_tag: str = "") -> SummaryStats:
 def write_phenotype_tsv(path: str, y: np.ndarray, sample_ids=None) -> None:
     if sample_ids is None:
         sample_ids = _default_sample_ids(len(y))
-    _write_rows(path, ["sample_id", "value"], "%s\t%.17g\n",
-                zip(sample_ids, np.asarray(y).tolist()))
+    _write_rows(path, ["sample_id", "value"], "%s\t%.17g\n", _rows_of(sample_ids, y))
 
 
 def read_phenotype_tsv(path: str) -> tuple[np.ndarray, list[str]]:
-    """The values (finite) and sample ids of a phenotype TSV."""
+    """The values (finite) and sample ids (distinct) of a phenotype TSV."""
     ids, values = _read_columns(path, ["sample_id", "value"], {1: _finite})
     if not ids:
         raise DataFormatError(f"{path}:2: no data rows")
+    _refuse_repeats(path, np.array(ids), "sample_id")
     return values, ids
 
 
@@ -270,13 +351,7 @@ def read_phenotype_of(path: str, G: GenotypeMatrix, geno_path: str) -> np.ndarra
 def write_scores_tsv(path: str, scores: np.ndarray, sample_ids=None) -> None:
     if sample_ids is None:
         sample_ids = _default_sample_ids(len(scores))
-    _write_rows(path, ["sample_id", "score"], "%s\t%.17g\n",
-                zip(sample_ids, np.asarray(scores).tolist()))
-
-
-def read_scores_tsv(path: str) -> tuple[np.ndarray, list[str]]:
-    ids, values = _read_columns(path, ["sample_id", "score"], {1: _floats})
-    return values, ids
+    _write_rows(path, ["sample_id", "score"], "%s\t%.17g\n", _rows_of(sample_ids, scores))
 
 
 # ---------------------------------------------------------------------------
@@ -420,12 +495,30 @@ def read_genotype_bin(path: str) -> GenotypeMatrix:
 
 
 def read_genotype_tsv(path: str) -> GenotypeMatrix:
-    rows, sample_ids = [], []
+    """A genotype TSV: a ``sample_id`` column, then one column of codes in
+    {0, 1, 2} per SNP, headed by its id; lines of whitespace are skipped.
+
+    The rows are counted first, then each line is parsed into its row of a
+    preallocated uint8 (n, p) matrix, so no Python object outlives its line.
+    A code outside {0, 1, 2} and a repeated SNP or sample id are refused.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if header[:1] != ["sample_id"]:
             raise DataFormatError(f"{path}:1: first column must be sample_id")
         snp_ids = np.array(header[1:])
+        rep = _repeat(snp_ids)
+        if rep is not None:
+            i, j = rep
+            raise DataFormatError(f"{path}:1: SNP id {str(snp_ids[j])!r} heads columns "
+                                  f"{i + 2} and {j + 2}")
+        n = sum(1 for line in fh if line.strip())
+        if not n:
+            raise DataFormatError(f"{path}:2: no data rows")
+        fh.seek(0)
+        fh.readline()
+        codes = np.empty((n, len(snp_ids)), dtype=np.uint8)
+        sample_ids, linenos = [], []
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
@@ -434,17 +527,20 @@ def read_genotype_tsv(path: str) -> GenotypeMatrix:
                 raise DataFormatError(
                     f"{path}:{lineno}: expected {len(header)} columns, got {len(f)}"
                 )
-            sample_ids.append(f[0])
             try:
-                rows.append([int(v) for v in f[1:]])
+                row = list(map(int, f[1:]))
             except ValueError:
                 raise DataFormatError(f"{path}:{lineno}: non-integer genotype code") from None
-    if not rows:
-        raise DataFormatError(f"{path}:2: no data rows")
-    codes = np.array(rows, dtype=np.uint8)
-    if codes.max(initial=0) > 2:
-        raise DataFormatError(f"{path}: genotype codes must be in {{0,1,2}}")
-    return GenotypeMatrix.from_codes(codes, snp_ids=snp_ids, sample_ids=np.array(sample_ids))
+            if row and not 0 <= min(row) <= max(row) <= 2:
+                bad = next(v for v in row if not 0 <= v <= 2)
+                raise DataFormatError(
+                    f"{path}:{lineno}: genotype code {bad} is not in {{0,1,2}}")
+            codes[len(sample_ids)] = row
+            sample_ids.append(f[0])
+            linenos.append(lineno)
+    sample_ids = np.array(sample_ids)
+    _refuse_repeats(path, sample_ids, "sample_id", linenos.__getitem__)
+    return GenotypeMatrix.from_codes(codes, snp_ids=snp_ids, sample_ids=sample_ids)
 
 
 def read_genotypes(path: str) -> GenotypeMatrix:
@@ -470,23 +566,9 @@ def write_replicates_tsv(path: str, rows: list) -> None:
                 map(attrgetter(*REPLICATE_HEADER), rows))
 
 
-def read_replicates_tsv(path: str) -> list:
-    scenario, point_id, estimator, replicate, raw, corrected, factor, flag = _read_columns(
-        path, REPLICATE_HEADER, {3: _ints(0), 4: _floats, 5: _floats, 6: _floats})
-    return list(map(ReplicateRow, scenario, point_id, estimator, replicate,
-                    raw.tolist(), corrected.tolist(), factor.tolist(), flag))
-
-
 def write_aggregates_tsv(path: str, rows: list) -> None:
     _write_rows(path, AGGREGATE_HEADER, "%s\t%s\t%s\t%.17g\t%.17g\t%s\n",
                 map(attrgetter(*AGGREGATE_HEADER), rows))
-
-
-def read_aggregates_tsv(path: str) -> list:
-    scenario, point_id, estimator, mean, sd, n = _read_columns(
-        path, AGGREGATE_HEADER, {3: _floats, 4: _floats, 5: _ints(0)})
-    return list(map(AggregateRow, scenario, point_id, estimator,
-                    mean.tolist(), sd.tolist(), n))
 
 
 def write_moment_report_tsv(path: str, reports: list[MomentCheckReport]) -> None:

@@ -23,7 +23,10 @@ supports the two reads the kernels make: ``codes[:, a:b]`` and
 ``codes.take(cols, axis=1)``.  A ``GenotypeMatrix`` holds a numpy array, or
 for a container ``io_files.PackedCodes``, which decodes each block from its
 2-bit packed bytes when it is read; a freshly decoded block gives the bits
-of a view of the unpacked array.
+of a view of the unpacked array.  Each kernel holds one block at a time: on
+packed codes that is n * block_size bytes of decoded codes (4 MiB at n = 2000)
+beside the packed matrix, the decoder's tiles of about 1 MiB and a few
+float64 vectors of length p.
 """
 
 from __future__ import annotations
@@ -150,5 +153,6 @@ def std_matvec(
         else:
             blk = codes.take(cols, axis=1)
         out += np.einsum("ij,kj->ik", blk, v[:, k0:k1])
+        del blk  # so that the next block is not decoded while this one lives
     out -= np.einsum("kj,j->k", v, col_mean[indices])
     return out[:, 0] if weights.ndim == 1 else out

@@ -12,6 +12,7 @@ from crosstrait.synth import (
     TraitArchitecture,
     gen_independent_cohorts,
 )
+from tables import read_replicates, read_scores
 
 
 @pytest.fixture(scope="module")
@@ -193,7 +194,7 @@ class TestPipelineCommands:
                    "--summary", out_sum, "--out", out_scores,
                    "--rule", "pvalue", "--cutoff", "0.5"])
         assert rc == 0
-        scores, _ = io_files.read_scores_tsv(out_scores)
+        scores, _ = read_scores(out_scores)
         assert scores.shape == (100,)
         assert np.linalg.norm(scores) > 0
 
@@ -298,7 +299,7 @@ class TestSimulateCommand:
         out = tmp_path / "out"
         rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
         assert rc == 0
-        rows = io_files.read_replicates_tsv(str(out / "replicates.tsv"))
+        rows = read_replicates(str(out / "replicates.tsv"))
         assert len(rows) == 6  # 3 estimators x 2 replicates
         assert (out / "aggregates.tsv").exists()
         assert (out / "manifest.txt").exists()
@@ -366,4 +367,33 @@ class TestSimulateCommand:
         rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert capsys.readouterr().err == f"error: config lacks required key(s): {missing}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("scenario, line, message", [
+        ("fig2_all_snp", "h2=nan", "point phi=0.5: h2_alpha must lie in (0, 1]"),
+        ("fig2_all_snp", "sigma2=-1", "point phi=0.5: sigma2_alpha must be positive"),
+        ("fig2_all_snp", "phi_grid=0.5,2", "point phi=2: rho_alpha_eta must lie in [-1, 1]"),
+        ("fig2_all_snp", "m=5000", "point phi=0.5: m_alpha must lie in [0, p]"),
+        ("fig3_screening", "thresholds=nan,0.5", "p-value cutoff must lie in (0, 1]"),
+        ("fig3_screening", "sparsity_grid=5", "point mp=5: m_alpha must lie in [0, p]"),
+        ("fig4_overlap", "rho_eps=3", "rho_eps must lie in [-1, 1]"),
+        ("fig1_gwas_properties", "sigma2=-1", "point mp=0.02: sigma2_alpha must be positive"),
+    ], ids=["h2_nan", "sigma2_negative", "phi_2", "m_above_p", "threshold_nan",
+            "sparsity_5", "fig4_rho_eps_3", "fig1_sigma2_negative"])
+    def test_out_of_domain_config_is_usage_error_before_any_task(self, tmp_path, capsys,
+                                                                 monkeypatch, scenario, line,
+                                                                 message):
+        def no_task(args):
+            raise AssertionError("a task started")
+
+        monkeypatch.setattr(experiments, "_run_task", no_task)
+        # fig1 at sparsity 0.02 of p = 50 has one causal SNP, whose variance
+        # cancels the unit error variance when sigma2 = -1
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"scenario={scenario}\np=50\nn1=30\nn2=30\nn3=30\nm=10\nphi_grid=0.5\n"
+                       f"sparsity_grid=0.02\nreplicates=2\n{line}\n")
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {scenario} ") and message in err
         assert not (tmp_path / "o").exists()

@@ -27,6 +27,7 @@ from crosstrait.experiments import (
 from crosstrait.gwas import marginal_gwas, threshold_select
 from crosstrait.prs import ScreenRule, score
 from crosstrait.synth import CohortSizes, TraitArchitecture, gen_independent_cohorts
+from tables import read_aggregates, read_replicates
 
 
 def tiny_fig2(**overrides) -> ExperimentConfig:
@@ -138,8 +139,8 @@ class TestRun:
 
         cfg = tiny_fig2()
         run(cfg, out_dir=str(tmp_path))
-        rows = io_files.read_replicates_tsv(str(tmp_path / "replicates.tsv"))
-        aggs = io_files.read_aggregates_tsv(str(tmp_path / "aggregates.tsv"))
+        rows = read_replicates(str(tmp_path / "replicates.tsv"))
+        aggs = read_aggregates(str(tmp_path / "aggregates.tsv"))
         assert aggregate(rows) == aggs
 
     def test_estimators_present(self):

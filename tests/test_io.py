@@ -1,6 +1,7 @@
 import re
 import tempfile
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from crosstrait.experiments import AggregateRow, ReplicateRow, aggregate
 from crosstrait.gwas import SummaryStats, marginal_gwas
 from crosstrait.moments import MomentCheckReport
 from crosstrait.synth import default_snp_ids, gen_genotypes
+from tables import read_aggregates, read_replicates, read_scores
 
 # doubles whose text form is easy to get wrong
 SPECIAL = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1.7976931348623157e308]
@@ -47,6 +49,32 @@ def field_oracle(header, rows, kinds):
 
 def bits(xs):
     return np.asarray(xs, dtype=np.float64).view(np.uint64)
+
+
+def traced_peak(run):
+    """Peak bytes that Python and numpy allocate while ``run()`` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def container_400x20000(tmp_path_factory):
+    """A container of n = 400, p = 20,000 codes, a phenotype of its samples
+    and the summary of their scan; returns (n, p, paths)."""
+    n, p = 400, 20_000
+    d = tmp_path_factory.mktemp("container")
+    G = gen_genotypes(n, p, seed=23)
+    paths = {"geno": str(d / "geno.xtg"), "pheno": str(d / "pheno.tsv"),
+             "summary": str(d / "summary.tsv"), "out": str(d / "out.tsv")}
+    io_files.write_genotype_bin(paths["geno"], G)
+    y = np.random.default_rng(24).standard_normal(n)
+    io_files.write_phenotype_tsv(paths["pheno"], y)
+    io_files.write_summary_tsv(paths["summary"], marginal_gwas(G, y))
+    return n, p, paths
 
 
 @pytest.fixture
@@ -134,7 +162,7 @@ def test_write_read_round_trip_bitwise(xs):
         assert back.n == 17
 
         for write, read, x in ((io_files.write_phenotype_tsv, io_files.read_phenotype_tsv, finite),
-                               (io_files.write_scores_tsv, io_files.read_scores_tsv, v)):
+                               (io_files.write_scores_tsv, read_scores, v)):
             write(path, x)
             assert np.array_equal(bits(read(path)[0]), bits(x))
 
@@ -142,14 +170,14 @@ def test_write_read_round_trip_bitwise(xs):
         cols = [v.tolist(), np.roll(v, 1).tolist(), np.roll(v, 2).tolist()]
         rows = [ReplicateRow("s", "pt", "G", i, *xs, "ok") for i, xs in enumerate(zip(*cols))]
         io_files.write_replicates_tsv(path, rows)
-        back = io_files.read_replicates_tsv(path)
+        back = read_replicates(path)
         for f, col in zip(("raw", "corrected", "factor"), cols):
             assert np.array_equal(bits([getattr(r, f) for r in back]), bits(col))
         assert [r.replicate for r in back] == list(range(v.size))
 
         aggs = [AggregateRow("s", "pt", "G", x, y, i) for i, (x, y) in enumerate(zip(*cols[:2]))]
         io_files.write_aggregates_tsv(path, aggs)
-        back = io_files.read_aggregates_tsv(path)
+        back = read_aggregates(path)
         assert np.array_equal(bits([r.mean for r in back]), bits(cols[0]))
         assert np.array_equal(bits([r.sd for r in back]), bits(cols[1]))
 
@@ -159,10 +187,10 @@ TABLES = {
     "summary": (io_files.read_summary_tsv, io_files.SUMMARY_HEADER,
                 ["rs1", "0.5", "0.1", "5", "1e-06", "60"], [1, 2, 3, 4, 5]),
     "phenotype": (io_files.read_phenotype_tsv, ["sample_id", "value"], ["s1", "0.25"], [1]),
-    "scores": (io_files.read_scores_tsv, ["sample_id", "score"], ["s1", "-1.5"], [1]),
-    "replicates": (io_files.read_replicates_tsv, io_files.REPLICATE_HEADER,
+    "scores": (read_scores, ["sample_id", "score"], ["s1", "-1.5"], [1]),
+    "replicates": (read_replicates, io_files.REPLICATE_HEADER,
                    ["sc", "pt", "G", "3", "0.5", "nan", "-0", "ok"], [4, 5, 6]),
-    "aggregates": (io_files.read_aggregates_tsv, io_files.AGGREGATE_HEADER,
+    "aggregates": (read_aggregates, io_files.AGGREGATE_HEADER,
                    ["sc", "pt", "G", "0.5", "inf", "4"], [3, 4]),
 }
 
@@ -228,9 +256,10 @@ class TestReaderErrors:
 
     def test_blank_lines_skipped(self, tmp_path, table):
         read, header, row, _ = TABLES[table]
-        good = "\t".join(row)
-        plain = read(write_lines(tmp_path, "\t".join(header), good, good, ""))
-        spaced = read(write_lines(tmp_path, "\t".join(header), "", good, "", "", good, "", ""))
+        # the rows differ in their first column, the id of a summary or a phenotype row
+        good, other = "\t".join(row), "\t".join([row[0] + "b", *row[1:]])
+        plain = read(write_lines(tmp_path, "\t".join(header), good, other, ""))
+        spaced = read(write_lines(tmp_path, "\t".join(header), "", good, "", "", other, "", ""))
         assert repr(spaced) == repr(plain)
 
 
@@ -378,6 +407,195 @@ class TestSummaryTsv:
             io_files.read_summary_tsv(str(path))
 
 
+# characters per read chunk (at most 128 give one row per written chunk):
+# one line per read, a few characters, a few rows, and the default
+CHUNKS = st.sampled_from([1, 3, 7, 200, 300, 1000, io_files._TABLE_CHUNK_CHARS])
+
+
+@st.composite
+def summary_texts(draw):
+    """A summary table of up to 40 rows, with blank lines anywhere, LF or CRLF
+    line ends and perhaps no final newline, and perhaps one effect that is
+    not a number.  Returns (bytes, effects, line of that effect or None)."""
+    k = draw(st.integers(0, 40))
+    effects = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                            min_size=k, max_size=k))
+    bad = draw(st.none() | st.integers(0, k - 1)) if k else None
+    lines, bad_line = ["\t".join(io_files.SUMMARY_HEADER)], None
+    for j, e in enumerate(effects):
+        lines += [""] * draw(st.integers(0, 2))
+        if j == bad:
+            bad_line = len(lines) + 1
+        lines.append(f"rs{j}\t{'oops' if j == bad else io_files.fmt(e)}\t0.5\t-inf\t0.25\t60")
+    lines += [""] * draw(st.integers(0, 2))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
+                         max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text.encode(), effects, bad_line
+
+
+class TestTableChunks:
+    """A table is read and written one chunk at a time; the chunk size moves
+    no value, no byte and no line number."""
+
+    @given(summary_texts(), CHUNKS)
+    @settings(max_examples=200, deadline=None)
+    def test_read_at_any_chunk_size(self, table, chunk):
+        data, effects, bad_line = table
+        with tempfile.TemporaryDirectory() as d, \
+                mock.patch.object(io_files, "_TABLE_CHUNK_CHARS", chunk):
+            path = f"{d}/s.tsv"
+            with open(path, "wb") as fh:
+                fh.write(data)
+            if bad_line is not None:
+                with raises_at(path, bad_line, "column 'effect' is not a number: 'oops'"):
+                    io_files.read_summary_tsv(path)
+            elif not effects:
+                with raises_at(path, 2, "no data rows"):
+                    io_files.read_summary_tsv(path)
+            else:
+                back = io_files.read_summary_tsv(path)
+                assert bitwise_equal(back.effect, effects)
+                assert list(back.snp_id) == [f"rs{j}" for j in range(len(effects))]
+                assert np.all(back.tstat == -np.inf) and back.n == 60
+
+    @given(st.lists(doubles, min_size=1, max_size=40), CHUNKS)
+    @settings(max_examples=100, deadline=None)
+    def test_write_at_any_chunk_size_round_trips(self, xs, chunk):
+        v = np.array(xs)
+        finite = np.resize(np.append(v[np.isfinite(v)], 0.5), v.size)
+        stats = SummaryStats(snp_id=np.array([f"rs{j}" for j in range(v.size)]), effect=finite,
+                             se=v, tstat=v[::-1].copy(), pvalue=np.full(v.size, 0.5), n=9)
+        rows = [ReplicateRow("s", "pt", "G", i, x, x, x, "ok") for i, x in enumerate(xs)]
+        writes = ((io_files.write_summary_tsv, stats), (io_files.write_phenotype_tsv, finite),
+                  (io_files.write_scores_tsv, v), (io_files.write_replicates_tsv, rows))
+        with tempfile.TemporaryDirectory() as d:
+            for i, (write, x) in enumerate(writes):
+                write(f"{d}/{i}.tsv", x)
+            with mock.patch.object(io_files, "_TABLE_CHUNK_CHARS", chunk):
+                for i, (write, x) in enumerate(writes):
+                    write(f"{d}/chunked.tsv", x)
+                    assert (open(f"{d}/chunked.tsv", "rb").read()
+                            == open(f"{d}/{i}.tsv", "rb").read())
+                back = io_files.read_summary_tsv(f"{d}/0.tsv")
+                for got, want in ((back.effect, finite), (back.se, v), (back.tstat, v[::-1])):
+                    assert bitwise_equal(got, want)
+                assert bitwise_equal(io_files.read_phenotype_tsv(f"{d}/1.tsv")[0], finite)
+
+    def test_bad_field_in_a_late_default_chunk_names_its_line(self, tmp_path):
+        # 80,000 rows of about 26 characters span eight chunks of 256 Ki
+        rows = [f"rs{j}\t0.5\t0.1\t5\t0.01\t60" for j in range(80_000)]
+        rows[78_000] = "rs78000\t0.5\t0.1\t5\t0.01\t6x"
+        path = write_lines(tmp_path, "\t".join(io_files.SUMMARY_HEADER), *rows, "")
+        assert len(open(path).read()) > 7 * io_files._TABLE_CHUNK_CHARS
+        with raises_at(path, 78_002, "column 'n' is not a number: '6x'"):
+            io_files.read_summary_tsv(path)
+
+
+class TestTableMemory:
+    """A table's reader and writer hold one chunk of text and of field
+    objects, beside the columns themselves."""
+
+    P = 20_000
+
+    def summary(self):
+        rng = np.random.default_rng(31)
+        return SummaryStats(snp_id=np.array([f"rs{j}" for j in range(self.P)]),
+                            effect=rng.standard_normal(self.P), se=rng.random(self.P),
+                            tstat=rng.standard_normal(self.P),
+                            pvalue=rng.random(self.P) + 1e-12, n=2000)
+
+    def test_write_summary_below_200_bytes_per_snp(self, tmp_path):
+        stats = self.summary()
+        path = str(tmp_path / "s.tsv")
+        assert traced_peak(lambda: io_files.write_summary_tsv(path, stats)) < 200 * self.P
+
+    def test_read_summary_below_300_bytes_per_snp(self, tmp_path):
+        path = str(tmp_path / "s.tsv")
+        io_files.write_summary_tsv(path, self.summary())
+        assert traced_peak(lambda: io_files.read_summary_tsv(path)) < 300 * self.P
+
+    @pytest.mark.parametrize("argv", [
+        ["gwas", "--genotypes", "{geno}", "--phenotype", "{pheno}", "--out", "{out}"],
+        ["score", "--genotypes", "{geno}", "--summary", "{summary}", "--out", "{out}"],
+        ["score", "--genotypes", "{geno}", "--summary", "{summary}", "--rule", "pvalue",
+         "--cutoff", "0.05", "--out", "{out}"],
+    ], ids=["gwas", "score", "score_pvalue"])
+    def test_cli_commands_below_1_25_unpacked_codes(self, container_400x20000, argv):
+        """A whole command, its TSVs included, peaks below 1.25 times the
+        n * p bytes of its unpacked codes."""
+        n, p, paths = container_400x20000
+        argv = [a.format(**paths) for a in argv]
+        assert traced_peak(lambda: main(argv) == 0 or pytest.fail("command failed")) \
+            < 1.25 * n * p
+
+
+NAMED = ["alice", "bob", "carol", "dave", "erin", "frank"]
+
+
+class TestRepeatedIds:
+    """A repeated SNP or sample id is a data error naming it and both of its
+    lines (or columns, in a genotype header)."""
+
+    def genotype_tsv(self, tmp_path, snp_ids, sample_ids):
+        G = gen_genotypes(len(sample_ids), len(snp_ids), seed=3)
+        path = str(tmp_path / "geno.tsv")
+        write_genotype_tsv(path, G, snp_ids, sample_ids)
+        return path
+
+    def gwas(self, tmp_path, geno, pheno_ids):
+        pheno = str(tmp_path / "pheno.tsv")
+        io_files.write_phenotype_tsv(pheno, np.linspace(-1.0, 1.0, len(pheno_ids)), pheno_ids)
+        return main(["gwas", "--genotypes", geno, "--phenotype", pheno,
+                     "--out", str(tmp_path / "summary.tsv")]), pheno
+
+    @pytest.mark.parametrize("command", ["score", "estimate"])
+    def test_cli_refuses_repeated_summary_snp_id(self, tmp_path, capsys, command):
+        snps = [f"rs{j}" for j in range(8)]
+        geno = self.genotype_tsv(tmp_path, snps, NAMED)
+        stats = marginal_gwas(io_files.read_genotypes(geno), np.arange(6.0))
+        stats.snp_id = np.array(snps[:6] + ["rs2"] + snps[7:])
+        summary = str(tmp_path / "summary.tsv")
+        io_files.write_summary_tsv(summary, stats)
+        if command == "score":
+            argv = ["score", "--genotypes", geno, "--summary", summary,
+                    "--out", str(tmp_path / "scores.tsv")]
+        else:
+            argv = ["estimate", "--case", "summary-ab", "--summary-a", summary,
+                    "--summary-b", summary, "--n1", "6", "--n2", "6", "--p", "8",
+                    "--h2a", "1", "--h2b", "1"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error: {summary}:8: snp_id 'rs2' repeats line 4\n"
+        assert not (tmp_path / "scores.tsv").exists()
+
+    def test_cli_refuses_repeated_genotype_snp_id(self, tmp_path, capsys):
+        geno = self.genotype_tsv(tmp_path, ["rs0", "rs1", "rs2", "rs1", "rs1"], NAMED)
+        rc, _ = self.gwas(tmp_path, geno, NAMED)
+        assert rc == 3
+        assert capsys.readouterr().err == f"error: {geno}:1: SNP id 'rs1' heads columns 3 and 5\n"
+        assert not (tmp_path / "summary.tsv").exists()
+
+    def test_cli_refuses_repeated_genotype_sample_id(self, tmp_path, capsys):
+        samples = ["alice", "bob", "carol", "bob", "erin", "alice"]
+        geno = self.genotype_tsv(tmp_path, [f"rs{j}" for j in range(4)], samples)
+        rc, _ = self.gwas(tmp_path, geno, samples)
+        assert rc == 3
+        assert capsys.readouterr().err == f"error: {geno}:5: sample_id 'bob' repeats line 3\n"
+
+    def test_cli_refuses_repeated_phenotype_sample_id(self, tmp_path, capsys):
+        geno = self.genotype_tsv(tmp_path, [f"rs{j}" for j in range(4)], NAMED)
+        rc, pheno = self.gwas(tmp_path, geno, NAMED[:5] + ["carol"])
+        assert rc == 3
+        assert capsys.readouterr().err == f"error: {pheno}:7: sample_id 'carol' repeats line 4\n"
+        assert not (tmp_path / "summary.tsv").exists()
+
+    def test_distinct_ids_that_sort_together_are_accepted(self):
+        assert io_files._repeat(np.array(["b", "a", "ab", "a "])) is None
+        assert io_files._repeat(np.array(["x", "y", "y", "x"])) == (1, 2)
+
+
 def shift_unpack(packed, p):
     """Reference 2-bit decoder: shift and mask each of the four fields."""
     fields = (packed[:, :, None] >> np.array([0, 2, 4, 6], dtype=np.uint8)) & 3
@@ -485,6 +703,39 @@ class TestGenotypeContainers:
         with pytest.raises(DataFormatError):
             io_files.read_genotype_tsv(str(path))
 
+    @pytest.mark.parametrize("bad", ["-1", "256", "3", "10000000000000000000000"])
+    def test_cli_refuses_tsv_code_outside_0_1_2(self, tmp_path, capsys, bad):
+        geno = write_lines(tmp_path, "sample_id\trs1\trs2", "a\t0\t1", "", "b\t1\t2",
+                           f"c\t2\t{bad}", "d\t0\t0", "")
+        pheno = str(tmp_path / "pheno.tsv")
+        io_files.write_phenotype_tsv(pheno, np.arange(4.0), ["a", "b", "c", "d"])
+        rc = main(["gwas", "--genotypes", geno, "--phenotype", pheno,
+                   "--out", str(tmp_path / "summary.tsv")])
+        assert rc == 3
+        assert capsys.readouterr().err == (f"error: {geno}:5: genotype code {bad} "
+                                           "is not in {0,1,2}\n")
+
+    def test_tsv_non_integer_code_names_its_line(self, tmp_path):
+        path = write_lines(tmp_path, "sample_id\trs1", "a\t1", "b\t1.5", "")
+        with raises_at(path, 3, "non-integer genotype code"):
+            io_files.read_genotype_tsv(path)
+
+    def test_tsv_reader_holds_about_two_code_matrices(self, tmp_path):
+        """The codes are parsed line by line into one uint8 matrix; its column
+        statistics take one more n * p boolean mask."""
+        n, p = 500, 1000
+        G = gen_genotypes(n, p, seed=11)
+        path = str(tmp_path / "geno.tsv")
+        write_genotype_tsv(path, G, [f"rs{j}" for j in range(p)])
+        del G
+        tracemalloc.start()
+        try:
+            io_files.read_genotype_tsv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * n * p
+
 
 @st.composite
 def packed_reads(draw):
@@ -556,28 +807,30 @@ class TestPackedCodes:
                      prs.ScreenRule("effect_cutoff", 0.1)):
             assert bitwise_equal(prs.score(F, mem, rule).scores, prs.score(G, mem, rule).scores)
 
-    def test_gwas_and_screened_score_hold_less_than_the_unpacked_codes(self, tmp_path):
+    def test_gwas_and_screened_score_hold_less_than_the_unpacked_codes(
+            self, container_400x20000):
         """Reading a container and scanning or scoring it peaks below the n * p
-        bytes of its unpacked codes.  The TSV text of p = 20,000 rows alone
-        takes about 2 n * p, so the phenotype and the summary are made before
-        tracing starts."""
-        n, p = 400, 20_000
-        G = gen_genotypes(n, p, seed=23)
-        path = str(tmp_path / "geno.xtg")
-        io_files.write_genotype_bin(path, G)
-        y = np.random.default_rng(24).standard_normal(n)
-        stats = marginal_gwas(G, y)
-        del G
+        bytes of its unpacked codes; the TSV inputs are read before tracing
+        starts (``TestTableMemory`` traces whole commands)."""
+        n, p, paths = container_400x20000
+        y, _ = io_files.read_phenotype_tsv(paths["pheno"])
+        stats = io_files.read_summary_tsv(paths["summary"])
         rule = prs.ScreenRule("pvalue_cutoff", 0.05)
-        for run in (lambda: marginal_gwas(io_files.read_genotypes(path), y),
-                    lambda: prs.score(io_files.read_genotypes(path), stats, rule)):
-            tracemalloc.start()
-            try:
-                run()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < n * p
+        for run in (lambda: marginal_gwas(io_files.read_genotypes(paths["geno"]), y),
+                    lambda: prs.score(io_files.read_genotypes(paths["geno"]), stats, rule)):
+            assert traced_peak(run) < n * p
+
+    def test_score_holds_one_decoded_block(self):
+        """``std_matvec`` on packed codes holds one decoded block of n *
+        DEFAULT_BLOCK_SIZE bytes, plus the decoder's tiles and a few float64
+        vectors of length p, never two blocks."""
+        n, p = 2000, 20_000
+        # random codes in {0, 1}
+        packed = np.random.default_rng(7).integers(0, 256, (n, p // 4), dtype=np.uint8) & 0x55
+        src = io_files.PackedCodes(packed, p)
+        ones, w = np.ones(p), np.random.default_rng(8).standard_normal(p)
+        block = n * kernels.DEFAULT_BLOCK_SIZE
+        assert traced_peak(lambda: kernels.std_matvec(src, ones, ones, w)) < block + (2 << 20)
 
     def test_code_3_in_a_column_the_screen_drops_exits_3(self, tmp_path, capsys):
         G = gen_genotypes(8, 10, seed=4)  # 3 bytes per row
@@ -612,7 +865,7 @@ class TestScoresAndPhenotypes:
         vals = np.array([1.5, -2.25, 1e-17, 3.141592653589793])
         path = str(tmp_path / "scores.tsv")
         io_files.write_scores_tsv(path, vals)
-        back, ids = io_files.read_scores_tsv(path)
+        back, ids = read_scores(path)
         assert np.array_equal(back, vals)
         assert ids[0] == "sample0000000"
 
@@ -627,7 +880,7 @@ class TestScoresAndPhenotypes:
 class TestSampleAlignment:
     """A phenotype's rows must be the genotypes' samples, in order."""
 
-    NAMES = ["alice", "bob", "carol", "dave", "erin", "frank"]
+    NAMES = NAMED
 
     @given(st.permutations(range(6)), st.booleans())
     @settings(max_examples=60, deadline=None)
@@ -718,7 +971,7 @@ class TestSampleAlignment:
             io_files.read_genotypes(geno), np.arange(6.0)))
         out = str(tmp_path / "scores.tsv")
         assert main(["score", "--genotypes", geno, "--summary", summary, "--out", out]) == 0
-        assert io_files.read_scores_tsv(out)[1] == self.NAMES
+        assert read_scores(out)[1] == self.NAMES
 
 
 class TestReplicatesAggregates:
@@ -729,12 +982,12 @@ class TestReplicatesAggregates:
         ]
         rpath = str(tmp_path / "reps.tsv")
         io_files.write_replicates_tsv(rpath, rows)
-        back = io_files.read_replicates_tsv(rpath)
+        back = read_replicates(rpath)
         assert back[0].raw == rows[0].raw
         assert np.isnan(back[1].corrected)
         apath = str(tmp_path / "aggs.tsv")
         io_files.write_aggregates_tsv(apath, aggregate(rows))
-        assert io_files.read_aggregates_tsv(apath) == aggregate(back)
+        assert read_aggregates(apath) == aggregate(back)
 
 
 class TestConfigAndManifest:
