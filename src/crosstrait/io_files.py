@@ -10,7 +10,9 @@ text, and of the Python objects of its fields, is alive at once.  Genotypes
 have a compact binary container (2 bits per code, decoded two bytes per table
 lookup) for large runs, whose codes stay packed in memory and are decoded one
 column block at a time, and a plain-TSV fallback for small fixtures, read one
-line at a time into a preallocated code matrix.  All writes go through a
+line at a time into a preallocated code matrix.  A container is written one
+row tile at a time, so the writer holds tile-sized memory beside the codes;
+codes outside {0, 1, 2} are refused, not written.  All writes go through a
 temp-file-then-rename so partially written outputs never appear under the
 final name.  Repeated SNP or sample ids are refused when a file is read.
 """
@@ -31,7 +33,7 @@ from operator import attrgetter
 import numpy as np
 
 from . import __version__
-from .errors import DataFormatError
+from .errors import DataFormatError, ParameterError
 from .experiments import ExperimentResult
 from .gwas import SummaryStats
 from .moments import MomentCheckReport
@@ -90,13 +92,9 @@ def _atomic_file(path: str):
         raise
 
 
-def atomic_write_bytes(path: str, data: bytes) -> None:
-    with _atomic_file(path) as fh:
-        fh.write(data)
-
-
 def atomic_write_text(path: str, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    with _atomic_file(path) as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def _floats(col: list[str]) -> np.ndarray:
@@ -359,14 +357,21 @@ def write_scores_tsv(path: str, scores: np.ndarray, sample_ids=None) -> None:
 # ---------------------------------------------------------------------------
 
 def pack_codes(codes: np.ndarray) -> np.ndarray:
-    """Pack {0,1,2} codes 4-per-byte, row-major, little end of byte first."""
+    """Pack {0,1,2} codes 4-per-byte, row-major, little end of byte first.
+
+    Byte j of a row is ``c0 | c1 << 2 | c2 << 4 | c3 << 6`` over columns
+    4j to 4j + 3, built by four shift-ORs of the strided column views
+    ``codes[:, k::4]``; the columns past p read as 0.  Codes are not checked.
+    """
     n, p = codes.shape
-    p_pad = -(-p // 4) * 4
-    padded = np.zeros((n, p_pad), dtype=np.uint8)
-    padded[:, :p] = codes
-    grouped = padded.reshape(n, p_pad // 4, 4)
-    weights = np.array([1, 4, 16, 64], dtype=np.uint8)
-    return (grouped * weights).sum(axis=2, dtype=np.uint16).astype(np.uint8)
+    packed = np.zeros((n, -(-p // 4)), dtype=np.uint8)
+    shifted = np.empty_like(packed)
+    for k in range(4):
+        field = codes[:, k::4]
+        w = field.shape[1]
+        np.left_shift(field, 2 * k, out=shifted[:, :w], casting="unsafe")
+        packed[:, :w] |= shifted[:, :w]
+    return packed
 
 
 def unpack_codes(packed: np.ndarray, p: int) -> np.ndarray:
@@ -436,18 +441,29 @@ class PackedCodes:
 
 
 def write_genotype_bin(path: str, G: GenotypeMatrix) -> None:
-    header = GENO_MAGIC + struct.pack("<IQQ", GENO_VERSION, G.n, G.p)
-    packed = pack_codes(G.codes)
-    blob = b"".join(
-        [
-            header,
-            packed.tobytes(),
-            G.maf.astype("<f8").tobytes(),
-            G.col_mean.astype("<f8").tobytes(),
-            G.col_sd.astype("<f8").tobytes(),
-        ]
-    )
-    atomic_write_bytes(path, blob)
+    """Write ``G`` as a container: the header, the packed codes, then the
+    maf, col_mean and col_sd vectors.
+
+    The codes are checked and packed one tile of about
+    ``_UNPACK_TILE_BYTES`` codes at a time and written straight to the file,
+    so the writer holds one packed tile beside the codes (for ``PackedCodes``
+    also the tile's decoded codes).  A code outside {0, 1, 2} is refused with
+    ``ParameterError``, and nothing appears under ``path``.
+    """
+    codes = G.codes
+    packed = codes.packed if isinstance(codes, PackedCodes) else None
+    rows = max(1, _UNPACK_TILE_BYTES // max(G.p, 1))
+    with _atomic_file(path) as fh:
+        fh.write(GENO_MAGIC + struct.pack("<IQQ", GENO_VERSION, G.n, G.p))
+        for r in range(0, G.n, rows):
+            tile = codes[r:r + rows] if packed is None else unpack_codes(packed[r:r + rows], G.p)
+            lo, hi = tile.min(initial=0), tile.max(initial=0)
+            if lo < 0 or hi > 2:
+                raise ParameterError(
+                    f"{path}: genotype code {hi if hi > 2 else lo} is not in {{0,1,2}}")
+            fh.write(pack_codes(tile))
+        for v in (G.maf, G.col_mean, G.col_sd):
+            fh.write(np.ascontiguousarray(v, dtype="<f8"))
 
 
 def read_genotype_bin(path: str) -> GenotypeMatrix:

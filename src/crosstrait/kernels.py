@@ -56,10 +56,18 @@ def column_stats(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return stats_from_counts(*column_counts(codes), codes.shape[0])
 
 
+_COUNT_BLOCK = 256
+
+
 def column_counts(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-column int64 code sums and counts of 2s: exact, so the counts of
-    row blocks add up to those of the stacked codes."""
-    return codes.sum(axis=0, dtype=np.int64), np.count_nonzero(codes == 2, axis=0).astype(np.int64, copy=False)
+    row blocks add up to those of the stacked codes.  The 2s are counted
+    through a boolean mask of ``_COUNT_BLOCK`` columns at a time."""
+    p = codes.shape[1]
+    twos = np.empty(p, dtype=np.int64)
+    for a in range(0, p, _COUNT_BLOCK):
+        twos[a:a + _COUNT_BLOCK] = np.count_nonzero(codes[:, a:a + _COUNT_BLOCK] == 2, axis=0)
+    return codes.sum(axis=0, dtype=np.int64), twos
 
 
 def stats_from_counts(s: np.ndarray, n2: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from crosstrait import io_files, kernels, prs
 from crosstrait.cli import main
-from crosstrait.errors import DataFormatError
+from crosstrait.errors import DataFormatError, ParameterError
 from crosstrait.experiments import AggregateRow, ReplicateRow, aggregate
 from crosstrait.gwas import SummaryStats, marginal_gwas
 from crosstrait.moments import MomentCheckReport
-from crosstrait.synth import default_snp_ids, gen_genotypes
+from crosstrait.synth import GenotypeMatrix, default_snp_ids, gen_genotypes
 from tables import read_aggregates, read_replicates, read_scores
 
 # doubles whose text form is easy to get wrong
@@ -602,7 +602,74 @@ def shift_unpack(packed, p):
     return fields.reshape(packed.shape[0], -1)[:, :p].astype(np.uint8)
 
 
+def weighted_sum_pack(codes):
+    """Reference 2-bit encoder: pad to a multiple of four columns, weight the
+    four codes of each byte by 1, 4, 16 and 64, and sum."""
+    n, p = codes.shape
+    p_pad = -(-p // 4) * 4
+    padded = np.zeros((n, p_pad), dtype=np.uint8)
+    padded[:, :p] = codes
+    grouped = padded.reshape(n, p_pad // 4, 4)
+    weights = np.array([1, 4, 16, 64], dtype=np.uint8)
+    return (grouped * weights).sum(axis=2, dtype=np.uint16).astype(np.uint8)
+
+
+def container_oracle(G):
+    """The bytes of a container of ``G``, built in one piece."""
+    return b"".join([io_files.GENO_MAGIC,
+                     np.array([io_files.GENO_VERSION], "<u4").tobytes(),
+                     np.array([G.n, G.p], "<u8").tobytes(),
+                     weighted_sum_pack(np.asarray(G.codes)).tobytes(),
+                     *(np.asarray(v, "<f8").tobytes() for v in (G.maf, G.col_mean, G.col_sd))])
+
+
 class TestGenotypeContainers:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 13),
+           st.sampled_from(["C", "F", "strided"]))
+    @settings(max_examples=100, deadline=None)
+    def test_pack_equals_weighted_sum(self, seed, n, p, layout):
+        rng = np.random.default_rng(seed)
+        if layout == "strided":
+            codes = rng.integers(0, 3, size=(n, 2 * p), dtype=np.uint8)[:, ::2]
+        else:
+            codes = np.asarray(rng.integers(0, 3, size=(n, p), dtype=np.uint8), order=layout)
+        got = io_files.pack_codes(codes)
+        assert got.dtype == np.uint8 and got.flags.c_contiguous
+        assert np.array_equal(got, weighted_sum_pack(codes))
+
+    # n = 7 is not a multiple of a tile of 3 rows; the default tile holds all
+    @pytest.mark.parametrize("tile_rows", [1, 3, None])
+    def test_container_bytes_equal_one_piece_oracle(self, tmp_path, tile_rows):
+        G = gen_genotypes(7, 13, seed=8)
+        path = tmp_path / "geno.xtg"
+        tile = io_files._UNPACK_TILE_BYTES if tile_rows is None else tile_rows * G.p
+        with mock.patch.object(io_files, "_UNPACK_TILE_BYTES", tile):
+            io_files.write_genotype_bin(str(path), G)
+            first = path.read_bytes()
+            # a container read back holds PackedCodes, decoded tile by tile
+            again = tmp_path / "again.xtg"
+            io_files.write_genotype_bin(str(again), io_files.read_genotype_bin(str(path)))
+        assert first == container_oracle(G)
+        assert again.read_bytes() == first
+
+    def test_writer_holds_a_tile_beside_the_codes(self, tmp_path):
+        G = gen_genotypes(2000, 12000, seed=12)
+        path = str(tmp_path / "geno.xtg")
+        assert traced_peak(lambda: io_files.write_genotype_bin(path, G)) < 1 << 20
+
+    @pytest.mark.parametrize("bad", [3, 4, 255])
+    def test_writer_refuses_codes_outside_0_1_2(self, tmp_path, bad):
+        G = gen_genotypes(9, 6, seed=13)
+        codes = G.codes.copy()
+        codes[8, 5] = bad
+        path = tmp_path / "geno.xtg"
+        with mock.patch.object(io_files, "_UNPACK_TILE_BYTES", 2 * G.p):
+            with pytest.raises(ParameterError, match=f"genotype code {bad} is not in"):
+                io_files.write_genotype_bin(str(path), GenotypeMatrix(
+                    n=G.n, p=G.p, codes=codes, maf=G.maf, col_mean=G.col_mean, col_sd=G.col_sd))
+        assert not path.exists()
+        assert list(tmp_path.iterdir()) == []
+
     @given(st.integers(0, 10**6), st.integers(1, 9), st.integers(2, 12))
     @settings(max_examples=30, deadline=None)
     def test_pack_unpack_property(self, seed, p, n):
@@ -722,7 +789,8 @@ class TestGenotypeContainers:
 
     def test_tsv_reader_holds_about_two_code_matrices(self, tmp_path):
         """The codes are parsed line by line into one uint8 matrix; its column
-        statistics take one more n * p boolean mask."""
+        statistics count the 2s through a mask of a few hundred columns at a
+        time, so the peak stays below two code matrices."""
         n, p = 500, 1000
         G = gen_genotypes(n, p, seed=11)
         path = str(tmp_path / "geno.tsv")
@@ -734,7 +802,7 @@ class TestGenotypeContainers:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * n * p
+        assert peak < 2.0 * n * p
 
 
 @st.composite
