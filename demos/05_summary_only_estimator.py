@@ -30,8 +30,8 @@ raws, corrs = [], []
 for rep in range(20):
     b = gen_independent_cohorts(arch, CohortSizes(n1=n1, n2=n2), seed=rep,
                                 traits=("alpha", "beta"))
-    stats_a = marginal_gwas(b.disc_alpha, b.y_alpha.y, trait_tag="alpha")
-    stats_b = marginal_gwas(b.disc_beta, b.y_beta.y, trait_tag="beta")
+    stats_a = marginal_gwas(b.disc_alpha, b.y_alpha.y)
+    stats_b = marginal_gwas(b.disc_beta, b.y_beta.y)
     est = correct(raw_cosine(stats_a.effect, stats_b.effect), meta)
     raws.append(est.raw)
     corrs.append(est.corrected)

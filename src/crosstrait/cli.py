@@ -26,9 +26,6 @@ from .errors import (
     CrosstraitError,
     DataFormatError,
     DegenerateRegimeRefusal,
-    DegenerateScoreError,
-    ExperimentError,
-    GenerationError,
     ParameterError,
 )
 from .estimators import (
@@ -317,13 +314,7 @@ def main(argv=None) -> int:
     except (ParameterError, CorrectionUnavailableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DataFormatError, GenerationError, DegenerateScoreError, ExperimentError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except CrosstraitError as exc:
+    except (CrosstraitError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -110,7 +110,6 @@ class CorrelationEstimate:
     bias_factor: float
     corrected: float
     regime_flag: str
-    meta: DesignMeta
     out_of_range: bool = False
 
     @property
@@ -126,15 +125,20 @@ def raw_cosine(u: np.ndarray, v: np.ndarray) -> float:
 
     Its norms and dot product are ``kernels.dot`` reductions, so their bits
     depend neither on a BLAS thread count nor on the layout of the vectors
-    passed in.
+    passed in.  Vectors whose squared norm or dot product is not finite are
+    refused.
     """
     u = np.ascontiguousarray(u, dtype=np.float64)
     v = np.ascontiguousarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise ParameterError("vectors must have equal length")
-    nu = math.sqrt(kernels.dot(u, u))
-    nv = math.sqrt(kernels.dot(v, v))
-    uv = kernels.dot(u, v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        uu, vv, uv = kernels.dot(u, u), kernels.dot(v, v), kernels.dot(u, v)
+    if not (math.isfinite(uu) and math.isfinite(vv) and math.isfinite(uv)):
+        raise ParameterError("cosine of vectors whose squared norm or dot product is not "
+                             "finite (a value too large to square?)")
+    nu = math.sqrt(uu)
+    nv = math.sqrt(vv)
     if nu == 0.0 or nv == 0.0:
         raise DegenerateScoreError("cosine of a zero-norm vector (empty or constant score?)")
     return float(np.clip(uv / (nu * nv), -1.0, 1.0))
@@ -389,7 +393,6 @@ def correct(raw: float, meta: DesignMeta, screen: ScreenCounts | None = None) ->
         bias_factor=factor,
         corrected=corrected,
         regime_flag=flag,
-        meta=meta,
         out_of_range=abs(corrected) > 1.0,
     )
 

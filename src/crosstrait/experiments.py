@@ -10,9 +10,10 @@ so running with one worker or many yields identical replicate rows.
 Scenarios
 ---------
 ``SCENARIOS`` holds one record per scenario: the grid it walks, the cohorts
-it needs and its replicate function.  fig2, figS2, figS5 and fig3 share one
-chain (architecture, independent cohorts, scans); fig2, figS2 and figS5 also
-share their estimators and differ only in grid and cohorts.
+it needs and its replicate function.  fig1, fig2, figS2, figS5 and fig3
+share one chain (architecture, independent cohorts, scans); fig2, figS2 and
+figS5 also share their estimators and differ only in grid and cohorts.
+fig4 runs one loop over its overlap cases (``_FIG4_CASES``).
 
 fig2_all_snp        all-SNP estimators across a grid of true correlations
 figS5_summary_only  the summary-statistics-only estimator across the grid
@@ -30,6 +31,7 @@ import functools
 import math
 import operator
 import os
+from collections import namedtuple
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields
@@ -46,9 +48,9 @@ from .synth import (
     CohortSizes,
     OverlapDesign,
     TraitArchitecture,
-    _independent_cohort_draws,
-    gen_independent_cohorts,
+    _COHORT_TRAITS,
     gen_overlapping_cohorts,
+    scan_independent_cohorts,
 )
 
 # the p-value threshold ladder used by the screening study
@@ -233,33 +235,27 @@ def _all_snp_scores(W, stats_list) -> np.ndarray:
     return kernels.std_matvec(W.codes, W.col_mean, W.col_sd, effects).T
 
 
-def _pvalue_bins(pvalue: np.ndarray, cuts: np.ndarray) -> list:
-    """SNP indices, ascending, of each bin ``cuts[b-1] < pvalue <= cuts[b]`` of
-    the sorted, distinct cutoffs; SNPs above the largest cutoff are in none.
-    So the bins up to b hold exactly the SNPs with ``pvalue <= cuts[b]``."""
-    bins = np.searchsorted(cuts, pvalue, side="left")
-    order = np.argsort(bins, kind="stable")
-    edges = np.concatenate(([0], np.cumsum(np.bincount(bins, minlength=len(cuts)))))
-    return [order[edges[b]:edges[b + 1]] for b in range(len(cuts))]
-
-
 def _ladder_scores(W, stats, thresholds) -> dict:
     """Screened scores for a ladder of p-value cutoffs, in one pass over the SNPs.
 
-    The rungs are nested (``pvalue <= cutoff``), so each SNP falls in one bin
-    between consecutive cutoffs.  Each non-empty bin is scored once; a rung's
-    score is the running sum of the bin scores from the strictest cutoff up
-    to its own.  Returns ``{cutoff: score}`` for the distinct cutoffs; a rung
-    that keeps no SNP gets zeros.  Equal to ``score(W, stats,
-    ScreenRule("pvalue_cutoff", cutoff))`` up to rounding.
+    The rungs are nested (the SNPs that ``ScreenRule("pvalue_cutoff", cut)``
+    keeps), so in ascending order of cutoff each rung adds the SNPs the rung
+    before it did not keep.  Each rung's new SNPs are scored once, in
+    ascending index order; a rung's score is the running sum from the
+    strictest cutoff up to its own.  Returns ``{cutoff: score}`` for the
+    distinct cutoffs; a rung that keeps no SNP gets zeros.  Equal to
+    ``score(W, stats, ScreenRule("pvalue_cutoff", cutoff))`` up to rounding.
     """
-    cuts = np.unique(np.asarray(thresholds, dtype=np.float64))
     running = np.zeros(W.n)
+    kept = np.zeros(stats.p, dtype=bool)
     out = {}
-    for cut, idx in zip(cuts, _pvalue_bins(stats.pvalue, cuts)):
+    for cut in np.unique(np.asarray(thresholds, dtype=np.float64)):
+        mask = ScreenRule("pvalue_cutoff", cut).mask(stats)
+        idx = np.flatnonzero(mask & ~kept)
         if idx.size:
             running = running + kernels.std_matvec(
                 W.codes, W.col_mean, W.col_sd, stats.effect[idx], indices=idx)
+        kept = mask
         out[float(cut)] = running
     return out
 
@@ -268,8 +264,6 @@ def _ladder_scores(W, stats, thresholds) -> dict:
 # scenarios
 # ---------------------------------------------------------------------------
 
-# cohort-size field -> the trait whose cohort it sizes; n3 is the target
-_COHORT_TRAITS = (("n1", "alpha"), ("n2", "beta"), ("n3", "eta"))
 _COHORT_ROLES = {"n1": "discovery (n1)", "n2": "discovery (n2)", "n3": "target (n3)"}
 
 
@@ -291,8 +285,6 @@ def _points(config) -> list:
     if short:
         raise ParameterError(f"{config.scenario} needs cohorts of at least 2 samples: "
                              + ", ".join(short))
-    if sc.check is not None:
-        sc.check(config)
     if sc.grids[0] == "phi_grid":
         points = [(f"phi={phi:g}", config.m, phi) for phi in config.phi_grid]
     else:
@@ -323,39 +315,24 @@ def _shared_arch(config, m, phi) -> dict:
 
 
 def _independent_scans(config, point, rep):
-    """arch -> independent cohorts -> scans for one task.
-
-    The traits are those of ``_drawn``: alpha discovery (n1), beta discovery
-    (n2) and the eta target (n3).  Each discovery cohort is drawn, scanned
-    and dropped before the next is drawn, and the target comes last, so a
-    task holds one cohort's codes at a time; each cohort has its own
-    substream, so the order moves no bit.  Returns the architecture, the
-    bundle of the target (none drawn without n3) and ``{trait:
-    SummaryStats}`` of each discovery.
+    """The cohorts of ``_drawn`` for one task (alpha discovery n1, beta
+    discovery n2, eta target n3), each discovery scanned by
+    ``marginal_gwas`` as it is drawn (``scan_independent_cohorts``).
+    Returns the bundle of the target and ``{trait: SummaryStats}`` of each
+    discovery.
     """
-    cohorts = SCENARIOS[config.scenario].cohorts
     drawn = _drawn(config)
-    traits = tuple(t for _, t in drawn)
-    arch = point["arch"]
-    cohorts_of = _independent_cohort_draws(arch, _rep_seed(config, point["point_id"], rep), traits)
-
-    def draw(field):
-        return cohorts_of(CohortSizes(**{field: getattr(config, field) if field in cohorts else 0}))
-
-    def scan(field, trait):
-        b = draw(field)
-        return marginal_gwas(getattr(b, f"disc_{trait}"), getattr(b, f"y_{trait}").y,
-                             config.standardize_y, trait_tag=trait)
-
-    stats = {t: scan(f, t) for f, t in drawn if f != "n3"}
-    return arch, draw("n3"), stats
+    return scan_independent_cohorts(
+        point["arch"], CohortSizes(**{f: getattr(config, f) for f, _ in drawn}),
+        _rep_seed(config, point["point_id"], rep), tuple(t for _, t in drawn),
+        lambda X, y: marginal_gwas(X, y, config.standardize_y))
 
 
 def _rep_all_snp(config, point, rep):
     """All-SNP estimators of the cohorts drawn: phenotype vs score (G_ae) on a
     target, score vs score (G_ab) on a target with beta, and effect vs effect
     (phi_ab_summary) with beta."""
-    _, b, stats = _independent_scans(config, point, rep)
+    b, stats = _independent_scans(config, point, rep)
     pid = point["point_id"]
     rows = []
     if b.target is not None:
@@ -378,7 +355,8 @@ def _rep_all_snp(config, point, rep):
 def _rep_fig3(config, point, rep):
     """The screened phenotype-vs-score estimator at each p-value cutoff, with
     its counts in the flag; a zero factor leaves the row uncorrected (NaN)."""
-    arch, bundle, scans = _independent_scans(config, point, rep)
+    bundle, scans = _independent_scans(config, point, rep)
+    arch = point["arch"]
     stats = scans["alpha"]
     pid = point["point_id"]
     meta = DesignMeta(case_tag="screened_ae", p=config.p, n1=config.n1, n3=config.n3,
@@ -415,58 +393,58 @@ def _fig3_build(config, m, phi) -> dict:
     return {**_shared_arch(config, m, phi), "rules": rules}
 
 
-# fig4 overlap case -> (traits, overlap pair, genetic-share pair)
-_FIG4_CASES = {"i": (("alpha", "eta"), "discovery_target", "ae"),
-               "ii": (("alpha", "beta"), "discovery_discovery", "ab")}
+# fig4 overlap case -> alpha and the trait whose cohort shares the n_s samples
+# with alpha's discovery (eta's target or beta's discovery), the overlap pair,
+# the genetic-share pair, the cohort-size fields it draws, its estimator and
+# its design case
+_Fig4Case = namedtuple("_Fig4Case", "traits pair share sizes estimator case_tag")
+_FIG4_CASES = {
+    "i": _Fig4Case(("alpha", "eta"), "discovery_target", "ae", ("n1", "n3"),
+                   "G_S_ae", "overlap_case_i"),
+    "ii": _Fig4Case(("alpha", "beta"), "discovery_discovery", "ab", ("n1", "n2", "n3"),
+                    "G_S_ab", "overlap_case_ii"),
+}
 
 
 def _fig4_build(config, m, phi) -> dict:
-    """(architecture, overlap design, genetic share) of each overlap case."""
+    """(architecture, overlap design, genetic share) of each overlap case;
+    a case whose discovery cohort holds fewer than 2 samples with the shared
+    ones is refused."""
     cases = {}
     for case in config.overlap_cases:
-        traits, pair, share = _FIG4_CASES[case]
+        spec = _FIG4_CASES[case]
+        short = [f for f in spec.sizes if f != "n3" and getattr(config, f) + config.n_s < 2]
+        if short:
+            raise ParameterError(f"overlap case {case} needs at least 2 discovery samples in "
+                                 + " and ".join(f"{f} + n_s" for f in short))
         arch = TraitArchitecture.shared_causal(
-            config.p, m, phi=phi, sigma2=config.sigma2, h2=config.h2, traits=traits)
-        design = OverlapDesign(n_s=config.n_s, pair=pair, rho_eps=config.rho_eps)
-        cases[case] = (arch, design, genetic_share(arch, config.rho_eps, share))
+            config.p, m, phi=phi, sigma2=config.sigma2, h2=config.h2, traits=spec.traits)
+        design = OverlapDesign(n_s=config.n_s, pair=spec.pair, rho_eps=config.rho_eps)
+        cases[case] = (arch, design, genetic_share(arch, config.rho_eps, spec.share))
     return {"cases": cases}
 
 
-def _check_fig4(config):
-    if "i" in config.overlap_cases and config.n1 + config.n_s < 2:
-        raise ParameterError("fig4_overlap case i needs discovery samples (n1 + n_s)")
-    if "ii" in config.overlap_cases and min(config.n1 + config.n_s, config.n2 + config.n_s) < 2:
-        raise ParameterError("fig4_overlap case ii needs both discovery cohorts")
-
-
 def _rep_fig4(config, point, rep):
+    """Each overlap case's all-SNP score of alpha against its other trait:
+    eta's target phenotype (case i) or beta's score (case ii)."""
     pid = point["point_id"]
-    cases = point["cases"]
     rows = []
-    if "i" in cases:
-        arch_i, design_i, h_i = cases["i"]
-        seed_i = _rep_seed(config, pid, rep, "case_i")
-        b = gen_overlapping_cohorts(design_i, arch_i, CohortSizes(n1=config.n1, n3=config.n3), seed_i)
-        stats = marginal_gwas(b.disc_alpha, b.y_alpha.y, config.standardize_y)
-        (prs,) = _all_snp_scores(b.target, (stats,))
-        meta_i = DesignMeta(case_tag="overlap_case_i", p=config.p, n1=config.n1, n3=config.n3,
-                            n_s=config.n_s, h2_alpha=config.h2, h2_eta=config.h2,
-                            h_alpha_eta=h_i)
-        rows.append(_estimate_row(config, pid, rep, "G_S_ae", b.y_eta.y, prs, meta_i))
-
-    if "ii" in cases:
-        arch_ii, design_ii, h_ii = cases["ii"]
-        seed_ii = _rep_seed(config, pid, rep, "case_ii")
-        b = gen_overlapping_cohorts(
-            design_ii, arch_ii, CohortSizes(n1=config.n1, n2=config.n2, n3=config.n3), seed_ii
-        )
-        stats_a = marginal_gwas(b.disc_alpha, b.y_alpha.y, config.standardize_y)
-        stats_b = marginal_gwas(b.disc_beta, b.y_beta.y, config.standardize_y)
-        prs_a, prs_b = _all_snp_scores(b.target, (stats_a, stats_b))
-        meta_ii = DesignMeta(case_tag="overlap_case_ii", p=config.p, n1=config.n1, n2=config.n2,
-                             n3=config.n3, n_s=config.n_s, h2_alpha=config.h2, h2_beta=config.h2,
-                             h_alpha_beta=h_ii)
-        rows.append(_estimate_row(config, pid, rep, "G_S_ab", prs_b, prs_a, meta_ii))
+    for case, spec in _FIG4_CASES.items():
+        if case not in point["cases"]:
+            continue
+        arch, design, h = point["cases"][case]
+        sizes = {f: getattr(config, f) for f in spec.sizes}
+        b = gen_overlapping_cohorts(design, arch, CohortSizes(**sizes),
+                                    _rep_seed(config, pid, rep, f"case_{case}"))
+        other = spec.traits[1]
+        stats = [marginal_gwas(getattr(b, f"disc_{t}"), getattr(b, f"y_{t}").y,
+                               config.standardize_y) for t in spec.traits if t != "eta"]
+        prs = _all_snp_scores(b.target, stats)
+        meta = DesignMeta(case_tag=spec.case_tag, p=config.p, n_s=config.n_s, **sizes,
+                          h2_alpha=config.h2, **{f"h2_{other}": config.h2,
+                                                 f"h_alpha_{other}": h})
+        u = b.y_eta.y if other == "eta" else prs[1]
+        rows.append(_estimate_row(config, pid, rep, spec.estimator, u, prs[0], meta))
     return rows
 
 
@@ -483,14 +461,12 @@ def _fig1_build(config, m, phi) -> dict:
 
 def _rep_fig1(config, point, rep):
     pid = point["point_id"]
-    m = point["m"]
     arch = point["arch"]
     p_total = arch.p
-    seed = _rep_seed(config, pid, rep)
-    bundle = gen_independent_cohorts(arch, CohortSizes(n1=config.n1), seed, traits=("alpha",))
-    stats = marginal_gwas(bundle.disc_alpha, bundle.y_alpha.y, config.standardize_y)
+    bundle, scans = _independent_scans(config, point, rep)
+    stats = scans["alpha"]
     rows = []
-    if m < p_total:
+    if point["m"] < p_total:
         metrics = screen_metrics(stats, bundle.effects["alpha"])
         for name, value in (("auc", metrics.auc), ("power", metrics.power),
                             ("enrichment", metrics.enrichment), ("beta_mse", metrics.beta_mse)):
@@ -508,18 +484,17 @@ class Scenario:
 
     ``grids`` are the config grids it needs; it walks the first.  ``cohorts``
     maps each cohort-size field it draws to the least size it needs (0: the
-    cohort is drawn when the config sets it).  ``check`` refuses any further
-    config it cannot run.  ``build(config, m, phi)`` makes the objects that
-    every task of a point shares (its architecture), once per point and
-    before any task, so that it refuses an out-of-domain value as a usage
-    error; ``replicate(config, point, rep)`` returns one task's rows.
+    cohort is drawn when the config sets it).  ``build(config, m, phi)``
+    makes the objects that every task of a point shares (its architecture),
+    once per point and before any task, so that it refuses an out-of-domain
+    value as a usage error; ``replicate(config, point, rep)`` returns one
+    task's rows.
     """
 
     grids: tuple
     cohorts: dict
     replicate: Callable
     build: Callable = _shared_arch
-    check: Callable | None = None
 
 
 SCENARIOS = {
@@ -528,7 +503,7 @@ SCENARIOS = {
     "fig3_screening": Scenario(("sparsity_grid", "phi_grid"), {"n1": 2, "n3": 2}, _rep_fig3,
                                _fig3_build),
     "fig4_overlap": Scenario(("phi_grid",), {"n1": 0, "n2": 0, "n3": 2}, _rep_fig4,
-                             _fig4_build, _check_fig4),
+                             _fig4_build),
     "figS2_sparsity": Scenario(("sparsity_grid", "phi_grid"), {"n1": 2, "n3": 2}, _rep_all_snp),
     "figS5_summary_only": Scenario(("phi_grid",), {"n1": 2, "n2": 2}, _rep_all_snp),
 }
@@ -553,6 +528,19 @@ def _keep_freed_memory() -> bool:
     mallopt.restype = ctypes.c_int
     return (mallopt(_M_MMAP_THRESHOLD, 64 << 20) == 1
             and mallopt(_M_TRIM_THRESHOLD, 256 << 20) == 1)
+
+
+def _map_tasks(fn, tasks: list, workers: int) -> list:
+    """``[fn(t) for t in tasks]``, in task order, on a pool of ``workers``
+    threads of the calling process when there is more than one.  If a call
+    raises, the tasks not yet started are cancelled and it propagates."""
+    if workers == 1:
+        return [fn(t) for t in tasks]
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        return list(pool.map(fn, tasks))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _run_task(args):
@@ -643,17 +631,8 @@ def run(
     tasks = [(config, point, rep) for point in _points(config) for rep in range(config.replicates)]
 
     nworkers = resolve_workers(workers, len(tasks))
-    if nworkers == 1:
-        outcomes = [_run_task(t) for t in tasks]
-    else:
-        pool = ThreadPoolExecutor(max_workers=nworkers)
-        try:
-            outcomes = list(pool.map(_run_task, tasks))
-        finally:
-            pool.shutdown(cancel_futures=True)
-
     rows, failures = [], []
-    for status, payload in outcomes:
+    for status, payload in _map_tasks(_run_task, tasks, nworkers):
         if status == "ok":
             rows.extend(payload)
         else:

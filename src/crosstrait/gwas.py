@@ -51,7 +51,6 @@ class SummaryStats:
     tstat: np.ndarray
     pvalue: np.ndarray
     n: int
-    trait_tag: str = ""
 
     @property
     def p(self) -> int:
@@ -62,7 +61,6 @@ def marginal_gwas(
     X: GenotypeMatrix,
     y: np.ndarray,
     standardize_y: bool = True,
-    trait_tag: str = "",
 ) -> SummaryStats:
     """Compute the simulated "published GWAS" for one phenotype.
 
@@ -71,20 +69,24 @@ def marginal_gwas(
     estimators are invariant to it).  Pass ``False`` to study the effect
     estimates on the raw phenotype scale, e.g. for the variance law of the
     marginal estimates.  The slope itself is unaffected by centering because
-    the genotype columns have exact zero mean.
+    the genotype columns have exact zero mean.  A phenotype whose variance
+    is not finite (a value too large to square) is refused.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (X.n,):
         raise ParameterError(f"phenotype has length {y.shape}, expected {X.n}")
     y_c = y - y.mean()
+    with np.errstate(over="ignore", invalid="ignore"):
+        var_y = float(np.mean(y_c * y_c))
+    if not math.isfinite(var_y):
+        raise ParameterError("phenotype variance is not finite (a value too large to square)")
     if standardize_y:
-        sd = np.sqrt(np.mean(y_c * y_c))
-        if sd == 0.0:
+        if var_y == 0.0:
             raise ParameterError("phenotype is constant; cannot standardize")
-        y_c = y_c / sd
+        y_c = y_c / math.sqrt(var_y)
+        var_y = float(np.mean(y_c * y_c))
 
     effect = kernels.std_crossprod(X.codes, X.col_mean, X.col_sd, y_c) / X.n
-    var_y = float(np.mean(y_c * y_c))
     se = np.sqrt(np.maximum(var_y - effect * effect, 0.0) / X.n)
 
     tstat = np.empty_like(effect)
@@ -103,7 +105,6 @@ def marginal_gwas(
         tstat=tstat,
         pvalue=pvalue,
         n=X.n,
-        trait_tag=trait_tag,
     )
 
 

@@ -108,6 +108,13 @@ def _finite(col: list[str]) -> np.ndarray:
     return x
 
 
+def _not_nan(col: list[str]) -> np.ndarray:
+    x = _floats(col)
+    if np.isnan(x).any():
+        raise ValueError("is NaN")
+    return x
+
+
 def _pvalues(col: list[str]) -> np.ndarray:
     x = _floats(col)
     if not np.all((x > 0.0) & (x <= 1.0)):
@@ -280,14 +287,14 @@ def write_summary_tsv(path: str, stats: SummaryStats) -> None:
                 _rows_of(ids, stats.effect, stats.se, stats.tstat, stats.pvalue))
 
 
-def read_summary_tsv(path: str, trait_tag: str = "") -> SummaryStats:
+def read_summary_tsv(path: str) -> SummaryStats:
     """Read a summary TSV.  Its effects must be finite, its p-values in (0, 1],
     and its ``n`` one positive integer, the same on every row; ``se`` and
-    ``tstat`` may be infinite, as ``marginal_gwas`` writes them when se is 0.
-    A repeated ``snp_id`` is refused."""
+    ``tstat`` may be infinite, as ``marginal_gwas`` writes them when se is 0,
+    but not NaN.  A repeated ``snp_id`` is refused."""
     ids, effect, se, tstat, pvalue, ns = _read_columns(
         path, SUMMARY_HEADER,
-        {1: _finite, 2: _floats, 3: _floats, 4: _pvalues, 5: _ints(1)})
+        {1: _finite, 2: _not_nan, 3: _not_nan, 4: _pvalues, 5: _ints(1)})
     if not ids:
         raise DataFormatError(f"{path}:2: no data rows")
     if ns.count(ns[0]) != len(ns):
@@ -303,7 +310,6 @@ def read_summary_tsv(path: str, trait_tag: str = "") -> SummaryStats:
         tstat=tstat,
         pvalue=pvalue,
         n=ns[0],
-        trait_tag=trait_tag,
     )
 
 

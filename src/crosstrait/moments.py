@@ -45,20 +45,21 @@ overlap_ii_var_alpha_den / overlap_ii_var_beta_den
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .errors import ParameterError
 from .estimators import DesignMeta, ScreenCounts
+from .experiments import _map_tasks, resolve_workers
 from .rng import substream
 from .synth import (
     CohortSizes,
     OverlapDesign,
     TraitArchitecture,
-    gen_independent_cohorts,
     gen_overlapping_cohorts,
+    scan_independent_cohorts,
 )
 
 INDEP_TAGS = (
@@ -88,7 +89,6 @@ class MomentPrediction:
     quantity_tag: str
     expected_value: float
     variance_bound: float | None = None
-    params: dict = field(default_factory=dict)
 
 
 def _sigma_eps_cross(
@@ -214,7 +214,6 @@ def predict(
         quantity_tag=quantity_tag,
         expected_value=float(ev),
         variance_bound=None if var_bound is None else float(var_bound),
-        params={"n1": n1, "n2": n2, "n3": n3, "n_s": ns, "p": p},
     )
 
 
@@ -265,6 +264,11 @@ def screen_counts_for_fixed_selection(
     return counts, sel_a, sel_b
 
 
+def _scan(X, y) -> np.ndarray:
+    """The unscaled marginal effects ``X_std.T @ y``."""
+    return kernels.std_crossprod(X.codes, X.col_mean, X.col_sd, y)
+
+
 def _simulate_family(
     family: str,
     tags: list[str],
@@ -278,22 +282,19 @@ def _simulate_family(
 ) -> dict[str, float]:
     """One replicate of every quantity of a family.
 
-    Two all-SNP scores on the same target are built in one
-    ``kernels.std_matvec`` call with (p, 2) weights; each column is bitwise
-    equal to its single-vector score.  Every inner product is a
-    ``kernels.dot``, so no BLAS thread count moves a bit.
+    The independent families scan each discovery cohort as it is drawn
+    (``scan_independent_cohorts``).  Two all-SNP scores on the same target
+    are built in one ``kernels.std_matvec`` call with (p, 2) weights; each
+    column is bitwise equal to its single-vector score.  Every inner product
+    is a ``kernels.dot``, so no BLAS thread count moves a bit.
     """
     sizes = CohortSizes(n1=meta.n1, n2=meta.n2 or 0, n3=meta.n3 or 0)
     out: dict[str, float] = {}
     if family in ("indep", "screened"):
         need_beta = any("ab" in t or "beta" in t for t in tags)
         traits = ("alpha", "beta", "eta") if need_beta else ("alpha", "eta")
-        b = gen_independent_cohorts(arch, sizes, rep_seed, traits=traits)
-        X, W = b.disc_alpha, b.target
-        t_a = kernels.std_crossprod(X.codes, X.col_mean, X.col_sd, b.y_alpha.y)
-        if need_beta:
-            Z = b.disc_beta
-            t_b = kernels.std_crossprod(Z.codes, Z.col_mean, Z.col_sd, b.y_beta.y)
+        b, scans = scan_independent_cohorts(arch, sizes, rep_seed, traits, _scan)
+        W, t_a, t_b = b.target, scans["alpha"], scans.get("beta")
         if family == "indep":
             wanted = set(tags)
             if wanted & {"cov_ab_num", "var_beta_den"}:
@@ -323,18 +324,16 @@ def _simulate_family(
     elif family == "overlap_i":
         design = OverlapDesign(n_s=meta.n_s, pair="discovery_target", rho_eps=rho_eps)
         b = gen_overlapping_cohorts(design, arch, sizes, rep_seed)
-        X, W = b.disc_alpha, b.target
-        t = kernels.std_crossprod(X.codes, X.col_mean, X.col_sd, b.y_alpha.y)
-        s = kernels.std_matvec(W.codes, W.col_mean, W.col_sd, t)
+        W = b.target
+        s = kernels.std_matvec(W.codes, W.col_mean, W.col_sd, _scan(b.disc_alpha, b.y_alpha.y))
         out["overlap_i_cov_ae_num"] = kernels.dot(b.y_eta.y, s)
         out["overlap_i_var_alpha_den"] = kernels.dot(s, s)
         out["overlap_i_var_eta_den"] = kernels.dot(b.y_eta.y, b.y_eta.y)
     elif family == "overlap_ii":
         design = OverlapDesign(n_s=meta.n_s, pair="discovery_discovery", rho_eps=rho_eps)
         b = gen_overlapping_cohorts(design, arch, sizes, rep_seed)
-        X, Z, W = b.disc_alpha, b.disc_beta, b.target
-        t_a = kernels.std_crossprod(X.codes, X.col_mean, X.col_sd, b.y_alpha.y)
-        t_b = kernels.std_crossprod(Z.codes, Z.col_mean, Z.col_sd, b.y_beta.y)
+        W = b.target
+        t_a, t_b = _scan(b.disc_alpha, b.y_alpha.y), _scan(b.disc_beta, b.y_beta.y)
         s_a, s_b = kernels.std_matvec(W.codes, W.col_mean, W.col_sd, np.column_stack([t_a, t_b])).T
         out["overlap_ii_cov_ab_num"] = kernels.dot(s_a, s_b)
         out["overlap_ii_var_alpha_den"] = kernels.dot(s_a, s_a)
@@ -371,6 +370,10 @@ def monte_carlo_check_many(
     ``selection`` gives (q_alpha1, q_alpha2, q_beta1, q_beta2) for the
     deterministic screen behind the screened quantities.  Replicates of one
     family share a simulation, so checking a whole family costs one run.
+    The replicates run as tasks of ``experiments.run``'s runner, on
+    $CROSSTRAIT_WORKERS threads, else one per usable core but no more than
+    there are tasks; each has its own substream, so every bit is the same
+    at any worker count.
     """
     if replicates < 30:
         raise ParameterError("need at least 30 replicates for a meaningful z")
@@ -393,15 +396,19 @@ def monte_carlo_check_many(
     for t in tags:
         families.setdefault(_family_of(t), []).append(t)
 
+    def simulate(task):
+        family, rep = task
+        rep_seed = substream(seed, f"moments/{family}", rep).integers(2**63)
+        return _simulate_family(
+            family, families[family], arch, meta, int(rep_seed), rho_eps, screen, sel_a, sel_b
+        )
+
+    tasks = [(family, rep) for family in families for rep in range(replicates)]
+    samples = _map_tasks(simulate, tasks, resolve_workers(None, len(tasks)))
     values: dict[str, np.ndarray] = {t: np.empty(replicates) for t in tags}
-    for family, fam_tags in families.items():
-        for rep in range(replicates):
-            rep_seed = substream(seed, f"moments/{family}", rep).integers(2**63)
-            sample = _simulate_family(
-                family, fam_tags, arch, meta, int(rep_seed), rho_eps, screen, sel_a, sel_b
-            )
-            for t in fam_tags:
-                values[t][rep] = sample[t]
+    for (family, rep), sample in zip(tasks, samples):
+        for t in families[family]:
+            values[t][rep] = sample[t]
 
     reports = []
     for t in tags:

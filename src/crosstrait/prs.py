@@ -62,7 +62,6 @@ class PrsVector:
 
     scores: np.ndarray
     n_selected: int
-    source_trait: str = ""
     n_aligned: int | None = None
     empty_selection: bool = False
 
@@ -105,7 +104,8 @@ def score(
     stats: SummaryStats,
     rule: ScreenRule = RULE_NONE,
 ) -> PrsVector:
-    """Build the (optionally screened) risk score on the target samples."""
+    """Build the (optionally screened) risk score on the target samples; a
+    score that is not finite (an effect too large to weight) is refused."""
     w_idx, s_idx, _ = align_snps(W, stats)
     effect = stats.effect[s_idx]
     keep = rule.mask(stats)[s_idx]
@@ -114,15 +114,16 @@ def score(
         return PrsVector(
             scores=np.zeros(W.n),
             n_selected=0,
-            source_trait=stats.trait_tag,
             n_aligned=int(w_idx.shape[0]),
             empty_selection=True,
         )
     cols = w_idx[keep]
-    s = kernels.std_matvec(W.codes, W.col_mean, W.col_sd, effect[keep], indices=cols)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = kernels.std_matvec(W.codes, W.col_mean, W.col_sd, effect[keep], indices=cols)
+    if not np.all(np.isfinite(s)):
+        raise ParameterError("risk score is not finite (an effect too large to weight)")
     return PrsVector(
         scores=s,
         n_selected=n_selected,
-        source_trait=stats.trait_tag,
         n_aligned=int(w_idx.shape[0]),
     )

@@ -526,16 +526,19 @@ class CohortSizes:
     n3: int = 0
 
 
+# cohort-size field -> the trait whose cohort it sizes; n3 is the target
+_COHORT_TRAITS = (("n1", "alpha"), ("n2", "beta"), ("n3", "eta"))
+
+
 @dataclass
 class CohortBundle:
-    """Generated cohorts for one overlapping design.
+    """Generated cohorts of one design, with the effects they share.
 
-    The shared sample block always occupies the *last* n_s rows of every
-    stacked matrix (and of the corresponding phenotype vectors).
+    In an overlapping design the shared sample block always occupies the
+    *last* n_s rows of every stacked matrix (and of the corresponding
+    phenotype vectors).
     """
 
-    design: OverlapDesign
-    arch: TraitArchitecture
     disc_alpha: GenotypeMatrix | None = None
     disc_beta: GenotypeMatrix | None = None
     target: GenotypeMatrix | None = None
@@ -573,9 +576,7 @@ def _independent_cohort_draws(arch: TraitArchitecture, seed: int, traits: tuple 
     effects = gen_effects(arch, seed=seed)
 
     def draw(sizes: CohortSizes) -> CohortBundle:
-        bundle = CohortBundle(
-            design=OverlapDesign(n_s=0, pair="discovery_discovery"), arch=arch, effects=effects
-        )
+        bundle = CohortBundle(effects=effects)
         if "alpha" in traits and sizes.n1:
             bundle.disc_alpha = _gen_cohort(seed, "X", sizes.n1, maf)
             bundle.y_alpha = gen_phenotype(bundle.disc_alpha, effects["alpha"], arch.h2_alpha, seed)
@@ -589,6 +590,28 @@ def _independent_cohort_draws(arch: TraitArchitecture, seed: int, traits: tuple 
         return bundle
 
     return draw
+
+
+def scan_independent_cohorts(arch: TraitArchitecture, sizes: CohortSizes, seed: int,
+                             traits: tuple, scan) -> tuple:
+    """The discovery cohorts of ``gen_independent_cohorts(arch, sizes, seed,
+    traits)``, each scanned as it is drawn, then its target.
+
+    The alpha (n1) and beta (n2) discovery cohorts are drawn in turn; each
+    is scanned as ``scan(X, y)`` and dropped before the next is drawn, and
+    the target comes last, so at most one cohort's codes are held at a time.
+    Each cohort has its own substream, so the order moves no bit.  Returns
+    the bundle of the target (without one when n3 is 0) and ``{trait:
+    scan(X, y)}`` of each discovery cohort drawn.
+    """
+    draw = _independent_cohort_draws(arch, seed, traits)
+    scans = {}
+    for field, trait in _COHORT_TRAITS[:2]:
+        b = draw(CohortSizes(**{field: getattr(sizes, field)}))
+        if getattr(b, f"disc_{trait}") is not None:
+            scans[trait] = scan(getattr(b, f"disc_{trait}"), getattr(b, f"y_{trait}").y)
+        del b  # before the next cohort is drawn
+    return draw(CohortSizes(n3=sizes.n3)), scans
 
 
 def _correlated_errors(
@@ -620,11 +643,9 @@ def gen_overlapping_cohorts(
     maf = _cohort_maf(seed, arch.p)
     effects = gen_effects(arch, seed=seed)
     sd_ea = np.sqrt(arch.sigma2_eps("alpha"))
-    sd_eb = np.sqrt(arch.sigma2_eps("beta"))
-    sd_ee = np.sqrt(arch.sigma2_eps("eta"))
     rng_eps = substream(seed, "cohorts/errors")
 
-    bundle = CohortBundle(design=design, arch=arch, effects=effects)
+    bundle = CohortBundle(effects=effects)
 
     if design.pair == "full_overlap":
         if ns not in (0, n1):
@@ -632,7 +653,8 @@ def gen_overlapping_cohorts(
         if n1 < 2:
             raise ParameterError("full_overlap needs n1 >= 2")
         X = _gen_cohort(seed, "X", n1, maf)
-        e_a, e_b = _correlated_errors(rng_eps, n1, sd_ea, sd_eb, design.rho_eps)
+        e_a, e_b = _correlated_errors(rng_eps, n1, sd_ea, np.sqrt(arch.sigma2_eps("beta")),
+                                      design.rho_eps)
         bundle.disc_alpha = X
         bundle.disc_beta = X
         bundle.y_alpha = gen_phenotype(X, effects["alpha"], arch.h2_alpha, seed, epsilon=e_a)
@@ -640,45 +662,27 @@ def gen_overlapping_cohorts(
         bundle.target = _gen_cohort(seed, "W", n3, maf)
         return bundle
 
+    # the trait whose cohort shares S with alpha's discovery X, that
+    # cohort's label and its own size
+    other, label, n_o = ("eta", "W", n3) if design.pair == "discovery_target" else ("beta", "Z", n2)
+    if n1 + ns < 2 or n_o + ns < 2:
+        raise ParameterError(f"the alpha and {other} cohorts each need at least 2 samples")
+    sd_eo = np.sqrt(arch.sigma2_eps(other))
     S = _gen_cohort(seed, "S", ns, maf)
-
-    if design.pair == "discovery_target":
-        if n1 + ns < 2 or n3 + ns < 2:
-            raise ParameterError("each cohort needs at least 2 samples")
-        X = _gen_cohort(seed, "X", n1, maf)
-        W = _gen_cohort(seed, "W", n3, maf)
-        disc = stack_genotypes(*(b for b in (X, S) if b is not None))
-        targ = stack_genotypes(*(b for b in (W, S) if b is not None))
-        e_as, e_es = _correlated_errors(rng_eps, ns, sd_ea, sd_ee, design.rho_eps)
-        e_ax = rng_eps.standard_normal(n1) * sd_ea
-        e_ew = rng_eps.standard_normal(n3) * sd_ee
-        bundle.disc_alpha = disc
-        bundle.target = targ
-        bundle.y_alpha = gen_phenotype(
-            disc, effects["alpha"], arch.h2_alpha, seed, epsilon=np.concatenate([e_ax, e_as])
-        )
-        bundle.y_eta = gen_phenotype(
-            targ, effects["eta"], arch.h2_eta, seed, epsilon=np.concatenate([e_ew, e_es])
-        )
-        return bundle
-
-    # discovery_discovery
-    if n1 + ns < 2 or n2 + ns < 2:
-        raise ParameterError("each discovery cohort needs at least 2 samples")
-    X = _gen_cohort(seed, "X", n1, maf)
-    Z = _gen_cohort(seed, "Z", n2, maf)
-    disc_a = stack_genotypes(*(b for b in (X, S) if b is not None))
-    disc_b = stack_genotypes(*(b for b in (Z, S) if b is not None))
-    e_as, e_bs = _correlated_errors(rng_eps, ns, sd_ea, sd_eb, design.rho_eps)
+    disc = stack_genotypes(_gen_cohort(seed, "X", n1, maf), S)
+    cohort_o = stack_genotypes(_gen_cohort(seed, label, n_o, maf), S)
+    e_as, e_os = _correlated_errors(rng_eps, ns, sd_ea, sd_eo, design.rho_eps)
     e_ax = rng_eps.standard_normal(n1) * sd_ea
-    e_bz = rng_eps.standard_normal(n2) * sd_eb
-    bundle.disc_alpha = disc_a
-    bundle.disc_beta = disc_b
+    e_oo = rng_eps.standard_normal(n_o) * sd_eo
+    bundle.disc_alpha = disc
     bundle.y_alpha = gen_phenotype(
-        disc_a, effects["alpha"], arch.h2_alpha, seed, epsilon=np.concatenate([e_ax, e_as])
+        disc, effects["alpha"], arch.h2_alpha, seed, epsilon=np.concatenate([e_ax, e_as])
     )
-    bundle.y_beta = gen_phenotype(
-        disc_b, effects["beta"], arch.h2_beta, seed, epsilon=np.concatenate([e_bz, e_bs])
-    )
-    bundle.target = _gen_cohort(seed, "W", n3, maf)
+    y_o = gen_phenotype(cohort_o, effects[other], getattr(arch, f"h2_{other}"), seed,
+                        epsilon=np.concatenate([e_oo, e_os]))
+    if other == "eta":
+        bundle.target, bundle.y_eta = cohort_o, y_o
+    else:
+        bundle.disc_beta, bundle.y_beta = cohort_o, y_o
+        bundle.target = _gen_cohort(seed, "W", n3, maf)
     return bundle

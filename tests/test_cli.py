@@ -1,8 +1,11 @@
 import argparse
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from crosstrait import experiments, io_files
 from crosstrait.cli import build_parser, main
@@ -10,6 +13,7 @@ from crosstrait.gwas import marginal_gwas
 from crosstrait.synth import (
     CohortSizes,
     TraitArchitecture,
+    gen_genotypes,
     gen_independent_cohorts,
 )
 from tables import read_replicates, read_scores
@@ -276,6 +280,167 @@ class TestPipelineCommands:
         assert rc == 3
 
 
+class TestValuesTooLargeToSquare:
+    """A finite phenotype value whose square overflows, a summary effect that
+    overflows the score, and a NaN se or tstat in a summary TSV are refused
+    instead of giving NaN, 0, -inf or 5e-324."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("huge")
+        G = gen_genotypes(60, 90, seed=3)
+        y = np.random.default_rng(3).standard_normal(G.n)
+        huge = y.copy()
+        huge[7] = 1e200
+        paths = {name: str(d / name) for name in ("geno.xtg", "pheno.tsv", "huge.tsv",
+                                                   "summary.tsv")}
+        io_files.write_genotype_bin(paths["geno.xtg"], G)
+        io_files.write_phenotype_tsv(paths["pheno.tsv"], y)
+        io_files.write_phenotype_tsv(paths["huge.tsv"], huge)
+        io_files.write_summary_tsv(paths["summary.tsv"], marginal_gwas(G, y))
+        return paths
+
+    @pytest.mark.parametrize("flags", [[], ["--no-standardize-y"]], ids=["standardized", "raw"])
+    def test_gwas_refuses(self, files, tmp_path, capsys, flags):
+        out = tmp_path / "summary.tsv"
+        rc = main(["gwas", "--genotypes", files["geno.xtg"], "--phenotype", files["huge.tsv"],
+                   "--out", str(out), *flags])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: phenotype variance is not finite (a value too large to square)\n")
+        assert not out.exists()
+
+    def test_estimate_refuses(self, files, capsys):
+        rc = main(["estimate", "--case", "ae", "--target-geno", files["geno.xtg"],
+                   "--target-pheno", files["huge.tsv"], "--summary-a", files["summary.tsv"],
+                   "--n1", "60", "--p", "90", "--h2a", "1", "--h2e", "1"])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: cosine of vectors whose squared norm or dot product "
+                              "is not finite")
+
+    def test_score_refuses_an_effect_too_large_to_weight(self, files, tmp_path, capsys):
+        head, *rows = open(files["summary.tsv"]).read().splitlines()
+        fields = rows[4].split("\t")
+        fields[1] = "-1e308"
+        rows[4] = "\t".join(fields)
+        summary = tmp_path / "summary.tsv"
+        summary.write_text("\n".join([head, *rows]) + "\n")
+        out = tmp_path / "scores.tsv"
+        assert main(["score", "--genotypes", files["geno.xtg"], "--summary", str(summary),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: risk score is not finite (an effect too large to weight)\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("column, value, rc", [
+        ("se", "nan", 3), ("tstat", "nan", 3), ("se", "inf", 0), ("tstat", "-inf", 0)])
+    def test_summary_refuses_nan_se_and_tstat(self, files, tmp_path, capsys, column, value, rc):
+        head, *rows = open(files["summary.tsv"]).read().splitlines()
+        j = head.split("\t").index(column)
+        fields = rows[4].split("\t")
+        fields[j] = value
+        rows[4] = "\t".join(fields)
+        summary = tmp_path / "summary.tsv"
+        summary.write_text("\n".join([head, *rows]) + "\n")
+        assert main(["score", "--genotypes", files["geno.xtg"], "--summary", str(summary),
+                     "--out", str(tmp_path / "scores.tsv")]) == rc
+        if rc:
+            assert capsys.readouterr().err == (
+                f"error: {summary}:6: column {column!r} is NaN: {value!r}\n")
+
+
+# what a fuzzed field becomes; DUPLICATE copies the field of the same column
+# in another row (in the header, the field before it)
+DUPLICATE = "<duplicate>"
+FUZZ_VALUES = ["nan", "inf", "-inf", "", DUPLICATE, "-1", "1e200", "-1e308"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """A valid genotype TSV (n = 60, p = 90, ids on both axes), a normal
+    phenotype TSV of its samples and the summary TSV of its scan."""
+    d = tmp_path_factory.mktemp("fuzz")
+    G = gen_genotypes(60, 90, seed=3)
+    samples = [f"s{i}" for i in range(G.n)]
+    lines = ["\t".join(["sample_id", *(f"rs{j}" for j in range(G.p))])]
+    lines += ["\t".join([s, *map(str, row)]) for s, row in zip(samples, G.codes)]
+    paths = {name: str(d / f"{name}.tsv") for name in ("geno", "pheno", "summary")}
+    with open(paths["geno"], "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    y = np.random.default_rng(3).standard_normal(G.n)
+    io_files.write_phenotype_tsv(paths["pheno"], y, samples)
+    io_files.write_summary_tsv(paths["summary"],
+                               marginal_gwas(io_files.read_genotypes(paths["geno"]), y))
+    return paths
+
+
+def _changed(text: str, row: int, col: int, value: str) -> str:
+    lines = text.splitlines()
+    row %= len(lines)
+    fields = lines[row].split("\t")
+    col %= len(fields)
+    if value == DUPLICATE:
+        other = lines[1 + row % (len(lines) - 1)].split("\t") if row else fields
+        value = other[col - 1] if not row else other[col]
+    fields[col] = value
+    lines[row] = "\t".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+def _written(path: str, columns) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n").split("\t")
+        rows = [line.rstrip("\n").split("\t") for line in fh if line.strip()]
+    return {c: np.array([float(r[header.index(c)]) for r in rows]) for c in columns}
+
+
+class TestFuzzedInputs:
+    """One field of a valid genotype, phenotype or summary TSV changed to a
+    hostile value: each of ``gwas``, ``score``, ``score --rule pvalue`` and
+    ``estimate`` exits 0, 2, 3 or 4 and raises nothing; one that exits 0
+    writes only finite numbers, and p-values in (0, 1]."""
+
+    @given(st.sampled_from(["geno", "pheno", "summary"]), st.integers(0, 90),
+           st.integers(0, 90), st.sampled_from(FUZZ_VALUES))
+    @example("pheno", 8, 1, "1e200")
+    @example("pheno", 8, 1, "-1e308")
+    @example("summary", 5, 1, "-1e308")
+    @example("summary", 5, 2, "nan")
+    @settings(max_examples=60, deadline=None)
+    def test_one_changed_field(self, fuzz_files, which, row, col, value):
+        with tempfile.TemporaryDirectory() as d:
+            paths = {}
+            for name, path in fuzz_files.items():
+                text = open(path, encoding="utf-8").read()
+                paths[name] = os.path.join(d, f"{name}.tsv")
+                with open(paths[name], "w", encoding="utf-8") as fh:
+                    fh.write(_changed(text, row, col, value) if name == which else text)
+            out = {name: os.path.join(d, f"{name}.out") for name in
+                   ("gwas", "score", "screened", "estimate")}
+            scored = ["score", "--genotypes", paths["geno"], "--summary", paths["summary"]]
+            commands = {
+                "gwas": (["gwas", "--genotypes", paths["geno"], "--phenotype", paths["pheno"]],
+                         ("effect", "se", "tstat", "pvalue", "n")),
+                "score": (scored, ("score",)),
+                "screened": (scored + ["--rule", "pvalue", "--cutoff", "0.05"], ("score",)),
+                "estimate": (["estimate", "--case", "ae", "--target-geno", paths["geno"],
+                              "--target-pheno", paths["pheno"], "--summary-a", paths["summary"],
+                              "--n1", "60", "--n3", "60", "--p", "90", "--h2a", "0.5",
+                              "--h2e", "0.5"], ("raw", "factor", "corrected")),
+            }
+            for name, (argv, columns) in commands.items():
+                rc = main(argv + ["--out", out[name]])
+                assert rc in (0, 2, 3, 4), (name, rc)
+                if rc == 0:
+                    written = _written(out[name], columns)
+                    for column, values in written.items():
+                        assert np.all(np.isfinite(values)), (name, column)
+                    if "pvalue" in written:
+                        assert np.all((written["pvalue"] > 0) & (written["pvalue"] <= 1))
+
+
 class TestMomentsCommand:
     def test_single_tag_report(self, tmp_path, capsys):
         out = str(tmp_path / "report.tsv")
@@ -378,8 +543,10 @@ class TestSimulateCommand:
         ("fig3_screening", "sparsity_grid=5", "point mp=5: m_alpha must lie in [0, p]"),
         ("fig4_overlap", "rho_eps=3", "rho_eps must lie in [-1, 1]"),
         ("fig1_gwas_properties", "sigma2=-1", "point mp=0.02: sigma2_alpha must be positive"),
+        ("fig4_overlap", "overlap_cases=ii\nn2=1",
+         "point phi=0.5: overlap case ii needs at least 2 discovery samples in n2 + n_s"),
     ], ids=["h2_nan", "sigma2_negative", "phi_2", "m_above_p", "threshold_nan",
-            "sparsity_5", "fig4_rho_eps_3", "fig1_sigma2_negative"])
+            "sparsity_5", "fig4_rho_eps_3", "fig1_sigma2_negative", "fig4_case_ii_n2_1"])
     def test_out_of_domain_config_is_usage_error_before_any_task(self, tmp_path, capsys,
                                                                  monkeypatch, scenario, line,
                                                                  message):

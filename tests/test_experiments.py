@@ -24,7 +24,9 @@ from crosstrait.experiments import (
     resolve_workers,
     run,
 )
-from crosstrait.gwas import marginal_gwas, threshold_select
+from crosstrait.estimators import DesignMeta
+from crosstrait.gwas import marginal_gwas
+from crosstrait.moments import INDEP_TAGS, monte_carlo_check_many
 from crosstrait.prs import ScreenRule, score
 from crosstrait.synth import CohortSizes, TraitArchitecture, gen_independent_cohorts
 from tables import read_aggregates, read_replicates
@@ -284,7 +286,8 @@ class TestThreadPool:
         assert 0 in started and len(started) < 10, started
 
     @pytest.mark.parametrize("scenario, labels", [("fig2_all_snp", "XZW"),
-                                                  ("fig3_screening", "XW")])
+                                                  ("fig3_screening", "XW"),
+                                                  ("moments_indep", "XZW")])
     def test_one_cohort_held_at_a_time(self, monkeypatch, scenario, labels):
         # every cohort drawn before is gone when the next one is drawn
         drawn, live_at_draw = [], []
@@ -297,8 +300,17 @@ class TestThreadPool:
             return out
 
         monkeypatch.setattr(synth, "_gen_cohort", tracked)
-        run(tiny_fig2(scenario=scenario, sparsity_grid=(0.1,), replicates=2), workers=1)
-        assert "".join(label for label, _ in drawn) == labels * 2
+        if scenario == "moments_indep":
+            monkeypatch.setenv(WORKERS_ENV, "1")
+            arch = TraitArchitecture.shared_causal(120, 30, phi=0.5, h2=0.8)
+            meta = DesignMeta(case_tag="indep_ae", p=120, n1=100, n2=100, n3=100,
+                              h2_alpha=0.8, h2_beta=0.8, h2_eta=0.8)
+            monte_carlo_check_many(list(INDEP_TAGS), arch, meta, replicates=30, seed=1)
+            reps = 30
+        else:
+            run(tiny_fig2(scenario=scenario, sparsity_grid=(0.1,), replicates=2), workers=1)
+            reps = 2
+        assert "".join(label for label, _ in drawn) == labels * reps
         assert live_at_draw == [0] * len(drawn)
 
     @pytest.mark.parametrize("scenario", ["fig2_all_snp", "fig3_screening"])
@@ -509,25 +521,21 @@ class TestLadder:
                                     traits=("alpha", "eta"))
         return b, marginal_gwas(b.disc_alpha, b.y_alpha.y)
 
-    def test_bins_give_the_threshold_selection(self):
-        _, stats = self._screened(200, 300, 0.05, seed=3)
-        # unsorted, repeated cutoffs, two of them equal to a p-value
-        ties = sorted(stats.pvalue)[::97][:2]
-        thresholds = (0.05, 1.0, ties[1], 1e-8, 0.05, ties[0], 0.3)
-        cuts = np.unique(thresholds)
-        bins = experiments._pvalue_bins(stats.pvalue, cuts)
-        for thr in thresholds:
-            r = int(np.searchsorted(cuts, thr))
-            got = np.sort(np.concatenate(bins[: r + 1]))
-            sel = threshold_select(stats, ScreenRule("pvalue_cutoff", thr))
-            assert np.array_equal(got, sel.indices)
-
-    @pytest.mark.parametrize("sparsity", [0.01, 0.8])
-    def test_ladder_matches_per_rung_score(self, sparsity):
+    @pytest.mark.parametrize("sparsity, cutoffs", [
+        pytest.param(0.01, "default", id="0.01"),
+        pytest.param(0.8, "default", id="0.8"),
+        pytest.param(0.05, "unsorted_repeated_ties", id="0.05-unsorted_repeated_ties"),
+    ])
+    def test_ladder_matches_per_rung_score(self, sparsity, cutoffs):
         b, stats = self._screened(2000, 2000, sparsity, seed=7)
-        ladder = experiments._ladder_scores(b.target, stats, experiments.DEFAULT_THRESHOLDS)
-        assert set(ladder) == set(experiments.DEFAULT_THRESHOLDS)
-        for thr in experiments.DEFAULT_THRESHOLDS:
+        thresholds = experiments.DEFAULT_THRESHOLDS
+        if cutoffs == "unsorted_repeated_ties":
+            # unsorted, repeated cutoffs, two of them equal to a p-value
+            ties = sorted(stats.pvalue)[::97][:2]
+            thresholds = (0.05, 1.0, ties[1], 1e-8, 0.05, ties[0], 0.3)
+        ladder = experiments._ladder_scores(b.target, stats, thresholds)
+        assert set(ladder) == set(thresholds)
+        for thr in thresholds:
             want = score(b.target, stats, ScreenRule("pvalue_cutoff", thr)).scores
             got = ladder[thr]
             scale = np.abs(want).max()

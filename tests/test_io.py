@@ -145,19 +145,21 @@ doubles = st.floats(allow_nan=False) | st.just(float("nan"))
 @settings(max_examples=60, deadline=None)
 def test_write_read_round_trip_bitwise(xs):
     v = np.array(xs + SPECIAL)
-    # summary effects and phenotype values are finite and p-values lie in
-    # (0, 1], as their readers require; se, tstat and scores take any double
+    # summary effects and phenotype values are finite, se and tstat not NaN,
+    # and p-values lie in (0, 1], as their readers require; scores take any
+    # double
     finite = np.resize(v[np.isfinite(v)], v.size)
+    number = np.resize(v[~np.isnan(v)], v.size)
     pvalue = np.abs(finite)
     pvalue = np.resize(np.append(pvalue[(pvalue > 0.0) & (pvalue <= 1.0)], 1.0), v.size)
     with tempfile.TemporaryDirectory() as d:
         path = f"{d}/t.tsv"
         io_files.write_summary_tsv(path, SummaryStats(
-            snp_id=np.array([f"rs{j}" for j in range(v.size)]), effect=finite, se=v[::-1].copy(),
-            tstat=np.roll(v, 1), pvalue=pvalue, n=17))
+            snp_id=np.array([f"rs{j}" for j in range(v.size)]), effect=finite,
+            se=number[::-1].copy(), tstat=np.roll(number, 1), pvalue=pvalue, n=17))
         back = io_files.read_summary_tsv(path)
-        for got, want in ((back.effect, finite), (back.se, v[::-1]), (back.tstat, np.roll(v, 1)),
-                          (back.pvalue, pvalue)):
+        for got, want in ((back.effect, finite), (back.se, number[::-1]),
+                          (back.tstat, np.roll(number, 1)), (back.pvalue, pvalue)):
             assert np.array_equal(bits(got), bits(want))
         assert back.n == 17
 
@@ -466,8 +468,10 @@ class TestTableChunks:
     def test_write_at_any_chunk_size_round_trips(self, xs, chunk):
         v = np.array(xs)
         finite = np.resize(np.append(v[np.isfinite(v)], 0.5), v.size)
+        number = np.resize(np.append(v[~np.isnan(v)], 0.5), v.size)  # se and tstat
         stats = SummaryStats(snp_id=np.array([f"rs{j}" for j in range(v.size)]), effect=finite,
-                             se=v, tstat=v[::-1].copy(), pvalue=np.full(v.size, 0.5), n=9)
+                             se=number, tstat=number[::-1].copy(), pvalue=np.full(v.size, 0.5),
+                             n=9)
         rows = [ReplicateRow("s", "pt", "G", i, x, x, x, "ok") for i, x in enumerate(xs)]
         writes = ((io_files.write_summary_tsv, stats), (io_files.write_phenotype_tsv, finite),
                   (io_files.write_scores_tsv, v), (io_files.write_replicates_tsv, rows))
@@ -480,7 +484,8 @@ class TestTableChunks:
                     assert (open(f"{d}/chunked.tsv", "rb").read()
                             == open(f"{d}/{i}.tsv", "rb").read())
                 back = io_files.read_summary_tsv(f"{d}/0.tsv")
-                for got, want in ((back.effect, finite), (back.se, v), (back.tstat, v[::-1])):
+                for got, want in ((back.effect, finite), (back.se, number),
+                                  (back.tstat, number[::-1])):
                     assert bitwise_equal(got, want)
                 assert bitwise_equal(io_files.read_phenotype_tsv(f"{d}/1.tsv")[0], finite)
 

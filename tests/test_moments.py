@@ -5,8 +5,10 @@ import sys
 import numpy as np
 import pytest
 
+from crosstrait import moments
 from crosstrait.errors import ParameterError
 from crosstrait.estimators import DesignMeta, ScreenCounts
+from crosstrait.experiments import WORKERS_ENV
 from crosstrait.moments import (
     ALL_TAGS,
     INDEP_TAGS,
@@ -222,6 +224,39 @@ def test_monte_carlo_bits_pinned(family):
                                      **FAMILY_KWARGS.get(family, {}))
     got = {r.quantity_tag: (r.predicted.hex(), r.empirical_mean.hex()) for r in reports}
     assert got == PINNED_HEX[family]
+
+
+class TestRunner:
+    ARCH = TraitArchitecture.shared_causal(80, 16, phi=0.6, h2=0.8)
+    META = DesignMeta(case_tag="indep_ae", p=80, n1=40, n2=30, n3=35, n_s=10,
+                      h2_alpha=0.8, h2_beta=0.8, h2_eta=0.8, h_alpha_eta=0.9, h_alpha_beta=0.9)
+    TAGS = ["cov_ae_num", "summary_ab_num", "screened_var_alpha_den", "overlap_i_cov_ae_num",
+            "overlap_ii_var_beta_den"]
+
+    def test_same_bits_at_one_and_two_workers(self, monkeypatch):
+        got = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv(WORKERS_ENV, workers)
+            reports = monte_carlo_check_many(self.TAGS, self.ARCH, self.META, 30, 5,
+                                             rho_eps=0.3, selection=(6, 10, 5, 8))
+            got.append([(r.quantity_tag, r.empirical_mean.hex(), r.empirical_se.hex())
+                        for r in reports])
+        assert got[0] == got[1]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_a_family_that_raises_propagates(self, monkeypatch, workers):
+        simulate = moments._simulate_family
+
+        def buggy(family, *args):
+            if family == "overlap_i":
+                raise RuntimeError("bug in a family")
+            return simulate(family, *args)
+
+        monkeypatch.setenv(WORKERS_ENV, workers)
+        monkeypatch.setattr(moments, "_simulate_family", buggy)
+        with pytest.raises(RuntimeError, match="bug in a family"):
+            monte_carlo_check_many(self.TAGS, self.ARCH, self.META, 30, 5,
+                                   rho_eps=0.3, selection=(6, 10, 5, 8))
 
 
 MOMENT_BITS = """
