@@ -8,11 +8,12 @@ its lines, then ``float`` over each number column) and written from one row
 template, so no Python call runs per field and no more than one chunk of
 text, and of the Python objects of its fields, is alive at once.  Genotypes
 have a compact binary container (2 bits per code, decoded two bytes per table
-lookup) for large runs, whose codes stay packed in memory and are decoded one
-column block at a time, and a plain-TSV fallback for small fixtures, read one
-line at a time into a preallocated code matrix.  A container is written one
-row tile at a time, so the writer holds tile-sized memory beside the codes;
-codes outside {0, 1, 2} are refused, not written.  All writes go through a
+lookup) for large runs, whose codes stay in the file and are read one row
+tile at a time, each tile decoded one column block at a time, and a
+plain-TSV fallback for small fixtures, read one line at a time into a
+preallocated code matrix.  A container is written one row tile at a time,
+so the writer holds tile-sized memory beside the codes; codes outside
+{0, 1, 2} are refused, not written.  All writes go through a
 temp-file-then-rename so partially written outputs never appear under the
 final name.  Repeated SNP or sample ids are refused when a file is read.
 """
@@ -41,6 +42,8 @@ from .synth import GenotypeMatrix, default_snp_ids
 
 GENO_MAGIC = b"XTGT"
 GENO_VERSION = 1
+# magic, then <u4 version, <u8 n and <u8 p
+_GENO_HEADER_BYTES = 24
 
 # the four 2-bit codes of every byte value, low bits first, read as one <u4
 # per byte
@@ -58,8 +61,10 @@ def _unpack_pair_lut() -> np.ndarray:
     return ((lut[:, None] << 32) | lut[None, :]).ravel()
 
 
-# rows per decoded tile: their intp indices and <u8 lookups take about 512 KiB,
-# so a tile stays in cache and no index array of the whole matrix is built
+# bytes of a tile: the decoder's rows, whose intp indices and <u8 lookups take
+# about 512 KiB, so a tile stays in cache and no index array of the whole
+# matrix is built; the writer's rows of codes; and the rows of packed codes
+# that a container's reader reads from the file at once
 _UNPACK_TILE_BYTES = 1 << 19
 
 # characters of a table read per chunk; a written chunk holds this many
@@ -99,6 +104,12 @@ def atomic_write_text(path: str, text: str) -> None:
 
 def _floats(col: list[str]) -> np.ndarray:
     return np.array(list(map(float, col)))
+
+
+def _strs(col: list[str]) -> np.ndarray:
+    """A str array of a column; ``dtype=str`` keeps an empty chunk from
+    promoting the joined column to float."""
+    return np.array(col, dtype=str)
 
 
 def _finite(col: list[str]) -> np.ndarray:
@@ -178,14 +189,14 @@ def _read_columns(path: str, header: list[str], parse: dict) -> list:
     """The columns of a tab-separated table whose first line is ``header``.
 
     Blank lines are skipped.  Column ``j`` is a list of strings, or
-    ``parse[j](strings)`` for the columns in ``parse``, whose functions parse
-    with ``float``, return an array or a list, and raise ``ValueError`` for a
-    value they refuse.  The table is read ``_TABLE_CHUNK_CHARS`` characters
-    of whole lines at a time; each chunk is split and parsed alone, and the
-    chunks of each column are joined at the end.  A line with the wrong
-    number of fields, or with a value in a ``parse`` column that is not a
-    number or is refused, raises ``DataFormatError`` naming the first such
-    line.
+    ``parse[j](strings)`` for the columns in ``parse``, whose functions
+    return an array or a list, and raise ``ValueError`` for a value they
+    refuse (or, parsing with ``float``, for one that is not a number).  The
+    table is read ``_TABLE_CHUNK_CHARS`` characters of whole lines at a
+    time; each chunk is split and parsed alone, and the chunks of each
+    column are joined at the end.  A line with the wrong number of fields,
+    or with a value in a ``parse`` column that is not a number or is
+    refused, raises ``DataFormatError`` naming the first such line.
     """
     k = len(header)
     parts = [[] for _ in range(k)]
@@ -236,14 +247,13 @@ def _raise_first_fault(path: str, header: list[str], parse: dict, start: int = 2
                 )
             for j, fn in parse.items():
                 try:
-                    float(fields[j])
-                except ValueError:
-                    raise DataFormatError(
-                        f"{path}:{lineno}: column {header[j]!r} is not a number: {fields[j]!r}"
-                    ) from None
-                try:
                     fn([fields[j]])
                 except ValueError as exc:
+                    try:
+                        float(fields[j])
+                    except ValueError:
+                        raise DataFormatError(f"{path}:{lineno}: column {header[j]!r} "
+                                              f"is not a number: {fields[j]!r}") from None
                     raise DataFormatError(
                         f"{path}:{lineno}: column {header[j]!r} {exc}: {fields[j]!r}"
                     ) from None
@@ -294,14 +304,13 @@ def read_summary_tsv(path: str) -> SummaryStats:
     but not NaN.  A repeated ``snp_id`` is refused."""
     ids, effect, se, tstat, pvalue, ns = _read_columns(
         path, SUMMARY_HEADER,
-        {1: _finite, 2: _not_nan, 3: _not_nan, 4: _pvalues, 5: _ints(1)})
-    if not ids:
+        {0: _strs, 1: _finite, 2: _not_nan, 3: _not_nan, 4: _pvalues, 5: _ints(1)})
+    if not len(ids):
         raise DataFormatError(f"{path}:2: no data rows")
     if ns.count(ns[0]) != len(ns):
         row = next(i for i, n in enumerate(ns) if n != ns[0])
         raise DataFormatError(f"{path}:{_line_of_row(path, row)}: column 'n' is {ns[row]}, "
                               f"but {ns[0]} on the first row")
-    ids = np.array(ids)
     _refuse_repeats(path, ids, "snp_id")
     return SummaryStats(
         snp_id=ids,
@@ -405,8 +414,8 @@ def unpack_codes(packed: np.ndarray, p: int) -> np.ndarray:
 
 
 class PackedCodes:
-    """The (n, p) codes of a container, kept 2-bit packed as ``pack_codes``
-    writes them: n * ceil(p / 4) bytes.
+    """(n, p) codes kept 2-bit packed as ``pack_codes`` writes them: an (n,
+    ceil(p / 4)) uint8 array.  The row tiles of a container are these.
 
     Codes are decoded only by the two reads the kernels make, each of which
     returns a fresh uint8 block: ``codes[:, a:b]`` decodes the bytes that
@@ -446,23 +455,73 @@ class PackedCodes:
         return codes if dtype is None else codes.astype(dtype, copy=False)
 
 
+def _stamp(fh) -> tuple:
+    """What identifies the contents of an open file: its device, inode, size
+    and modification time."""
+    st = os.fstat(fh.fileno())
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+class ContainerCodes:
+    """The (n, p) codes of a container file, read from the file one row tile
+    at a time; nothing of them is held between reads.
+
+    ``row_tiles()`` opens the file and yields ``(first row, PackedCodes)``
+    for each tile of about ``_UNPACK_TILE_BYTES`` packed bytes of whole rows,
+    each read into one buffer that the next tile overwrites.  A file whose
+    stamp (``_stamp``) is not the one it had when it was read is refused
+    with ``DataFormatError``, so codes that changed since their check for
+    3s are never decoded.  ``np.asarray(codes)`` decodes the whole matrix.
+    """
+
+    def __init__(self, path: str, n: int, p: int, stamp: tuple):
+        self.path = path
+        self.shape = (n, p)
+        self.stamp = stamp
+
+    def row_tiles(self):
+        n, p = self.shape
+        row_bytes = -(-p // 4)
+        rows = max(1, _UNPACK_TILE_BYTES // max(row_bytes, 1))
+        with open(self.path, "rb") as fh:
+            if _stamp(fh) != self.stamp:
+                raise DataFormatError(f"{self.path}: container changed since it was read")
+            fh.seek(_GENO_HEADER_BYTES)
+            buf = np.empty((min(rows, n), row_bytes), dtype=np.uint8)
+            for r in range(0, n, rows):
+                tile = buf[:min(rows, n - r)]
+                if fh.readinto(tile) != tile.nbytes:
+                    raise DataFormatError(f"{self.path}: container changed since it was read")
+                yield r, PackedCodes(tile, p)
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("decoding packed codes makes a copy")
+        codes = np.empty(self.shape, dtype=np.uint8)
+        for r, tile in self.row_tiles():
+            codes[r:r + tile.shape[0]] = np.asarray(tile)
+        return codes if dtype is None else codes.astype(dtype, copy=False)
+
+
 def write_genotype_bin(path: str, G: GenotypeMatrix) -> None:
     """Write ``G`` as a container: the header, the packed codes, then the
     maf, col_mean and col_sd vectors.
 
     The codes are checked and packed one tile of about
-    ``_UNPACK_TILE_BYTES`` codes at a time and written straight to the file,
-    so the writer holds one packed tile beside the codes (for ``PackedCodes``
-    also the tile's decoded codes).  A code outside {0, 1, 2} is refused with
-    ``ParameterError``, and nothing appears under ``path``.
+    ``_UNPACK_TILE_BYTES`` codes at a time (for ``ContainerCodes`` one of its
+    row tiles, decoded) and written straight to the file, so the writer
+    holds one tile beside the codes.  A code outside {0, 1, 2} is refused
+    with ``ParameterError``, and nothing appears under ``path``.
     """
     codes = G.codes
-    packed = codes.packed if isinstance(codes, PackedCodes) else None
-    rows = max(1, _UNPACK_TILE_BYTES // max(G.p, 1))
+    if isinstance(codes, ContainerCodes):
+        tiles = (np.asarray(tile) for _, tile in codes.row_tiles())
+    else:
+        rows = max(1, _UNPACK_TILE_BYTES // max(G.p, 1))
+        tiles = (codes[r:r + rows] for r in range(0, G.n, rows))
     with _atomic_file(path) as fh:
         fh.write(GENO_MAGIC + struct.pack("<IQQ", GENO_VERSION, G.n, G.p))
-        for r in range(0, G.n, rows):
-            tile = codes[r:r + rows] if packed is None else unpack_codes(packed[r:r + rows], G.p)
+        for tile in tiles:
             lo, hi = tile.min(initial=0), tile.max(initial=0)
             if lo < 0 or hi > 2:
                 raise ParameterError(
@@ -473,47 +532,41 @@ def write_genotype_bin(path: str, G: GenotypeMatrix) -> None:
 
 
 def read_genotype_bin(path: str) -> GenotypeMatrix:
-    """A container's genotypes, their codes kept packed (``PackedCodes``).
+    """A container's genotypes, their codes left in the file
+    (``ContainerCodes``); only the maf, col_mean and col_sd vectors are read.
 
-    A code 3 in any of the p columns is refused here; the padding past
-    column p is not read.
+    The codes are checked here, one row tile at a time: a code 3 in any of
+    the p columns is refused; the padding past column p is not read.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != GENO_MAGIC:
-        raise DataFormatError(f"{path}: not a genotype container (bad magic)")
-    if len(data) < 24:
-        raise DataFormatError(f"{path}: truncated container header")
-    version, n, p = struct.unpack("<IQQ", data[4:24])
-    if version != GENO_VERSION:
-        raise DataFormatError(f"{path}: unsupported container version {version}")
-    row_bytes = -(-p // 4)
-    expected = 24 + n * row_bytes + 3 * 8 * p
-    if len(data) != expected:
-        raise DataFormatError(
-            f"{path}: container holds {len(data)} bytes, expected {expected} for n={n}, p={p}"
-        )
-    off = 24
-    packed = np.frombuffer(data, dtype=np.uint8, count=n * row_bytes, offset=off).reshape(n, row_bytes)
-    off += n * row_bytes
-    maf = np.frombuffer(data, dtype="<f8", count=p, offset=off).copy()
-    off += 8 * p
-    mean = np.frombuffer(data, dtype="<f8", count=p, offset=off).copy()
-    off += 8 * p
-    sd = np.frombuffer(data, dtype="<f8", count=p, offset=off).copy()
+        stamp = _stamp(fh)
+        head = fh.read(_GENO_HEADER_BYTES)
+        if head[:4] != GENO_MAGIC:
+            raise DataFormatError(f"{path}: not a genotype container (bad magic)")
+        if len(head) < _GENO_HEADER_BYTES:
+            raise DataFormatError(f"{path}: truncated container header")
+        version, n, p = struct.unpack("<IQQ", head[4:])
+        if version != GENO_VERSION:
+            raise DataFormatError(f"{path}: unsupported container version {version}")
+        row_bytes = -(-p // 4)
+        expected = _GENO_HEADER_BYTES + n * row_bytes + 3 * 8 * p
+        if stamp[2] != expected:
+            raise DataFormatError(
+                f"{path}: container holds {stamp[2]} bytes, expected {expected} for n={n}, p={p}"
+            )
+        fh.seek(_GENO_HEADER_BYTES + n * row_bytes)
+        maf, mean, sd = np.fromfile(fh, dtype="<f8", count=3 * p).reshape(3, p)
+    codes = ContainerCodes(path, int(n), int(p), stamp)
     # a code is 3 when both of its bits are set; the last byte of a row
     # masks the codes past column p
     mask = np.full(row_bytes, 0x55, dtype=np.uint8)
     if p % 4:
         mask[-1] = 0x55 >> 2 * (4 - p % 4)
-    rows = max(1, _UNPACK_TILE_BYTES // max(row_bytes, 1))
-    for r in range(0, n, rows):
-        tile = packed[r:r + rows]
-        if np.any(tile & (tile >> 1) & mask):
+    for _, tile in codes.row_tiles():
+        t = tile.packed
+        if np.any(t & (t >> 1) & mask):
             raise DataFormatError(f"{path}: corrupt codes (value 3 present)")
-    return GenotypeMatrix(
-        n=int(n), p=int(p), codes=PackedCodes(packed, int(p)), maf=maf, col_mean=mean, col_sd=sd
-    )
+    return GenotypeMatrix(n=int(n), p=int(p), codes=codes, maf=maf, col_mean=mean, col_sd=sd)
 
 
 def read_genotype_tsv(path: str) -> GenotypeMatrix:

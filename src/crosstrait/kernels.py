@@ -18,15 +18,20 @@ block to float64: einsum's buffered iterator hands the ``uint8`` codes over
 a few thousand elements at a time, in cache, with the bits of an einsum over
 the converted C-ordered block.
 
-``codes`` is any (n, p) source of ``uint8`` codes that has ``shape`` and
-supports the two reads the kernels make: ``codes[:, a:b]`` and
-``codes.take(cols, axis=1)``.  A ``GenotypeMatrix`` holds a numpy array, or
-for a container ``io_files.PackedCodes``, which decodes each block from its
-2-bit packed bytes when it is read; a freshly decoded block gives the bits
-of a view of the unpacked array.  Each kernel holds one block at a time: on
-packed codes that is n * block_size bytes of decoded codes (4 MiB at n = 2000)
-beside the packed matrix, the decoder's tiles of about 1 MiB and a few
-float64 vectors of length p.
+``codes`` is an (n, p) source of ``uint8`` codes that has ``shape`` and is
+read one row tile at a time: a numpy array is one tile, and a source with a
+``row_tiles()`` method (``io_files.ContainerCodes``, the codes of a container
+file) yields ``(first row, tile)`` pairs of consecutive rows.  A tile
+supports the two reads the kernels make, ``tile[:, a:b]`` and
+``tile.take(cols, axis=1)``; a container's tiles are ``io_files.PackedCodes``,
+which decode each block from its 2-bit packed bytes when it is read, and a
+freshly decoded block gives the bits of a view of the unpacked array.  Each
+kernel walks ``for each row tile: for each column block`` and holds one
+decoded block of one tile at a time, so the results of a tiled source are
+bitwise those of the same codes as one array (see each kernel).  On a
+container a kernel holds the tile's packed rows (about
+``io_files._UNPACK_TILE_BYTES``), one decoded block of them, the decoder's
+own tiles and a few float64 vectors of length n and p, whatever n is.
 """
 
 from __future__ import annotations
@@ -93,6 +98,17 @@ def dot(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.einsum("i,i->", u, v))
 
 
+def _row_tiles(codes):
+    """``(first row, tile)`` of each row tile of ``codes``: its
+    ``row_tiles()``, or the whole array as one tile."""
+    tiles = getattr(codes, "row_tiles", None)
+    return ((0, codes),) if tiles is None else tiles()
+
+
+# rows of codes that each float64 einsum continuing the scan's sums reduces
+_SCAN_ROWS = 64
+
+
 def std_crossprod(
     codes: np.ndarray,
     col_mean: np.ndarray,
@@ -109,16 +125,46 @@ def std_crossprod(
     uint8 block goes to einsum unconverted (see the module docstring); for
     C-ordered codes, as ``GenotypeMatrix`` holds them, the bits are those of
     an einsum over the block converted to float64.
+
+    The first row tile is reduced from zero as above, so a numpy array (one
+    tile) makes one einsum per block.  A later tile continues each column's
+    sum in row order: a float64 einsum over a buffer whose row 0 is the sum
+    so far, weighted 1.0, and whose next rows are up to ``_SCAN_ROWS`` rows of
+    the tile, which adds the rows one at a time as the one einsum does.
+    einsum reduces a single column on another loop, which a later tile cannot
+    continue, so a tiled source keeps the codes of a single-column block (n
+    bytes) and reduces them whole after the last tile.
     """
     n, p = codes.shape
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (n,):
         raise ValueError(f"phenotype length {y.shape} does not match n={n}")
     ysum = y.sum()
-    out = np.empty(p, dtype=np.float64)
-    for j0 in range(0, p, block_size):
-        j1 = min(j0 + block_size, p)
-        out[j0:j1] = np.einsum("ij,i->j", codes[:, j0:j1], y)
+    out = np.zeros(p, dtype=np.float64)
+    blocks = [(j0, min(j0 + block_size, p)) for j0 in range(0, p, block_size)]
+    buf, w = np.empty((_SCAN_ROWS + 1) * min(block_size, p)), np.ones(_SCAN_ROWS + 1)
+    lone = {}  # first column -> codes of a single-column block of a tiled source
+    for r0, tile in _row_tiles(codes):
+        r1 = r0 + tile.shape[0]
+        for j0, j1 in blocks:
+            blk = tile[:, j0:j1]
+            if j1 - j0 == 1 and r1 - r0 < n:
+                if j0 not in lone:
+                    lone[j0] = np.empty((n, 1), dtype=np.uint8)
+                lone[j0][r0:r1] = blk
+            elif r0 == 0:
+                out[j0:j1] = np.einsum("ij,i->j", blk, y[:r1])
+            else:
+                for s in range(0, r1 - r0, _SCAN_ROWS):
+                    k = min(_SCAN_ROWS, r1 - r0 - s)
+                    acc = buf[:(k + 1) * (j1 - j0)].reshape(k + 1, j1 - j0)
+                    acc[0] = out[j0:j1]
+                    acc[1:] = blk[s:s + k]
+                    w[1:k + 1] = y[r0 + s:r0 + s + k]
+                    out[j0:j1] = np.einsum("ij,i->j", acc, w[:k + 1])
+            del blk  # so that the next block is not decoded while this one lives
+    for j0, col in lone.items():
+        out[j0:j0 + 1] = np.einsum("ij,i->j", col, y)
     return (out - col_mean * ysum) / col_sd
 
 
@@ -138,7 +184,9 @@ def std_matvec(
     whose columns form one ascending run is a view of the codes; any other
     block is gathered with ``take``, which is C-ordered like the view, so
     both give the same bits.  Each column of the result is bitwise equal to a
-    call with that column alone.
+    call with that column alone.  einsum reduces each row of a block on its
+    own, so the rows of a row tile get the bits of the same rows of one
+    array, and each row still adds its blocks in index order.
     """
     n, p = codes.shape
     weights = np.asarray(weights, dtype=np.float64)
@@ -151,16 +199,19 @@ def std_matvec(
     w = weights[:, None] if weights.ndim == 1 else weights
     # one contiguous row of scaled weights per score
     v = np.ascontiguousarray((w / col_sd[indices][:, None]).T)
-    out = np.zeros((n, v.shape[0]), dtype=np.float64)
+    # (first index, last index, columns, first column of a run or None)
+    blocks = []
     for k0 in range(0, len(indices), block_size):
-        k1 = min(k0 + block_size, len(indices))
-        cols = indices[k0:k1]
+        cols = indices[k0:k0 + block_size]
         a = int(cols[0])
-        if a >= 0 and np.all(np.diff(cols) == 1):
-            blk = codes[:, a : a + len(cols)]
-        else:
-            blk = codes.take(cols, axis=1)
-        out += np.einsum("ij,kj->ik", blk, v[:, k0:k1])
-        del blk  # so that the next block is not decoded while this one lives
+        run = a >= 0 and np.all(np.diff(cols) == 1)
+        blocks.append((k0, k0 + len(cols), cols, a if run else None))
+    out = np.zeros((n, v.shape[0]), dtype=np.float64)
+    for r0, tile in _row_tiles(codes):
+        rows = out[r0:r0 + tile.shape[0]]
+        for k0, k1, cols, a in blocks:
+            blk = tile.take(cols, axis=1) if a is None else tile[:, a:a + k1 - k0]
+            rows += np.einsum("ij,kj->ik", blk, v[:, k0:k1])
+            del blk  # so that the next block is not decoded while this one lives
     out -= np.einsum("kj,j->k", v, col_mean[indices])
     return out[:, 0] if weights.ndim == 1 else out

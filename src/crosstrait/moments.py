@@ -52,7 +52,7 @@ import numpy as np
 from . import kernels
 from .errors import ParameterError
 from .estimators import DesignMeta, ScreenCounts
-from .experiments import _map_tasks, resolve_workers
+from .experiments import _COHORT_ROLES, _map_tasks, resolve_workers
 from .rng import substream
 from .synth import (
     CohortSizes,
@@ -82,6 +82,32 @@ OVERLAP_I_TAGS = ("overlap_i_cov_ae_num", "overlap_i_var_alpha_den", "overlap_i_
 OVERLAP_II_TAGS = ("overlap_ii_cov_ab_num", "overlap_ii_var_alpha_den", "overlap_ii_var_beta_den")
 ALL_TAGS = INDEP_TAGS + SCREENED_TAGS + OVERLAP_I_TAGS + OVERLAP_II_TAGS
 Z_THRESHOLD = 4.0
+
+# the cohort-size fields of the cohorts each tag's family draws, with the
+# least size of each (as in ``experiments.Scenario.cohorts``); an independent
+# family always scans the alpha discovery cohort, and draws the beta one (n2)
+# only for a tag that needs it
+_ALPHA_ETA = {"n1": 2, "n3": 2}
+_ALPHA_BETA_ETA = {"n1": 2, "n2": 2, "n3": 2}
+TAG_COHORTS = {
+    "cov_ae_num": _ALPHA_ETA,
+    "var_alpha_den": _ALPHA_ETA,
+    "var_eta_den": _ALPHA_ETA,
+    "cov_ab_num": _ALPHA_BETA_ETA,
+    "var_beta_den": _ALPHA_BETA_ETA,
+    "summary_ab_num": {"n1": 2, "n2": 2},
+    "summary_alpha_den": {"n1": 2},
+    "summary_beta_den": {"n1": 2, "n2": 2},
+    "screened_cov_ae_num": _ALPHA_ETA,
+    "screened_var_alpha_den": _ALPHA_ETA,
+    "screened_cov_ab_num": _ALPHA_BETA_ETA,
+    "screened_var_beta_den": _ALPHA_BETA_ETA,
+    **dict.fromkeys(OVERLAP_I_TAGS, _ALPHA_ETA),
+    **dict.fromkeys(OVERLAP_II_TAGS, _ALPHA_BETA_ETA),
+}
+# the fields of the cohorts of an overlap family that also hold the n_s
+# shared samples; their sizes count them
+_SHARED_COHORTS = {"overlap_i": ("n1", "n3"), "overlap_ii": ("n1", "n2")}
 
 
 @dataclass
@@ -288,10 +314,10 @@ def _simulate_family(
     column is bitwise equal to its single-vector score.  Every inner product
     is a ``kernels.dot``, so no BLAS thread count moves a bit.
     """
-    sizes = CohortSizes(n1=meta.n1, n2=meta.n2 or 0, n3=meta.n3 or 0)
+    sizes = CohortSizes(**{f: n for f, n in _drawn_sizes(tags, meta).items() if f != "n_s"})
     out: dict[str, float] = {}
     if family in ("indep", "screened"):
-        need_beta = any("ab" in t or "beta" in t for t in tags)
+        need_beta = any("n2" in TAG_COHORTS[t] for t in tags)
         traits = ("alpha", "beta", "eta") if need_beta else ("alpha", "eta")
         b, scans = scan_independent_cohorts(arch, sizes, rep_seed, traits, _scan)
         W, t_a, t_b = b.target, scans["alpha"], scans.get("beta")
@@ -343,6 +369,31 @@ def _simulate_family(
     return out
 
 
+def _drawn_sizes(tags: list[str], meta: DesignMeta) -> dict:
+    """The size of each cohort block that the family of ``tags`` draws: the
+    fields of their ``TAG_COHORTS``, and n_s in an overlap family."""
+    fields = {f for t in tags for f in TAG_COHORTS[t]}
+    if _family_of(tags[0]) in _SHARED_COHORTS:
+        fields.add("n_s")
+    return {f: getattr(meta, f) or 0 for f in sorted(fields)}
+
+
+def _refuse_short_cohorts(tag: str, meta: DesignMeta) -> None:
+    """Refuse a design in which a cohort that ``tag`` needs holds fewer than
+    its least size, counting the n_s shared samples of an overlap cohort, or
+    in which a block it draws holds 1 sample, whose every column is
+    monomorphic."""
+    shared = _SHARED_COHORTS.get(_family_of(tag), ())
+    short = []
+    for f, size in _drawn_sizes([tag], meta).items():
+        if size + (meta.n_s if f in shared else 0) < TAG_COHORTS[tag].get(f, 0):
+            short.append(_COHORT_ROLES[f] + (" with the n_s shared samples" if f in shared else ""))
+        elif size == 1:
+            short.append(f"{_COHORT_ROLES.get(f, 'shared (n_s)')} block of 1 sample")
+    if short:
+        raise ParameterError(f"{tag} needs cohorts of at least 2 samples: " + ", ".join(short))
+
+
 def _family_of(tag: str) -> str:
     if tag in INDEP_TAGS:
         return "indep"
@@ -380,12 +431,16 @@ def monte_carlo_check_many(
     for t in tags:
         if t not in ALL_TAGS:
             raise ParameterError(f"unsupported quantity tag {t!r}")
+        _refuse_short_cohorts(t, meta)
 
     sel_a = sel_b = None
     if any(_family_of(t) == "screened" for t in tags):
         if selection is None:
             raise ParameterError("screened tags need selection=(q_a1, q_a2, q_b1, q_b2)")
         screen, sel_a, sel_b = screen_counts_for_fixed_selection(arch, *selection)
+        beta = [t for t in tags if _family_of(t) == "screened" and "n2" in TAG_COHORTS[t]]
+        if beta and not sel_b.shape[0]:
+            raise ParameterError(f"{beta[0]} needs a beta selection (q_b1 + q_b2 > 0)")
 
     # error cross-covariance implied by rho_eps, for the overlap predictions
     sd_ea = np.sqrt(arch.sigma2_eps("alpha"))

@@ -44,9 +44,11 @@ class GenotypeMatrix:
     """SNP codes plus the statistics of their standardized view.
 
     ``codes`` holds the (n, p) uint8 allele counts: a numpy array, or for
-    genotypes read from a container an ``io_files.PackedCodes``, which keeps
-    them 2-bit packed and decodes the column blocks the kernels read
-    (``np.asarray`` gives the dense array); ``col_mean`` /
+    genotypes read from a container an ``io_files.ContainerCodes``, which
+    leaves them in the file and serves the kernels one row tile of packed
+    codes at a time (a tile source; see ``kernels``), so a kernel holds a
+    tile and one decoded block of it, whatever n is (``np.asarray`` gives
+    the dense array); ``col_mean`` /
     ``col_sd`` use the population-style 1/n divisor so that the standardized
     columns have exact unit sample variance (see kernels.column_stats).
     ``maf`` holds the generating minor allele frequencies (or the sample

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crosstrait import experiments, io_files
+from crosstrait import experiments, io_files, moments
 from crosstrait.cli import build_parser, main
 from crosstrait.gwas import marginal_gwas
 from crosstrait.synth import (
@@ -441,7 +441,64 @@ class TestFuzzedInputs:
                         assert np.all((written["pvalue"] > 0) & (written["pvalue"] <= 1))
 
 
+# every cohort size valid for every tag; n1 + ns = 50 and n2 + ns = 50
+MOMENT_SIZES = {"--n1": "40", "--n2": "40", "--n3": "40", "--ns": "10"}
+
+
+def moments_argv(tag, sizes):
+    argv = ["moments", "--tag", tag, "--p", "60", "--m", "10", "--replicates", "30",
+            "--seed", "1"]
+    if tag in moments.SCREENED_TAGS:
+        argv += ["--q-a1", "3", "--q-a2", "3", "--q-b1", "3", "--q-b2", "3"]
+    return argv + [x for flag, size in sizes.items() for x in (flag, size)]
+
+
+class TestFuzzedMomentSizes:
+    """``moments`` with one cohort size omitted, 0 or 1 either runs or is
+    refused as a usage error (exit 2, or argparse's exit for a missing
+    ``--n1``) before any task; it raises nothing."""
+
+    @given(st.sampled_from(moments.ALL_TAGS), st.sampled_from(sorted(MOMENT_SIZES)),
+           st.sampled_from([None, "0", "1"]))
+    @settings(max_examples=60, deadline=None)
+    def test_one_size_changed(self, tag, flag, size):
+        sizes = dict(MOMENT_SIZES)
+        if size is None:
+            del sizes[flag]
+        else:
+            sizes[flag] = size
+        try:
+            rc = main(moments_argv(tag, sizes))
+        except SystemExit as exc:  # argparse: --n1 is required
+            rc = exc.code
+        assert rc in (0, 2), (tag, flag, size, rc)
+
+
 class TestMomentsCommand:
+    @pytest.mark.parametrize("tag,sizes,missing", [
+        ("cov_ab_num", {"--n1": "100", "--n3": "100"}, "discovery (n2)"),
+        ("cov_ae_num", {"--n1": "100"}, "target (n3)"),
+        ("var_eta_den", {"--n1": "0", "--n3": "100"}, "discovery (n1)"),
+        ("summary_beta_den", {"--n1": "100", "--n2": "1"}, "discovery (n2)"),
+        ("screened_var_beta_den", {"--n1": "100", "--n2": "100"}, "target (n3)"),
+        ("overlap_i_cov_ae_num", {"--n1": "100", "--ns": "1"},
+         "target (n3) with the n_s shared samples, shared (n_s) block of 1 sample"),
+        ("overlap_ii_cov_ab_num", {"--n1": "1", "--n2": "100", "--ns": "20"},
+         "discovery (n1) block of 1 sample, target (n3)"),
+    ])
+    def test_missing_cohort_is_a_usage_error(self, capsys, tag, sizes, missing):
+        assert main(moments_argv(tag, sizes)) == 2
+        assert capsys.readouterr().err == (
+            f"error: {tag} needs cohorts of at least 2 samples: {missing}\n")
+
+    def test_screened_beta_tag_without_a_beta_selection_is_a_usage_error(self, capsys):
+        argv = ["moments", "--tag", "screened_cov_ab_num", "--n1", "100", "--n2", "100",
+                "--n3", "100", "--p", "60", "--m", "10", "--replicates", "30",
+                "--q-a1", "3", "--q-a2", "3"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: screened_cov_ab_num needs a beta selection (q_b1 + q_b2 > 0)\n")
+
     def test_single_tag_report(self, tmp_path, capsys):
         out = str(tmp_path / "report.tsv")
         rc = main(["moments", "--tag", "cov_ae_num", "--n1", "150", "--n3", "150",

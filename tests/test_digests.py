@@ -4,16 +4,38 @@ files of one ``gwas -> score -> estimate`` run through the CLI.
 Any change to an RNG stream, a kernel's rounding or the TSV format changes
 a digest; a change that must keep every byte keeps all of them, with one
 worker and with two.  The digests are the first 16 hex digits of sha256.
+They hold on the numpy stack they were verified on; a digest that fails
+names that stack and the running one, whose einsum loops may round
+otherwise.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from crosstrait import io_files
 from crosstrait.cli import main
 from crosstrait.experiments import ExperimentConfig, run
 from crosstrait.synth import CohortSizes, TraitArchitecture, gen_independent_cohorts
+
+# numpy version and SIMD baseline the digests were verified on, as the
+# README states them
+VERIFIED_STACK = ("2.4.6", ["X86_V2"])
+
+
+def running_stack():
+    """numpy's version and the SIMD baseline it was compiled for."""
+    simd = getattr(np.__config__, "CONFIG", {}).get("SIMD Extensions", {})
+    return np.__version__, simd.get("baseline") or ["unknown"]
+
+
+def assert_digests(got, want):
+    """``got == want``, or a failure naming the verified and running stacks."""
+    stacks = (f"numpy {v} (SIMD baseline {' '.join(b)})"
+              for v, b in (VERIFIED_STACK, running_stack()))
+    assert got == want, "digests verified on {}; running {}".format(*stacks)
+
 
 C = ExperimentConfig
 PINNED = {
@@ -56,7 +78,7 @@ def test_replicates_digest_pinned(tmp_path, name, workers):
     cfg, digest = PINNED[name]
     run(cfg, workers=workers, out_dir=str(tmp_path))
     data = (tmp_path / "replicates.tsv").read_bytes()
-    assert hashlib.sha256(data).hexdigest()[:16] == digest
+    assert_digests(hashlib.sha256(data).hexdigest()[:16], digest)
 
 
 def _sha16(path):
@@ -95,10 +117,20 @@ def test_file_pipeline_digests_pinned(tmp_path, capsys):
         assert capsys.readouterr().out.endswith(fh.read())
     got = {k: _sha16(P[k]) for k in
            ("y_alpha.tsv", "summary.tsv", "scores_all.tsv", "scores_p.tsv", "estimate.tsv")}
-    assert got == {
+    assert_digests(got, {
         "y_alpha.tsv": "a42e9446bfa333ee",
         "summary.tsv": "96a04bb480e7b445",
         "scores_all.tsv": "ae3b0c6d83f4d3bd",
         "scores_p.tsv": "93a02a3652905dc8",
         "estimate.tsv": "d1ec12c5a7038178",
-    }
+    })
+
+
+def test_failed_digest_names_both_stacks(monkeypatch):
+    monkeypatch.setitem(globals(), "VERIFIED_STACK", ("1.0.0", ["SSE2", "SSE3"]))
+    version, baseline = running_stack()
+    with pytest.raises(AssertionError) as exc:
+        assert_digests("0" * 16, "1" * 16)
+    assert str(exc.value).startswith(
+        "digests verified on numpy 1.0.0 (SIMD baseline SSE2 SSE3); running numpy "
+        f"{version} (SIMD baseline {' '.join(baseline)})\n")

@@ -1,3 +1,4 @@
+import os
 import re
 import tempfile
 import tracemalloc
@@ -522,6 +523,16 @@ class TestTableMemory:
         io_files.write_summary_tsv(path, self.summary())
         assert traced_peak(lambda: io_files.read_summary_tsv(path)) < 300 * self.P
 
+    def test_read_summary_parses_ids_per_chunk_below_190_bytes_per_snp(self, tmp_path):
+        """The ``snp_id`` column is a str array per chunk, not a list of str
+        objects until the end; the ids read back with the writer's dtype."""
+        stats = self.summary()
+        path = str(tmp_path / "s.tsv")
+        io_files.write_summary_tsv(path, stats)
+        assert traced_peak(lambda: io_files.read_summary_tsv(path)) < 190 * self.P
+        ids = io_files.read_summary_tsv(path).snp_id
+        assert ids.dtype == stats.snp_id.dtype and np.array_equal(ids, stats.snp_id)
+
     @pytest.mark.parametrize("argv", [
         ["gwas", "--genotypes", "{geno}", "--phenotype", "{pheno}", "--out", "{out}"],
         ["score", "--genotypes", "{geno}", "--summary", "{summary}", "--out", "{out}"],
@@ -827,8 +838,32 @@ def bitwise_equal(u, v):
     return np.array_equal(bits(u), bits(v))
 
 
+@st.composite
+def streamed_reads(draw):
+    """A code matrix (as n, p and a seed) of 1 to 40 rows, a column range
+    [a, b) and a list of column indices, sorted or not, with repeats."""
+    n, p = draw(st.integers(1, 40)), draw(st.sampled_from([1, 2, 5, 13, 2049]))
+    a = draw(st.integers(0, p - 1))
+    b = draw(st.integers(a + 1, p))
+    cols = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=30))
+    if draw(st.booleans()):
+        cols.sort()
+    return n, p, draw(st.integers(0, 2**32 - 1)), a, b, cols
+
+
+def write_container_of_packed(path, packed, p):
+    """A container of the packed codes ``packed`` (every code in {0, 1}),
+    written in one piece, with stored maf 0.25, mean 0.5 and SD 0.5."""
+    with open(path, "wb") as fh:
+        fh.write(io_files.GENO_MAGIC + np.array([io_files.GENO_VERSION], "<u4").tobytes()
+                 + np.array([packed.shape[0], p], "<u8").tobytes() + packed.tobytes())
+        for v in (0.25, 0.5, 0.5):
+            fh.write(np.full(p, v, "<f8").tobytes())
+
+
 class TestPackedCodes:
-    """A container's codes stay packed; the kernels decode the blocks they read."""
+    """A container's codes stay in the file and are read one row tile at a
+    time; the kernels decode the blocks of a tile they read."""
 
     @given(packed_reads())
     @settings(max_examples=200, deadline=None)
@@ -865,13 +900,47 @@ class TestPackedCodes:
             with pytest.raises(IndexError):
                 src.take(cols, axis=1)
 
+    @given(streamed_reads())
+    @settings(max_examples=40, deadline=None)
+    def test_streamed_kernels_are_bitwise_those_in_memory(self, case):
+        """A container read one row tile at a time gives the bits of its codes
+        as one array, at tiles of 1 row, 3 rows and the default; p = 2049
+        ends in a single-column block, as p = 13 does at blocks of 3."""
+        n, p, seed, a, b, cols = case
+        rng = np.random.default_rng(seed)
+        codes = rng.integers(0, 3, size=(n, p), dtype=np.uint8)
+        mean, sd = kernels.column_stats(codes)
+        sd = np.where(sd > 0.0, sd, 1.0)
+        y = rng.standard_normal(n)
+        reads = [(idx, rng.standard_normal((idx.size, 2)))
+                 for idx in (np.arange(a, b), np.array(cols, dtype=np.intp))]
+        row_bytes = -(-p // 4)
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "geno.xtg")
+            io_files.write_genotype_bin(path, GenotypeMatrix(
+                n=n, p=p, codes=codes, maf=mean / 2, col_mean=mean, col_sd=sd))
+            for tile in (row_bytes, 3 * row_bytes, io_files._UNPACK_TILE_BYTES):
+                with mock.patch.object(io_files, "_UNPACK_TILE_BYTES", tile):
+                    src = io_files.read_genotype_bin(path).codes
+                    for block in (3, kernels.DEFAULT_BLOCK_SIZE):
+                        assert bitwise_equal(
+                            kernels.std_crossprod(src, mean, sd, y, block_size=block),
+                            kernels.std_crossprod(codes, mean, sd, y, block_size=block))
+                        for idx, w in reads:
+                            for weights in (w[:, 0], w):
+                                assert bitwise_equal(
+                                    kernels.std_matvec(src, mean, sd, weights, indices=idx,
+                                                       block_size=block),
+                                    kernels.std_matvec(codes, mean, sd, weights, indices=idx,
+                                                       block_size=block))
+
     def test_gwas_and_score_are_bitwise_those_of_the_codes_in_memory(self, tmp_path):
         # p = 4101 spans three column blocks of 2048, the last of 5 columns
         G = gen_genotypes(50, 4101, seed=21)
         path = str(tmp_path / "geno.xtg")
         io_files.write_genotype_bin(path, G)
         F = io_files.read_genotypes(path)
-        assert isinstance(F.codes, io_files.PackedCodes)
+        assert isinstance(F.codes, io_files.ContainerCodes)
         y = np.random.default_rng(22).standard_normal(50)
         mem, file = marginal_gwas(G, y), marginal_gwas(F, y)
         for f in ("effect", "se", "tstat", "pvalue"):
@@ -880,30 +949,83 @@ class TestPackedCodes:
                      prs.ScreenRule("effect_cutoff", 0.1)):
             assert bitwise_equal(prs.score(F, mem, rule).scores, prs.score(G, mem, rule).scores)
 
+    # what reading a container and scanning or scoring it holds at p = 20,000,
+    # whatever n is: one row tile of about 512 KiB of packed codes, one decoded
+    # block of it, the decoder's tiles and a few float64 vectors of length p
+    STREAM_PEAK = 4 << 20
+
     def test_gwas_and_screened_score_hold_less_than_the_unpacked_codes(
             self, container_400x20000):
-        """Reading a container and scanning or scoring it peaks below the n * p
-        bytes of its unpacked codes; the TSV inputs are read before tracing
-        starts (``TestTableMemory`` traces whole commands)."""
+        """Reading a container and scanning or scoring it peaks below
+        ``STREAM_PEAK``, half the n * p bytes of its unpacked codes; the TSV
+        inputs are read before tracing starts (``TestTableMemory`` traces
+        whole commands)."""
         n, p, paths = container_400x20000
         y, _ = io_files.read_phenotype_tsv(paths["pheno"])
         stats = io_files.read_summary_tsv(paths["summary"])
         rule = prs.ScreenRule("pvalue_cutoff", 0.05)
         for run in (lambda: marginal_gwas(io_files.read_genotypes(paths["geno"]), y),
                     lambda: prs.score(io_files.read_genotypes(paths["geno"]), stats, rule)):
-            assert traced_peak(run) < n * p
+            assert traced_peak(run) < self.STREAM_PEAK
 
-    def test_score_holds_one_decoded_block(self):
-        """``std_matvec`` on packed codes holds one decoded block of n *
-        DEFAULT_BLOCK_SIZE bytes, plus the decoder's tiles and a few float64
-        vectors of length p, never two blocks."""
+    @pytest.mark.parametrize("n", [400, 4000])
+    def test_gwas_and_screened_score_peak_does_not_grow_with_n(self, tmp_path, n):
+        """The same bound at n = 400 and n = 4,000: 0.4 and 4 times the
+        n * p / 4 bytes of the packed codes."""
+        p = 20_000
+        rng = np.random.default_rng(n)
+        path = str(tmp_path / "geno.xtg")
+        write_container_of_packed(path, rng.integers(0, 256, (n, p // 4), dtype=np.uint8) & 0x55, p)
+        y = rng.standard_normal(n)
+        stats = SummaryStats(snp_id=None, effect=rng.standard_normal(p) / n, se=np.ones(p),
+                             tstat=np.ones(p), pvalue=rng.random(p) + 1e-12, n=n)
+        rule = prs.ScreenRule("pvalue_cutoff", 0.05)
+        for run in (lambda: marginal_gwas(io_files.read_genotypes(path), y),
+                    lambda: prs.score(io_files.read_genotypes(path), stats, rule)):
+            assert traced_peak(run) < self.STREAM_PEAK
+
+    def test_score_holds_one_decoded_block(self, tmp_path):
+        """``std_matvec`` on a container holds one decoded block of one row
+        tile (104 rows of DEFAULT_BLOCK_SIZE codes at p = 20,000) beside the
+        tile, plus the decoder's tiles and a few float64 vectors of length p:
+        not a block of all n rows, and never two blocks."""
         n, p = 2000, 20_000
+        path = str(tmp_path / "geno.xtg")
         # random codes in {0, 1}
         packed = np.random.default_rng(7).integers(0, 256, (n, p // 4), dtype=np.uint8) & 0x55
-        src = io_files.PackedCodes(packed, p)
+        write_container_of_packed(path, packed, p)
+        src = io_files.read_genotype_bin(path).codes
         ones, w = np.ones(p), np.random.default_rng(8).standard_normal(p)
-        block = n * kernels.DEFAULT_BLOCK_SIZE
-        assert traced_peak(lambda: kernels.std_matvec(src, ones, ones, w)) < block + (2 << 20)
+        assert traced_peak(lambda: kernels.std_matvec(src, ones, ones, w)) < 3 << 20
+
+    @pytest.mark.parametrize("change", ["code_3", "truncated"])
+    def test_container_changed_after_it_was_read_exits_3(self, tmp_path, capsys, change):
+        """A container rewritten between its read (which checks its codes)
+        and the score is refused, not decoded; nothing is written."""
+        G = gen_genotypes(8, 10, seed=4)
+        geno = tmp_path / "geno.xtg"
+        io_files.write_genotype_bin(str(geno), G)
+        summary = tmp_path / "summary.tsv"
+        io_files.write_summary_tsv(str(summary), marginal_gwas(G, np.arange(8.0)))
+        read = io_files.read_genotypes
+
+        def read_then_change(path):
+            F = read(path)
+            data = bytearray(geno.read_bytes())
+            if change == "code_3":
+                data[24] |= 0b11  # first code of the first row becomes 3
+                (tmp_path / "new.xtg").write_bytes(bytes(data))
+                os.replace(tmp_path / "new.xtg", geno)
+            else:
+                geno.write_bytes(bytes(data[:-5]))
+            return F
+
+        with mock.patch.object(io_files, "read_genotypes", read_then_change):
+            rc = main(["score", "--genotypes", str(geno), "--summary", str(summary),
+                       "--out", str(tmp_path / "scores.tsv")])
+        assert rc == 3
+        assert capsys.readouterr().err == f"error: {geno}: container changed since it was read\n"
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["geno.xtg", "summary.tsv"]
 
     def test_code_3_in_a_column_the_screen_drops_exits_3(self, tmp_path, capsys):
         G = gen_genotypes(8, 10, seed=4)  # 3 bytes per row
