@@ -306,6 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a streamed kernel frees and allocates again buffers of a few hundred KB
+    # per row tile, which glibc's defaults would map and fault in each time
+    experiments._keep_freed_memory()
     try:
         return args.func(args, parser)
     except DegenerateRegimeRefusal as exc:

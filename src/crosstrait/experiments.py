@@ -515,8 +515,11 @@ def _keep_freed_memory() -> bool:
     to 256 MiB of freed heap, once per process; True if both took effect.
 
     A replicate frees cohort code arrays of a few MB that the next replicate
-    allocates again; under glibc's defaults each is a fresh mmap whose pages
-    fault in on first touch.  Elsewhere than glibc this does nothing.
+    allocates again, and a kernel streaming a container does the same with
+    its tile buffers; under glibc's defaults each is a fresh mmap, or heap
+    trimmed and grown again, whose pages fault in on first touch.
+    ``cli.main`` calls this for every command, ``run`` for every study.
+    Elsewhere than glibc this does nothing.
     """
     try:
         if not os.confstr("CS_GNU_LIBC_VERSION"):
