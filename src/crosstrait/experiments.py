@@ -33,7 +33,6 @@ import operator
 import os
 from collections import namedtuple
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -264,7 +263,23 @@ def _ladder_scores(W, stats, thresholds) -> dict:
 # scenarios
 # ---------------------------------------------------------------------------
 
-_COHORT_ROLES = {"n1": "discovery (n1)", "n2": "discovery (n2)", "n3": "target (n3)"}
+_COHORT_ROLES = {"n1": "discovery (n1)", "n2": "discovery (n2)", "n3": "target (n3)",
+                 "n_s": "shared (n_s)"}
+
+
+def _refuse_short_cohorts(who: str, sizes: dict, least: dict, shared: tuple = ()) -> None:
+    """Refuse, naming ``who``, the cohort blocks ``sizes`` (field -> size) when
+    one holds fewer samples than its ``least`` size, counting the
+    ``sizes["n_s"]`` shared samples of the fields in ``shared``, or when one
+    holds 1 sample, whose every column is monomorphic."""
+    short = []
+    for f, size in sizes.items():
+        if size + (sizes.get("n_s", 0) if f in shared else 0) < least.get(f, 0):
+            short.append(_COHORT_ROLES[f] + (" with the n_s shared samples" if f in shared else ""))
+        elif size == 1:
+            short.append(f"{_COHORT_ROLES[f]} block of 1 sample")
+    if short:
+        raise ParameterError(f"{who} needs cohorts of at least 2 samples: " + ", ".join(short))
 
 
 def _points(config) -> list:
@@ -281,10 +296,8 @@ def _points(config) -> list:
     missing = [g for g in sc.grids if not getattr(config, g)]
     if missing:
         raise ParameterError(f"{config.scenario} needs {' and '.join(missing)}")
-    short = [_COHORT_ROLES[f] for f, least in sc.cohorts.items() if getattr(config, f) < least]
-    if short:
-        raise ParameterError(f"{config.scenario} needs cohorts of at least 2 samples: "
-                             + ", ".join(short))
+    _refuse_short_cohorts(config.scenario, {f: getattr(config, f) for f in sc.cohorts},
+                          sc.cohorts)
     if sc.grids[0] == "phi_grid":
         points = [(f"phi={phi:g}", config.m, phi) for phi in config.phi_grid]
     else:
@@ -395,28 +408,27 @@ def _fig3_build(config, m, phi) -> dict:
 
 # fig4 overlap case -> alpha and the trait whose cohort shares the n_s samples
 # with alpha's discovery (eta's target or beta's discovery), the overlap pair,
-# the genetic-share pair, the cohort-size fields it draws, its estimator and
-# its design case
-_Fig4Case = namedtuple("_Fig4Case", "traits pair share sizes estimator case_tag")
+# the genetic-share pair, the cohort-size fields it draws, those of them that
+# hold the n_s shared samples, its estimator and its design case
+_Fig4Case = namedtuple("_Fig4Case", "traits pair share sizes shared estimator case_tag")
 _FIG4_CASES = {
-    "i": _Fig4Case(("alpha", "eta"), "discovery_target", "ae", ("n1", "n3"),
+    "i": _Fig4Case(("alpha", "eta"), "discovery_target", "ae", ("n1", "n3"), ("n1", "n3"),
                    "G_S_ae", "overlap_case_i"),
     "ii": _Fig4Case(("alpha", "beta"), "discovery_discovery", "ab", ("n1", "n2", "n3"),
-                    "G_S_ab", "overlap_case_ii"),
+                    ("n1", "n2"), "G_S_ab", "overlap_case_ii"),
 }
 
 
 def _fig4_build(config, m, phi) -> dict:
     """(architecture, overlap design, genetic share) of each overlap case;
-    a case whose discovery cohort holds fewer than 2 samples with the shared
-    ones is refused."""
+    a case with a cohort of fewer than 2 samples, counting the shared ones,
+    or with a block of 1 sample (n1, n2, n3 or n_s) is refused."""
     cases = {}
     for case in config.overlap_cases:
         spec = _FIG4_CASES[case]
-        short = [f for f in spec.sizes if f != "n3" and getattr(config, f) + config.n_s < 2]
-        if short:
-            raise ParameterError(f"overlap case {case} needs at least 2 discovery samples in "
-                                 + " and ".join(f"{f} + n_s" for f in short))
+        _refuse_short_cohorts(f"overlap case {case}",
+                              {f: getattr(config, f) for f in (*spec.sizes, "n_s")},
+                              dict.fromkeys(spec.sizes, 2), spec.shared)
         arch = TraitArchitecture.shared_causal(
             config.p, m, phi=phi, sigma2=config.sigma2, h2=config.h2, traits=spec.traits)
         design = OverlapDesign(n_s=config.n_s, pair=spec.pair, rho_eps=config.rho_eps)
@@ -484,7 +496,9 @@ class Scenario:
 
     ``grids`` are the config grids it needs; it walks the first.  ``cohorts``
     maps each cohort-size field it draws to the least size it needs (0: the
-    cohort is drawn when the config sets it).  ``build(config, m, phi)``
+    cohort is drawn when the config sets it); a drawn cohort of 1 sample is
+    refused.  fig4's ``build`` checks the cohorts of the overlap cases it
+    runs.  ``build(config, m, phi)``
     makes the objects that every task of a point shares (its architecture),
     once per point and before any task, so that it refuses an out-of-domain
     value as a usage error; ``replicate(config, point, rep)`` returns one
@@ -502,8 +516,7 @@ SCENARIOS = {
     "fig2_all_snp": Scenario(("phi_grid",), {"n1": 2, "n2": 0, "n3": 2}, _rep_all_snp),
     "fig3_screening": Scenario(("sparsity_grid", "phi_grid"), {"n1": 2, "n3": 2}, _rep_fig3,
                                _fig3_build),
-    "fig4_overlap": Scenario(("phi_grid",), {"n1": 0, "n2": 0, "n3": 2}, _rep_fig4,
-                             _fig4_build),
+    "fig4_overlap": Scenario(("phi_grid",), {"n3": 2}, _rep_fig4, _fig4_build),
     "figS2_sparsity": Scenario(("sparsity_grid", "phi_grid"), {"n1": 2, "n3": 2}, _rep_all_snp),
     "figS5_summary_only": Scenario(("phi_grid",), {"n1": 2, "n2": 2}, _rep_all_snp),
 }
@@ -539,6 +552,10 @@ def _map_tasks(fn, tasks: list, workers: int) -> list:
     raises, the tasks not yet started are cancelled and it propagates."""
     if workers == 1:
         return [fn(t) for t in tasks]
+    # imported here: concurrent.futures loads logging, which serial runs and
+    # the file commands never use
+    from concurrent.futures import ThreadPoolExecutor
+
     pool = ThreadPoolExecutor(max_workers=workers)
     try:
         return list(pool.map(fn, tasks))

@@ -52,7 +52,7 @@ import numpy as np
 from . import kernels
 from .errors import ParameterError
 from .estimators import DesignMeta, ScreenCounts
-from .experiments import _COHORT_ROLES, _map_tasks, resolve_workers
+from .experiments import _map_tasks, _refuse_short_cohorts, resolve_workers
 from .rng import substream
 from .synth import (
     CohortSizes,
@@ -378,22 +378,6 @@ def _drawn_sizes(tags: list[str], meta: DesignMeta) -> dict:
     return {f: getattr(meta, f) or 0 for f in sorted(fields)}
 
 
-def _refuse_short_cohorts(tag: str, meta: DesignMeta) -> None:
-    """Refuse a design in which a cohort that ``tag`` needs holds fewer than
-    its least size, counting the n_s shared samples of an overlap cohort, or
-    in which a block it draws holds 1 sample, whose every column is
-    monomorphic."""
-    shared = _SHARED_COHORTS.get(_family_of(tag), ())
-    short = []
-    for f, size in _drawn_sizes([tag], meta).items():
-        if size + (meta.n_s if f in shared else 0) < TAG_COHORTS[tag].get(f, 0):
-            short.append(_COHORT_ROLES[f] + (" with the n_s shared samples" if f in shared else ""))
-        elif size == 1:
-            short.append(f"{_COHORT_ROLES.get(f, 'shared (n_s)')} block of 1 sample")
-    if short:
-        raise ParameterError(f"{tag} needs cohorts of at least 2 samples: " + ", ".join(short))
-
-
 def _family_of(tag: str) -> str:
     if tag in INDEP_TAGS:
         return "indep"
@@ -431,7 +415,8 @@ def monte_carlo_check_many(
     for t in tags:
         if t not in ALL_TAGS:
             raise ParameterError(f"unsupported quantity tag {t!r}")
-        _refuse_short_cohorts(t, meta)
+        _refuse_short_cohorts(t, _drawn_sizes([t], meta), TAG_COHORTS[t],
+                              _SHARED_COHORTS.get(_family_of(t), ()))
 
     sel_a = sel_b = None
     if any(_family_of(t) == "screened" for t in tags):

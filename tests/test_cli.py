@@ -1,5 +1,8 @@
 import argparse
 import os
+import platform
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -526,6 +529,23 @@ class TestSimulateCommand:
         assert (out / "aggregates.tsv").exists()
         assert (out / "manifest.txt").exists()
 
+    def test_manifest_names_the_numeric_stack_outside_config_hash(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "scenario=fig2_all_snp\np=80\nn1=60\nn2=60\nn3=60\nm=20\n"
+            "phi_grid=0.5\nreplicates=2\nmaster_seed=3\n"
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = dict(line.split("=", 1)
+                        for line in (out / "manifest.txt").read_text().splitlines())
+        assert manifest["numpy"] == np.__version__
+        assert manifest["python"] == platform.python_version()
+        assert manifest["machine"] == platform.machine()
+        # the hash this config had before the stack was recorded
+        assert manifest["config_hash"] == (
+            "7bb8ce5a4119f73dac7fc039ef55193b571bc50ec8b791e9f2075387f8aec2f2")
+
     def test_fig1_one_sample_cohort_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("scenario=fig1_gwas_properties\np=50\nn1=1\nsparsity_grid=0.2\n"
@@ -601,9 +621,19 @@ class TestSimulateCommand:
         ("fig4_overlap", "rho_eps=3", "rho_eps must lie in [-1, 1]"),
         ("fig1_gwas_properties", "sigma2=-1", "point mp=0.02: sigma2_alpha must be positive"),
         ("fig4_overlap", "overlap_cases=ii\nn2=1",
-         "point phi=0.5: overlap case ii needs at least 2 discovery samples in n2 + n_s"),
+         "point phi=0.5: overlap case ii needs cohorts of at least 2 samples: "
+         "discovery (n2) with the n_s shared samples"),
+        # a block of 1 sample is monomorphic in every column, so every task
+        # would fail to draw it
+        ("fig2_all_snp", "n2=1",
+         "needs cohorts of at least 2 samples: discovery (n2) block of 1 sample"),
+        ("fig4_overlap", "n1=1\nns=10", "point phi=0.5: overlap case i needs cohorts of at "
+         "least 2 samples: discovery (n1) block of 1 sample"),
+        ("fig4_overlap", "ns=1", "point phi=0.5: overlap case i needs cohorts of at "
+         "least 2 samples: shared (n_s) block of 1 sample"),
     ], ids=["h2_nan", "sigma2_negative", "phi_2", "m_above_p", "threshold_nan",
-            "sparsity_5", "fig4_rho_eps_3", "fig1_sigma2_negative", "fig4_case_ii_n2_1"])
+            "sparsity_5", "fig4_rho_eps_3", "fig1_sigma2_negative", "fig4_case_ii_n2_1",
+            "fig2_n2_1", "fig4_n1_1", "fig4_ns_1"])
     def test_out_of_domain_config_is_usage_error_before_any_task(self, tmp_path, capsys,
                                                                  monkeypatch, scenario, line,
                                                                  message):
@@ -621,3 +651,45 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {scenario} ") and message in err
         assert not (tmp_path / "o").exists()
+
+
+def test_file_commands_leave_hashlib_and_thread_pool_unloaded(tmp_path):
+    # gwas, score and estimate take no hash, draw nothing and start no thread,
+    # so they load neither OpenSSL (hashlib) nor concurrent.futures (and
+    # logging); a serial run loads no thread pool, and its manifest still
+    # hashes its config
+    src = os.path.dirname(os.path.dirname(experiments.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from crosstrait import cli, io_files, synth\n"
+        "from crosstrait.experiments import ExperimentConfig, run\n"
+        "d = sys.argv[1]\n"
+        # codes without numpy.random, whose import loads hashlib (via secrets)
+        "codes = (np.add.outer(np.arange(60), np.arange(40)) % 3).astype(np.uint8)\n"
+        "io_files.write_genotype_bin(d + '/g.xtg', synth.GenotypeMatrix.from_codes(codes))\n"
+        "io_files.write_phenotype_tsv(d + '/y.tsv', np.linspace(-1.0, 1.0, 60))\n"
+        "for argv in (['gwas', '--genotypes', d + '/g.xtg', '--phenotype', d + '/y.tsv',\n"
+        "              '--out', d + '/s.tsv'],\n"
+        "             ['score', '--genotypes', d + '/g.xtg', '--summary', d + '/s.tsv',\n"
+        "              '--rule', 'pvalue', '--cutoff', '0.5', '--out', d + '/sc.tsv'],\n"
+        "             ['estimate', '--case', 'ae', '--target-geno', d + '/g.xtg',\n"
+        "              '--target-pheno', d + '/y.tsv', '--summary-a', d + '/s.tsv',\n"
+        "              '--n1', '60', '--p', '40', '--h2a', '0.5', '--h2e', '0.5']):\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "def loaded(): return [m for m in ('hashlib', '_hashlib', 'concurrent.futures')\n"
+        "                      if m in sys.modules]\n"
+        "assert not loaded(), loaded()\n"
+        "cfg = ExperimentConfig(scenario='fig2_all_snp', p=40, n1=30, n3=30, m=10,\n"
+        "                       phi_grid=(0.5,), replicates=2)\n"
+        "run(cfg, workers=1, out_dir=d + '/run')\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
+        "import hashlib\n"
+        "manifest = dict(line.split('=', 1) for line in open(d + '/run/manifest.txt').read().splitlines())\n"
+        "want = hashlib.sha256(io_files.config_text(cfg.to_dict()).encode('utf-8')).hexdigest()\n"
+        "assert manifest['config_hash'] == want, (manifest['config_hash'], want)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
