@@ -13,9 +13,12 @@ tile at a time, each tile decoded one column block at a time, and a
 plain-TSV fallback for small fixtures, read one line at a time into a
 preallocated code matrix.  A container is written one row tile at a time,
 so the writer holds tile-sized memory beside the codes; codes outside
-{0, 1, 2} are refused, not written.  All writes go through a
-temp-file-then-rename so partially written outputs never appear under the
-final name.  Repeated SNP or sample ids are refused when a file is read.
+{0, 1, 2} are refused, not written.  A container stores each SNP's code
+sum and count of 2s, not statistics; both readers end in
+``GenotypeMatrix.from_counts``, whose refusals become ``DataFormatError``
+naming the file.  All writes go through a temp-file-then-rename so
+partially written outputs never appear under the final name.  Repeated SNP
+or sample ids are refused when a file is read.
 A run manifest hashes its config and inputs with ``hashlib``, which is
 imported only when a hash is taken: it loads OpenSSL's libcrypto, which
 the file commands (``gwas``, ``score``, ``estimate``) never need.
@@ -36,7 +39,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from . import __version__
+from . import __version__, kernels
 from .errors import DataFormatError, ParameterError
 from .experiments import ExperimentResult
 from .gwas import SummaryStats
@@ -44,7 +47,7 @@ from .moments import MomentCheckReport
 from .synth import GenotypeMatrix, default_snp_ids
 
 GENO_MAGIC = b"XTGT"
-GENO_VERSION = 1
+GENO_VERSION = 2
 # magic, then <u4 version, <u8 n and <u8 p
 _GENO_HEADER_BYTES = 24
 
@@ -510,7 +513,7 @@ class ContainerCodes:
 
 def write_genotype_bin(path: str, G: GenotypeMatrix) -> None:
     """Write ``G`` as a container: the header, the packed codes, then the
-    maf, col_mean and col_sd vectors.
+    int64 code sums and counts of 2s of its p SNPs.
 
     The codes are checked and packed one tile of about
     ``_UNPACK_TILE_BYTES`` codes at a time (for ``ContainerCodes`` one of its
@@ -532,16 +535,26 @@ def write_genotype_bin(path: str, G: GenotypeMatrix) -> None:
                 raise ParameterError(
                     f"{path}: genotype code {hi if hi > 2 else lo} is not in {{0,1,2}}")
             fh.write(pack_codes(tile))
-        for v in (G.maf, G.col_mean, G.col_sd):
-            fh.write(np.ascontiguousarray(v, dtype="<f8"))
+        fh.write(np.array([G.code_sum, G.twos], dtype="<i8"))
+
+
+def _genotypes_of(path: str, codes, code_sum, twos, **ids) -> GenotypeMatrix:
+    """``GenotypeMatrix.from_counts``, its refusals raised as
+    ``DataFormatError`` naming ``path``."""
+    try:
+        return GenotypeMatrix.from_counts(codes, code_sum, twos, **ids)
+    except ParameterError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
 def read_genotype_bin(path: str) -> GenotypeMatrix:
     """A container's genotypes, their codes left in the file
-    (``ContainerCodes``); only the maf, col_mean and col_sd vectors are read.
+    (``ContainerCodes``); only the code sums and counts of 2s are read.
 
-    The codes are checked here, one row tile at a time: a code 3 in any of
-    the p columns is refused; the padding past column p is not read.
+    Counts that no codes could give (negative, more 2s than half the code
+    sum, or more non-zero codes than samples) are refused, naming the first
+    such SNP.  The codes are checked here, one row tile at a time: a code 3
+    in any of the p columns is refused; the padding past column p is not read.
     """
     with open(path, "rb") as fh:
         stamp = _stamp(fh)
@@ -554,24 +567,31 @@ def read_genotype_bin(path: str) -> GenotypeMatrix:
         if version != GENO_VERSION:
             raise DataFormatError(f"{path}: unsupported container version {version}")
         row_bytes = -(-p // 4)
-        expected = _GENO_HEADER_BYTES + n * row_bytes + 3 * 8 * p
+        expected = _GENO_HEADER_BYTES + n * row_bytes + 2 * 8 * p
         if stamp[2] != expected:
             raise DataFormatError(
                 f"{path}: container holds {stamp[2]} bytes, expected {expected} for n={n}, p={p}"
             )
         fh.seek(_GENO_HEADER_BYTES + n * row_bytes)
-        maf, mean, sd = np.fromfile(fh, dtype="<f8", count=3 * p).reshape(3, p)
-    codes = ContainerCodes(path, int(n), int(p), stamp)
+        code_sum, twos = np.fromfile(fh, dtype="<i8", count=2 * p).reshape(2, p)
+    nonzero = code_sum - twos  # exact where neither count is negative
+    bad = np.flatnonzero((code_sum < 0) | (twos < 0) | (twos > nonzero) | (nonzero > n))
+    if bad.size:
+        j = int(bad[0])
+        raise DataFormatError(f"{path}: SNP {str(default_snp_ids(p)[j])!r} has code sum "
+                              f"{code_sum[j]} and {twos[j]} codes of 2, which no {n} codes "
+                              "in {0,1,2} give")
+    G = _genotypes_of(path, ContainerCodes(path, int(n), int(p), stamp), code_sum, twos)
     # a code is 3 when both of its bits are set; the last byte of a row
     # masks the codes past column p
     mask = np.full(row_bytes, 0x55, dtype=np.uint8)
     if p % 4:
         mask[-1] = 0x55 >> 2 * (4 - p % 4)
-    for _, tile in codes.row_tiles():
+    for _, tile in G.codes.row_tiles():
         t = tile.packed
         if np.any(t & (t >> 1) & mask):
             raise DataFormatError(f"{path}: corrupt codes (value 3 present)")
-    return GenotypeMatrix(n=int(n), p=int(p), codes=codes, maf=maf, col_mean=mean, col_sd=sd)
+    return G
 
 
 def read_genotype_tsv(path: str) -> GenotypeMatrix:
@@ -580,7 +600,8 @@ def read_genotype_tsv(path: str) -> GenotypeMatrix:
 
     The rows are counted first, then each line is parsed into its row of a
     preallocated uint8 (n, p) matrix, so no Python object outlives its line.
-    A code outside {0, 1, 2} and a repeated SNP or sample id are refused.
+    A code outside {0, 1, 2} and a repeated SNP or sample id are refused, as
+    are what ``GenotypeMatrix.from_counts`` refuses.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
@@ -620,7 +641,8 @@ def read_genotype_tsv(path: str) -> GenotypeMatrix:
             linenos.append(lineno)
     sample_ids = np.array(sample_ids)
     _refuse_repeats(path, sample_ids, "sample_id", linenos.__getitem__)
-    return GenotypeMatrix.from_codes(codes, snp_ids=snp_ids, sample_ids=sample_ids)
+    return _genotypes_of(path, codes, *kernels.column_counts(codes), snp_ids=snp_ids,
+                         sample_ids=sample_ids)
 
 
 def read_genotypes(path: str) -> GenotypeMatrix:

@@ -48,15 +48,14 @@ class GenotypeMatrix:
     leaves them in the file and serves the kernels one row tile of packed
     codes at a time (a tile source; see ``kernels``), so a kernel holds a
     tile and one decoded block of it, whatever n is (``np.asarray`` gives
-    the dense array); ``col_mean`` /
-    ``col_sd`` use the population-style 1/n divisor so that the standardized
-    columns have exact unit sample variance (see kernels.column_stats).
-    ``maf`` holds the generating minor allele frequencies (or the sample
-    estimate when the matrix was read from a file that lacks them).
-    ``code_sum`` / ``twos`` are the int64 per-column code sums and counts of
-    2s that the statistics come from; None when the matrix was read with
-    stored statistics.  ``sample_ids`` are the row ids of a genotype TSV;
-    None for simulated and container genotypes, whose rows are positional.
+    the dense array).  ``code_sum`` / ``twos`` are the int64 per-column code
+    sums and counts of 2s, and ``col_mean`` / ``col_sd`` come from them
+    (``kernels.stats_from_counts``), with the population-style 1/n divisor
+    so that the standardized columns have exact unit sample variance.
+    ``maf`` holds the generating minor allele frequencies, or the sample
+    estimate for genotypes read from a file.  ``sample_ids`` are the row ids
+    of a genotype TSV; None for simulated and container genotypes, whose
+    rows are positional.  Every matrix is built by ``from_counts``.
     """
 
     n: int
@@ -65,46 +64,47 @@ class GenotypeMatrix:
     maf: np.ndarray
     col_mean: np.ndarray
     col_sd: np.ndarray
+    code_sum: np.ndarray
+    twos: np.ndarray
     snp_ids: np.ndarray | None = None
     resample_count: int = 0
-    code_sum: np.ndarray | None = None
-    twos: np.ndarray | None = None
     sample_ids: np.ndarray | None = None
 
     @classmethod
-    def from_codes(
-        cls,
-        codes: np.ndarray,
-        maf: np.ndarray | None = None,
-        snp_ids: np.ndarray | None = None,
-        resample_count: int = 0,
-        sample_ids: np.ndarray | None = None,
-    ) -> "GenotypeMatrix":
+    def from_counts(cls, codes, code_sum: np.ndarray, twos: np.ndarray,
+                    maf: np.ndarray | None = None, **fields) -> "GenotypeMatrix":
+        """The genotypes of the (n, p) ``codes``, whose per-column code sums
+        and counts of 2s are ``code_sum`` and ``twos`` (trusted, not
+        recounted); ``maf`` defaults to the sample estimate, and ``fields``
+        sets ``snp_ids``, ``resample_count`` and ``sample_ids``.  Fewer than
+        2 samples, no SNP and a monomorphic SNP (the first is named) are
+        refused with ``ParameterError``."""
+        n, p = codes.shape
+        if n < 2:
+            raise ParameterError(f"need at least 2 samples, got {n}")
+        if p == 0:
+            raise ParameterError("no SNPs")
+        mean, sd = kernels.stats_from_counts(code_sum, twos, n)
+        flat = np.flatnonzero(sd == 0.0)
+        if flat.size:
+            j = int(flat[0])
+            ids = default_snp_ids(p) if fields.get("snp_ids") is None else fields["snp_ids"]
+            raise ParameterError(f"SNP {str(ids[j])!r} is monomorphic: "
+                                 f"all {n} codes are {int(code_sum[j]) // n}")
+        if maf is None:
+            maf = np.minimum(mean / 2.0, 1.0 - mean / 2.0)
+        return cls(n=n, p=p, codes=codes, maf=np.asarray(maf, dtype=np.float64), col_mean=mean,
+                   col_sd=sd, code_sum=code_sum, twos=twos, **fields)
+
+    @classmethod
+    def from_codes(cls, codes: np.ndarray, **fields) -> "GenotypeMatrix":
+        """``from_counts`` of a 2-d array of codes in {0, 1, 2}, counted here."""
         codes = np.ascontiguousarray(codes, dtype=np.uint8)
         if codes.ndim != 2:
             raise ParameterError("codes must be a 2-d array")
-        n, p = codes.shape
         if codes.max(initial=0) > 2:
             raise ParameterError("genotype codes must be in {0, 1, 2}")
-        s, n2 = kernels.column_counts(codes)
-        mean, sd = kernels.stats_from_counts(s, n2, n)
-        if np.any(sd == 0.0):
-            raise ParameterError("monomorphic column in genotype codes")
-        if maf is None:
-            maf = np.minimum(mean / 2.0, 1.0 - mean / 2.0)
-        return cls(
-            n=n,
-            p=p,
-            codes=codes,
-            maf=np.asarray(maf, dtype=np.float64),
-            col_mean=mean,
-            col_sd=sd,
-            snp_ids=snp_ids,
-            resample_count=resample_count,
-            code_sum=s,
-            twos=n2,
-            sample_ids=sample_ids,
-        )
+        return cls.from_counts(codes, *kernels.column_counts(codes), **fields)
 
 
 @functools.lru_cache(maxsize=4)
@@ -176,18 +176,12 @@ def _gen_codes(n: int, maf: np.ndarray, rng: np.random.Generator) -> GenotypeMat
                 f"column {j} stayed monomorphic after {MAX_RESAMPLE_ATTEMPTS} redraws; "
                 f"n={n} is too small for maf={maf[j]:.4f}"
             )
-    mean, sd = kernels.stats_from_counts(s, n2, n)
-    return GenotypeMatrix(
-        n=n, p=p, codes=codes, maf=maf, col_mean=mean, col_sd=sd, resample_count=resamples,
-        code_sum=s, twos=n2,
-    )
+    return GenotypeMatrix.from_counts(codes, s, n2, maf=maf, resample_count=resamples)
 
 
 def _gen_cohort(seed: int, label: str, n: int, maf: np.ndarray) -> GenotypeMatrix | None:
     """Codes of one cohort block from its own substream; None when n == 0."""
-    if n == 0:
-        return None
-    return _gen_codes(n, maf, substream(seed, f"cohorts/{label}"))
+    return _gen_codes(n, maf, substream(seed, f"cohorts/{label}")) if n else None
 
 
 def gen_genotypes(n: int, p: int, seed: int, maf: np.ndarray | None = None) -> GenotypeMatrix:
@@ -222,9 +216,8 @@ def stack_genotypes(*blocks: GenotypeMatrix) -> GenotypeMatrix:
     assemble a cohort that contains a shared sample block: the codes of the
     shared block are reused bit-identically in every cohort that contains
     it, while each cohort standardizes its own stacked matrix.  The stack's
-    statistics come from the sum of the blocks' integer code sums and counts
-    of 2s, so they equal those of a scan of the stacked codes bit for bit; a
-    block read with stored statistics is counted from its codes.
+    counts are the sums of the blocks' code sums and counts of 2s, so its
+    statistics equal those of a scan of the stacked codes bit for bit.
     """
     blocks = tuple(b for b in blocks if b is not None)
     if not blocks:
@@ -235,19 +228,10 @@ def stack_genotypes(*blocks: GenotypeMatrix) -> GenotypeMatrix:
             raise ParameterError("cohort blocks disagree on SNPs")
     if len(blocks) == 1:
         return blocks[0]
-    counts = [
-        (b.code_sum, b.twos) if b.code_sum is not None else kernels.column_counts(b.codes)
-        for b in blocks
-    ]
-    s = np.sum([c[0] for c in counts], axis=0)
-    n2 = np.sum([c[1] for c in counts], axis=0)
-    n = sum(b.n for b in blocks)
-    mean, sd = kernels.stats_from_counts(s, n2, n)
-    return GenotypeMatrix(
-        n=n, p=p, codes=np.vstack([b.codes for b in blocks]), maf=blocks[0].maf,
-        col_mean=mean, col_sd=sd, resample_count=sum(b.resample_count for b in blocks),
-        code_sum=s, twos=n2,
-    )
+    return GenotypeMatrix.from_counts(
+        np.vstack([b.codes for b in blocks]), np.sum([b.code_sum for b in blocks], axis=0),
+        np.sum([b.twos for b in blocks], axis=0), maf=blocks[0].maf,
+        resample_count=sum(b.resample_count for b in blocks))
 
 
 @dataclass
@@ -563,7 +547,20 @@ def gen_independent_cohorts(
     discovery data for alpha (n1) and beta (n2), target data with the eta
     phenotype (n3).
     """
-    return _independent_cohort_draws(arch, seed, traits)(sizes)
+    maf = _cohort_maf(seed, arch.p)
+    effects = gen_effects(arch, seed=seed)
+    bundle = CohortBundle(effects=effects)
+    if "alpha" in traits and sizes.n1:
+        bundle.disc_alpha = _gen_cohort(seed, "X", sizes.n1, maf)
+        bundle.y_alpha = gen_phenotype(bundle.disc_alpha, effects["alpha"], arch.h2_alpha, seed)
+    if "beta" in traits and sizes.n2:
+        bundle.disc_beta = _gen_cohort(seed, "Z", sizes.n2, maf)
+        bundle.y_beta = gen_phenotype(bundle.disc_beta, effects["beta"], arch.h2_beta, seed)
+    if sizes.n3:
+        bundle.target = _gen_cohort(seed, "W", sizes.n3, maf)
+        if "eta" in traits:
+            bundle.y_eta = gen_phenotype(bundle.target, effects["eta"], arch.h2_eta, seed)
+    return bundle
 
 
 def _cohort_maf(seed: int, p: int) -> np.ndarray:
@@ -571,49 +568,28 @@ def _cohort_maf(seed: int, p: int) -> np.ndarray:
     return substream(seed, "cohorts/maf").uniform(MAF_LOW, MAF_HIGH, size=p)
 
 
-def _independent_cohort_draws(arch: TraitArchitecture, seed: int, traits: tuple = TRAITS):
-    """``gen_independent_cohorts(arch, sizes, seed, traits)`` as a function of
-    ``sizes``; the MAFs and the effects are drawn once, for every call."""
-    maf = _cohort_maf(seed, arch.p)
-    effects = gen_effects(arch, seed=seed)
-
-    def draw(sizes: CohortSizes) -> CohortBundle:
-        bundle = CohortBundle(effects=effects)
-        if "alpha" in traits and sizes.n1:
-            bundle.disc_alpha = _gen_cohort(seed, "X", sizes.n1, maf)
-            bundle.y_alpha = gen_phenotype(bundle.disc_alpha, effects["alpha"], arch.h2_alpha, seed)
-        if "beta" in traits and sizes.n2:
-            bundle.disc_beta = _gen_cohort(seed, "Z", sizes.n2, maf)
-            bundle.y_beta = gen_phenotype(bundle.disc_beta, effects["beta"], arch.h2_beta, seed)
-        if sizes.n3:
-            bundle.target = _gen_cohort(seed, "W", sizes.n3, maf)
-            if "eta" in traits:
-                bundle.y_eta = gen_phenotype(bundle.target, effects["eta"], arch.h2_eta, seed)
-        return bundle
-
-    return draw
-
-
 def scan_independent_cohorts(arch: TraitArchitecture, sizes: CohortSizes, seed: int,
                              traits: tuple, scan) -> tuple:
     """The discovery cohorts of ``gen_independent_cohorts(arch, sizes, seed,
     traits)``, each scanned as it is drawn, then its target.
 
-    The alpha (n1) and beta (n2) discovery cohorts are drawn in turn; each
-    is scanned as ``scan(X, y)`` and dropped before the next is drawn, and
-    the target comes last, so at most one cohort's codes are held at a time.
-    Each cohort has its own substream, so the order moves no bit.  Returns
-    the bundle of the target (without one when n3 is 0) and ``{trait:
-    scan(X, y)}`` of each discovery cohort drawn.
+    Each cohort is one ``gen_independent_cohorts`` call of its own size
+    field: the alpha (n1) and beta (n2) discovery cohorts in turn, each
+    scanned as ``scan(X, y)`` and dropped before the next is drawn, and the
+    target last, so at most one cohort's codes are held at a time.  Each
+    cohort, its MAFs and its effects have their own substreams, so neither
+    the order nor the split moves a bit.  Returns the bundle of the target
+    (without one when n3 is 0) and ``{trait: scan(X, y)}`` of each discovery
+    cohort drawn.
     """
-    draw = _independent_cohort_draws(arch, seed, traits)
     scans = {}
     for field, trait in _COHORT_TRAITS[:2]:
-        b = draw(CohortSizes(**{field: getattr(sizes, field)}))
-        if getattr(b, f"disc_{trait}") is not None:
+        if trait in traits and getattr(sizes, field):
+            b = gen_independent_cohorts(arch, CohortSizes(**{field: getattr(sizes, field)}),
+                                        seed, traits)
             scans[trait] = scan(getattr(b, f"disc_{trait}"), getattr(b, f"y_{trait}").y)
-        del b  # before the next cohort is drawn
-    return draw(CohortSizes(n3=sizes.n3)), scans
+            del b  # before the next cohort is drawn
+    return gen_independent_cohorts(arch, CohortSizes(n3=sizes.n3), seed, traits), scans
 
 
 def _correlated_errors(

@@ -10,11 +10,12 @@ otherwise.
 """
 
 import hashlib
+import sys
 
 import numpy as np
 import pytest
 
-from crosstrait import io_files
+from crosstrait import io_files, synth
 from crosstrait.cli import main
 from crosstrait.experiments import ExperimentConfig, run
 from crosstrait.synth import CohortSizes, TraitArchitecture, gen_independent_cohorts
@@ -77,6 +78,31 @@ PINNED = {
 def test_replicates_digest_pinned(tmp_path, name, workers):
     cfg, digest = PINNED[name]
     run(cfg, workers=workers, out_dir=str(tmp_path))
+    data = (tmp_path / "replicates.tsv").read_bytes()
+    assert_digests(hashlib.sha256(data).hexdigest()[:16], digest)
+
+
+def test_fig2_cohort_draws_are_seen_at_every_module_global(tmp_path, monkeypatch):
+    """A wrapper of ``gen_independent_cohorts`` installed at every
+    ``crosstrait`` module global that holds it, as the benchmark tracer
+    installs one, sees one call per cohort field (n1, n2, n3) of each fig2
+    task, and the fig2 digest holds."""
+    cfg, digest = PINNED["fig2_all_snp"]
+    original, calls = synth.gen_independent_cohorts, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "crosstrait" or name.startswith("crosstrait."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    run(cfg, workers=1, out_dir=str(tmp_path))
+    tasks = len(cfg.phi_grid) * cfg.replicates
+    assert len(calls) == 3 * tasks
+    assert [(s.n1, s.n2, s.n3) for s in calls[:3]] == [(60, 0, 0), (0, 60, 0), (0, 0, 60)]
     data = (tmp_path / "replicates.tsv").read_bytes()
     assert_digests(hashlib.sha256(data).hexdigest()[:16], digest)
 

@@ -313,8 +313,10 @@ class TestThreadPool:
         assert "".join(label for label, _ in drawn) == labels * reps
         assert live_at_draw == [0] * len(drawn)
 
-    @pytest.mark.parametrize("scenario", ["fig2_all_snp", "fig3_screening"])
-    def test_mafs_and_effects_drawn_once_per_task(self, monkeypatch, scenario):
+    # each cohort is one gen_independent_cohorts call, which draws its own
+    # MAFs and effects: fig2 draws 3 cohorts a task, fig3 2
+    @pytest.mark.parametrize("scenario, cohorts", [("fig2_all_snp", 3), ("fig3_screening", 2)])
+    def test_mafs_and_effects_drawn_once_per_cohort(self, monkeypatch, scenario, cohorts):
         calls = {"maf": 0, "effects": 0}
 
         def counted(name, fn):
@@ -326,7 +328,7 @@ class TestThreadPool:
         monkeypatch.setattr(synth, "_cohort_maf", counted("maf", synth._cohort_maf))
         monkeypatch.setattr(synth, "gen_effects", counted("effects", synth.gen_effects))
         run(tiny_fig2(scenario=scenario, sparsity_grid=(0.1,), replicates=2), workers=1)
-        assert calls == {"maf": 2, "effects": 2}
+        assert calls == {"maf": 2 * cohorts, "effects": 2 * cohorts}
 
 
 class TestWorkers:

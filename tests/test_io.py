@@ -15,7 +15,14 @@ from crosstrait.errors import DataFormatError, ParameterError
 from crosstrait.experiments import AggregateRow, ReplicateRow, aggregate
 from crosstrait.gwas import SummaryStats, marginal_gwas
 from crosstrait.moments import MomentCheckReport
-from crosstrait.synth import GenotypeMatrix, default_snp_ids, gen_genotypes
+from crosstrait.synth import (
+    CohortSizes,
+    GenotypeMatrix,
+    TraitArchitecture,
+    default_snp_ids,
+    gen_genotypes,
+    gen_independent_cohorts,
+)
 from tables import read_aggregates, read_replicates, read_scores
 
 # doubles whose text form is easy to get wrong
@@ -636,7 +643,7 @@ def container_oracle(G):
                      np.array([io_files.GENO_VERSION], "<u4").tobytes(),
                      np.array([G.n, G.p], "<u8").tobytes(),
                      weighted_sum_pack(np.asarray(G.codes)).tobytes(),
-                     *(np.asarray(v, "<f8").tobytes() for v in (G.maf, G.col_mean, G.col_sd))])
+                     *(np.asarray(v, "<i8").tobytes() for v in (G.code_sum, G.twos))])
 
 
 class TestGenotypeContainers:
@@ -681,8 +688,8 @@ class TestGenotypeContainers:
         path = tmp_path / "geno.xtg"
         with mock.patch.object(io_files, "_UNPACK_TILE_BYTES", 2 * G.p):
             with pytest.raises(ParameterError, match=f"genotype code {bad} is not in"):
-                io_files.write_genotype_bin(str(path), GenotypeMatrix(
-                    n=G.n, p=G.p, codes=codes, maf=G.maf, col_mean=G.col_mean, col_sd=G.col_sd))
+                io_files.write_genotype_bin(
+                    str(path), GenotypeMatrix.from_counts(codes, G.code_sum, G.twos))
         assert not path.exists()
         assert list(tmp_path.iterdir()) == []
 
@@ -740,7 +747,9 @@ class TestGenotypeContainers:
         io_files.write_genotype_bin(path, G)
         back = io_files.read_genotype_bin(path)
         assert np.array_equal(back.codes, G.codes)
-        assert np.array_equal(back.maf, G.maf)
+        assert np.array_equal(back.code_sum, G.code_sum) and np.array_equal(back.twos, G.twos)
+        # a container stores no MAFs: a read gives the sample estimate
+        assert np.array_equal(back.maf, np.minimum(G.col_mean / 2, 1 - G.col_mean / 2))
         assert np.array_equal(back.col_mean, G.col_mean)
         assert np.array_equal(back.col_sd, G.col_sd)
 
@@ -851,14 +860,18 @@ def streamed_reads(draw):
     return n, p, draw(st.integers(0, 2**32 - 1)), a, b, cols
 
 
-def write_container_of_packed(path, packed, p):
-    """A container of the packed codes ``packed`` (every code in {0, 1}),
-    written in one piece, with stored maf 0.25, mean 0.5 and SD 0.5."""
+def write_container_of_packed(path, packed, p, counts=None):
+    """A container of the packed codes ``packed``, written in one piece, with
+    the stored code sums and counts of 2s ``counts``; by default code sums
+    n // 2 and no 2s: mean and SD 0.5 for an even n, as random codes in
+    {0, 1} have on average."""
+    n = packed.shape[0]
+    code_sum, twos = (np.full(p, n // 2), np.zeros(p)) if counts is None else counts
     with open(path, "wb") as fh:
         fh.write(io_files.GENO_MAGIC + np.array([io_files.GENO_VERSION], "<u4").tobytes()
-                 + np.array([packed.shape[0], p], "<u8").tobytes() + packed.tobytes())
-        for v in (0.25, 0.5, 0.5):
-            fh.write(np.full(p, v, "<f8").tobytes())
+                 + np.array([n, p], "<u8").tobytes() + packed.tobytes())
+        for v in (code_sum, twos):
+            fh.write(np.asarray(v, "<i8").tobytes())
 
 
 class TestPackedCodes:
@@ -916,12 +929,15 @@ class TestPackedCodes:
                  for idx in (np.arange(a, b), np.array(cols, dtype=np.intp))]
         row_bytes = -(-p // 4)
         with tempfile.TemporaryDirectory() as d:
+            # the codes may hold 1 row or constant columns, which a read
+            # refuses, so the file's codes are served without one
             path = os.path.join(d, "geno.xtg")
-            io_files.write_genotype_bin(path, GenotypeMatrix(
-                n=n, p=p, codes=codes, maf=mean / 2, col_mean=mean, col_sd=sd))
+            write_container_of_packed(path, io_files.pack_codes(codes), p)
+            with open(path, "rb") as fh:
+                stamp = io_files._stamp(fh)
             for tile in (row_bytes, 3 * row_bytes, io_files._UNPACK_TILE_BYTES):
                 with mock.patch.object(io_files, "_UNPACK_TILE_BYTES", tile):
-                    src = io_files.read_genotype_bin(path).codes
+                    src = io_files.ContainerCodes(path, n, p, stamp)
                     for block in (3, kernels.DEFAULT_BLOCK_SIZE):
                         assert bitwise_equal(
                             kernels.std_crossprod(src, mean, sd, y, block_size=block),
@@ -1053,6 +1069,116 @@ class TestPackedCodes:
             data[24 + 3 * row + 2] |= 0b11111100
         path.write_bytes(bytes(data))
         assert np.array_equal(io_files.read_genotype_bin(str(path)).codes, G.codes)
+
+
+class TestDegenerateGenotypes:
+    """Genotypes whose statistics cannot be formed are refused when they are
+    read (exit 3), naming the file and, where there is one, the SNP; no
+    output is written."""
+
+    def run(self, tmp_path, command, geno, n, p):
+        pheno = str(tmp_path / "pheno.tsv")
+        io_files.write_phenotype_tsv(pheno, np.arange(float(max(n, 1))))
+        summary = str(tmp_path / "summary.tsv")
+        io_files.write_summary_tsv(summary, SummaryStats(
+            snp_id=None, effect=np.ones(max(p, 1)), se=np.ones(max(p, 1)),
+            tstat=np.ones(max(p, 1)), pvalue=np.full(max(p, 1), 0.5), n=10))
+        out = tmp_path / "out.tsv"
+        inputs = {"gwas": ["--phenotype", pheno], "score": ["--summary", summary]}[command]
+        rc = main([command, "--genotypes", geno, *inputs, "--out", str(out)])
+        assert not out.exists()
+        return rc
+
+    @pytest.mark.parametrize("n, p, command, message", [
+        (0, 5, "score", "need at least 2 samples, got 0"),
+        (1, 5, "gwas", "need at least 2 samples, got 1"),
+        (4, 0, "gwas", "no SNPs"),
+    ])
+    def test_container_without_samples_or_snps(self, tmp_path, capsys, n, p, command, message):
+        geno = str(tmp_path / "geno.xtg")
+        write_container_of_packed(geno, np.zeros((n, -(-p // 4)), dtype=np.uint8), p)
+        assert self.run(tmp_path, command, geno, n, p) == 3
+        assert capsys.readouterr().err == f"error: {geno}: {message}\n"
+
+    def test_container_without_snps_is_refused_before_its_rows_are_read(self, tmp_path):
+        # with p = 0 a row takes 0 bytes, so a 24-byte file may claim any n;
+        # walking its row tiles would take n / 2^19 reads
+        geno = tmp_path / "geno.xtg"
+        geno.write_bytes(io_files.GENO_MAGIC + np.array([io_files.GENO_VERSION], "<u4").tobytes()
+                         + np.array([2**36, 0], "<u8").tobytes())
+        with pytest.raises(DataFormatError, match="no SNPs"):
+            io_files.read_genotype_bin(str(geno))
+
+    @pytest.mark.parametrize("command", ["gwas", "score"])
+    @pytest.mark.parametrize("code", [0, 2])
+    def test_container_with_a_constant_snp(self, tmp_path, capsys, command, code):
+        codes = gen_genotypes(20, 9, seed=3).codes.copy()
+        codes[:, 6] = code
+        geno = str(tmp_path / "geno.xtg")
+        write_container_of_packed(geno, io_files.pack_codes(codes), 9,
+                                  kernels.column_counts(codes))
+        assert self.run(tmp_path, command, geno, 20, 9) == 3
+        assert capsys.readouterr().err == (
+            f"error: {geno}: SNP 'snp0000006' is monomorphic: all 20 codes are {code}\n")
+
+    def test_tsv_without_snp_columns(self, tmp_path, capsys):
+        geno = write_lines(tmp_path, "sample_id", "a", "b", "c", "")
+        assert self.run(tmp_path, "gwas", geno, 3, 0) == 3
+        assert capsys.readouterr().err == f"error: {geno}: no SNPs\n"
+
+    def test_tsv_with_a_constant_column(self, tmp_path, capsys):
+        geno = write_lines(tmp_path, "sample_id\trs1\trs2\trs3", "a\t0\t1\t2", "b\t1\t1\t0",
+                           "c\t2\t1\t1", "")
+        assert self.run(tmp_path, "gwas", geno, 3, 3) == 3
+        assert capsys.readouterr().err == (
+            f"error: {geno}: SNP 'rs2' is monomorphic: all 3 codes are 1\n")
+
+    @pytest.mark.parametrize("field", [0, 1], ids=["code_sum", "twos"])
+    def test_stored_count_times_10(self, tmp_path, capsys, field):
+        """SNP 0 of the digest fixture (seed 18, n = 120, p = 481), its stored
+        code sum or count of 2s multiplied by 10: no 120 codes give them."""
+        n, p = 120, 481
+        arch = TraitArchitecture.shared_causal(p, 60, phi=0.5, h2=0.5, traits=("alpha", "eta"))
+        G = gen_independent_cohorts(arch, CohortSizes(n1=n), seed=18,
+                                    traits=("alpha", "eta")).disc_alpha
+        geno = tmp_path / "geno.xtg"
+        io_files.write_genotype_bin(str(geno), G)
+        data = bytearray(geno.read_bytes())
+        at = 24 + n * -(-p // 4) + field * 8 * p
+        counts = [int(G.code_sum[0]), int(G.twos[0])]
+        counts[field] *= 10
+        data[at:at + 8] = np.array(counts[field], "<i8").tobytes()
+        geno.write_bytes(bytes(data))
+        assert self.run(tmp_path, "gwas", str(geno), n, p) == 3
+        assert capsys.readouterr().err == (
+            f"error: {geno}: SNP 'snp0000000' has code sum {counts[0]} and {counts[1]} codes "
+            f"of 2, which no {n} codes in {{0,1,2}} give\n")
+
+    @pytest.mark.parametrize("code_sum, twos", [(-1, 0), (3, -1), (4, 3), (30, 5)])
+    def test_impossible_counts(self, tmp_path, capsys, code_sum, twos):
+        # n = 20: a negative count, more 2s than half the code sum, or more
+        # non-zero codes (code sum minus 2s) than samples
+        codes = gen_genotypes(20, 3, seed=5).codes
+        s, t = kernels.column_counts(codes)
+        s[1], t[1] = code_sum, twos
+        geno = str(tmp_path / "geno.xtg")
+        write_container_of_packed(geno, io_files.pack_codes(codes), 3, (s, t))
+        assert self.run(tmp_path, "score", geno, 20, 3) == 3
+        assert capsys.readouterr().err == (
+            f"error: {geno}: SNP 'snp0000001' has code sum {code_sum} and {twos} codes of 2, "
+            "which no 20 codes in {0,1,2} give\n")
+
+    def test_version_1_container(self, tmp_path, capsys):
+        """A container of the first layout, which stored float64 MAFs, means
+        and SDs in place of the counts, is refused."""
+        G = gen_genotypes(8, 5, seed=2)
+        geno = tmp_path / "geno.xtg"
+        geno.write_bytes(b"".join([
+            io_files.GENO_MAGIC, np.array([1], "<u4").tobytes(), np.array([8, 5], "<u8").tobytes(),
+            io_files.pack_codes(G.codes).tobytes(),
+            *(np.asarray(v, "<f8").tobytes() for v in (G.maf, G.col_mean, G.col_sd))]))
+        assert self.run(tmp_path, "gwas", str(geno), 8, 5) == 3
+        assert capsys.readouterr().err == f"error: {geno}: unsupported container version 1\n"
 
 
 class TestScoresAndPhenotypes:

@@ -435,17 +435,6 @@ class TestOverlappingCohorts:
         assert np.array_equal(S.col_sd, F.col_sd)
         assert np.array_equal(S.code_sum, F.code_sum) and np.array_equal(S.twos, F.twos)
 
-    def test_stack_counts_blocks_without_counts(self):
-        # a block read with stored statistics carries no counts
-        maf = np.random.default_rng(1).uniform(0.05, 0.45, size=30)
-        a = _gen_codes(20, maf, np.random.default_rng(2))
-        b = _gen_codes(25, maf, np.random.default_rng(3))
-        b.code_sum = b.twos = None
-        S = stack_genotypes(a, b)
-        F = GenotypeMatrix.from_codes(np.vstack([a.codes, b.codes]), maf=maf)
-        assert np.array_equal(S.col_mean, F.col_mean)
-        assert np.array_equal(S.col_sd, F.col_sd)
-
     def test_stack_requires_same_snps(self):
         a = gen_genotypes(10, 5, seed=1)
         b = gen_genotypes(10, 5, seed=2)
