@@ -5,7 +5,8 @@ Subcommands wrap the library one-to-one:
     simulate   run a declarative Monte-Carlo experiment from a config file
     gwas       marginal scan of a phenotype file against a genotype file
     score      build a (screened) risk score from genotypes + summary TSV
-    estimate   raw + corrected genetic correlation for a design case
+    estimate   raw + corrected genetic correlation for a design case, from
+               all-SNP scores or effects (a screened score is ``score --rule``)
     correct    apply a closed-form bias correction to a number
     moments    Monte-Carlo check of a moment oracle
 
@@ -40,7 +41,7 @@ from .estimators import (
     raw_cosine,
 )
 from .gwas import marginal_gwas
-from .prs import RULE_NONE, ScreenRule, score
+from .prs import RULE_NONE, ScreenRule, pair_snps, score
 
 # --case alias -> design-case tag
 _ALIASES = {case.alias: tag for tag, case in CASES.items() if case.alias}
@@ -112,31 +113,36 @@ def cmd_score(args, parser):
     return 0
 
 
-def _raw_phenotype_score(args, rule) -> float:
+def _raw_phenotype_score(args) -> tuple:
     W = io_files.read_genotypes(args.target_geno)
     y = io_files.read_phenotype_of(args.target_pheno, W, args.target_geno)
-    stats_a = io_files.read_summary_tsv(args.summary_a)
-    return raw_cosine(y, score(W, stats_a, rule).scores)
+    prs_a = score(W, io_files.read_summary_tsv(args.summary_a))
+    return y, prs_a.scores, prs_a.n_selected
 
 
-def _raw_score_score(args, rule) -> float:
+def _raw_score_score(args) -> tuple:
+    """Both scores over the same SNPs of the target, or refused."""
     W = io_files.read_genotypes(args.target_geno)
+    prs_a = score(W, io_files.read_summary_tsv(args.summary_a))
+    prs_b = score(W, io_files.read_summary_tsv(args.summary_b))
+    if not np.array_equal(prs_a.columns, prs_b.columns):
+        raise DataFormatError(
+            f"{args.summary_a} and {args.summary_b} pair with different SNPs of the target "
+            f"({prs_a.n_selected} and {prs_b.n_selected}); both scores need the same SNPs")
+    return prs_b.scores, prs_a.scores, prs_a.n_selected
+
+
+def _raw_effect_effect(args) -> tuple:
     stats_a = io_files.read_summary_tsv(args.summary_a)
     stats_b = io_files.read_summary_tsv(args.summary_b)
-    return raw_cosine(score(W, stats_b, rule).scores, score(W, stats_a, rule).scores)
+    ia, ib, _ = pair_snps((stats_a.snp_id, stats_a.p), (stats_b.snp_id, stats_b.p),
+                          (f"summary statistics in {args.summary_a}",
+                           f"summary statistics in {args.summary_b}"))
+    return stats_a.effect[ia], stats_b.effect[ib], ia.shape[0]
 
 
-def _raw_effect_effect(args, rule) -> float:
-    """Cosine of the effects of the SNP ids the two summary files share."""
-    stats_a = io_files.read_summary_tsv(args.summary_a)
-    stats_b = io_files.read_summary_tsv(args.summary_b)
-    common, ia, ib = np.intersect1d(stats_a.snp_id, stats_b.snp_id, return_indices=True)
-    if common.shape[0] == 0:
-        raise DataFormatError("summary files share no SNP ids")
-    return raw_cosine(stats_a.effect[ia], stats_b.effect[ib])
-
-
-# raw estimator -> (input-file flags it reads, its computation from files)
+# raw estimator -> (input-file flags it reads, the two vectors of its cosine
+# and the number of SNPs they span, from files)
 _RAW = {
     PHENOTYPE_SCORE: (("target_geno", "target_pheno", "summary_a"), _raw_phenotype_score),
     SCORE_SCORE: (("target_geno", "summary_a", "summary_b"), _raw_score_score),
@@ -147,11 +153,13 @@ _RAW = {
 def cmd_estimate(args, parser):
     case = args.case
     meta = _meta_from_args(args, parser)
-    rule = _screen_rule(args)
     files, raw_fn = _RAW[CASES[meta.case_tag].estimator]
     if not all(getattr(args, f) for f in files):
         parser.error(f"case {case!r} needs {' '.join('--' + f.replace('_', '-') for f in files)}")
-    est = correct(raw_fn(args, rule), meta)
+    u, v, p_used = raw_fn(args)
+    if args.p != p_used:
+        raise ParameterError(f"--p is {args.p}, but the raw estimate used {p_used} SNPs")
+    est = correct(raw_cosine(u, v), meta)
     if args.strict and est.regime_flag == DEGENERATE:
         raise DegenerateRegimeRefusal(
             f"design is in the degenerate regime (case {case}); refusing under --strict"
@@ -262,8 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--target-pheno")
     p_est.add_argument("--summary-a")
     p_est.add_argument("--summary-b")
-    p_est.add_argument("--rule", choices=["none", "pvalue", "effect"], default="none")
-    p_est.add_argument("--cutoff", type=float, default=None)
     p_est.add_argument("--out")
     p_est.add_argument("--strict", action="store_true",
                        help="exit 4 instead of correcting in the degenerate regime")

@@ -19,9 +19,9 @@ sum and count of 2s, not statistics; both readers end in
 naming the file.  All writes go through a temp-file-then-rename so
 partially written outputs never appear under the final name.  Repeated SNP
 or sample ids are refused when a file is read.
-A run manifest hashes its config and inputs with ``hashlib``, which is
-imported only when a hash is taken: it loads OpenSSL's libcrypto, which
-the file commands (``gwas``, ``score``, ``estimate``) never need.
+A run manifest hashes only its config, with ``hashlib``, which is imported
+only when the hash is taken: it loads OpenSSL's libcrypto, which the file
+commands (``gwas``, ``score``, ``estimate``) never need.
 """
 
 from __future__ import annotations
@@ -707,21 +707,11 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(config_text(cfg).encode("utf-8")).hexdigest()
 
 
-def file_digest(path: str) -> str:
-    import hashlib
-
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 @dataclass
 class RunManifest:
     """Provenance record emitted next to every output.
 
-    Outputs are a pure function of (config_hash, master_seed, inputs); the
+    Outputs are a pure function of (config_hash, master_seed); the
     timestamp and the ``info`` lines (how the run was executed) are
     informational and excluded from the hash, so reruns with an identical
     manifest reproduce outputs byte for byte.
@@ -731,7 +721,6 @@ class RunManifest:
     master_seed: int
     toolkit_version: str = __version__
     created_utc: str = ""
-    input_digests: dict = field(default_factory=dict)
     info: dict = field(default_factory=dict)
 
     def text(self) -> str:
@@ -742,19 +731,14 @@ class RunManifest:
             f"created_utc={self.created_utc}",
         ]
         lines += [f"{k}={v}" for k, v in self.info.items()]
-        for name in sorted(self.input_digests):
-            lines.append(f"input_digest:{name}={self.input_digests[name]}")
         return "\n".join(lines) + "\n"
 
 
-def write_manifest(
-    path: str, cfg: dict, master_seed: int, inputs: dict | None = None, info: dict | None = None
-) -> RunManifest:
+def write_manifest(path: str, cfg: dict, master_seed: int, info: dict | None = None) -> RunManifest:
     manifest = RunManifest(
         config_hash=config_hash(cfg),
         master_seed=master_seed,
         created_utc=datetime.now(timezone.utc).isoformat(),
-        input_digests={k: file_digest(v) for k, v in (inputs or {}).items()},
         info=info or {},
     )
     atomic_write_text(path, manifest.text())

@@ -114,7 +114,6 @@ _SHARED_COHORTS = {"overlap_i": ("n1", "n3"), "overlap_ii": ("n1", "n2")}
 class MomentPrediction:
     quantity_tag: str
     expected_value: float
-    variance_bound: float | None = None
 
 
 def _sigma_eps_cross(
@@ -163,15 +162,8 @@ def predict(
     s_ae, s_ab = arch.sigma_alpha_eta, arch.sigma_alpha_beta
     e_a, e_b, e_e = (arch.sigma2_eps(t) for t in ("alpha", "beta", "eta"))
 
-    var_bound = None
     if quantity_tag == "cov_ae_num":
         ev = n1 * n3 * m_ae * s_ae
-        # gaussian fourth moment: E[a^2 e^2] = s2_a s2_e + 2 s_ae^2
-        a22 = s2_a * s2_e + 2.0 * s_ae**2
-        var_bound = (
-            (n1 * n3 * m_ae**2 * p + 2 * n1**2 * n3 * m_ae**2 + 2 * n1 * n3**2 * m_ae**2) * s_ae**2
-            + n1**2 * n3**2 * m_ae * (a22 - s_ae**2)
-        )
     elif quantity_tag == "var_alpha_den":
         ev = (n1 * n3 * m_a * (p - m_a) + n1 * n3 * m_a * (m_a + n1)) * s2_a + n1 * n3 * p * e_a
     elif quantity_tag == "var_eta_den":
@@ -236,11 +228,7 @@ def predict(
                 + ns * n3 * p * e_b
             )
 
-    return MomentPrediction(
-        quantity_tag=quantity_tag,
-        expected_value=float(ev),
-        variance_bound=None if var_bound is None else float(var_bound),
-    )
+    return MomentPrediction(quantity_tag=quantity_tag, expected_value=float(ev))
 
 
 @dataclass

@@ -6,7 +6,8 @@ rest.  SNPs are aligned between the summary statistics and the target matrix
 by identifier intersection (sorted id order) so imperfectly overlapping real
 files behave deterministically; positional SNPs (simulated data, ``.xtg``
 containers) align by index.  A positional side is never matched against one
-with ids: that is refused, not guessed.
+with ids: that is refused, not guessed.  ``pair_snps`` is this one rule, and
+also pairs the effects of two summary files.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .errors import DataFormatError, ParameterError
 from .gwas import SummaryStats
 from .synth import GenotypeMatrix, default_snp_ids
 
-__all__ = ["ScreenRule", "RULE_NONE", "PrsVector", "score", "align_snps"]
+__all__ = ["ScreenRule", "RULE_NONE", "PrsVector", "score", "pair_snps", "align_snps"]
 
 
 @dataclass(frozen=True)
@@ -55,6 +56,7 @@ RULE_NONE = ScreenRule()
 class PrsVector:
     """Risk scores for the target samples.
 
+    ``columns`` are the target columns it weights, in pairing order.
     ``empty_selection`` flags an all-zero score produced by a screen that
     removed every SNP; correlation estimators must treat such a score as
     degenerate rather than dividing by its zero norm.
@@ -62,6 +64,7 @@ class PrsVector:
 
     scores: np.ndarray
     n_selected: int
+    columns: np.ndarray
     n_aligned: int | None = None
     empty_selection: bool = False
 
@@ -71,32 +74,38 @@ def _positional(ids: np.ndarray | None, p: int) -> bool:
     return ids is None or np.array_equal(ids, default_snp_ids(p))
 
 
-def align_snps(W: GenotypeMatrix, stats: SummaryStats) -> tuple[np.ndarray, np.ndarray, int]:
-    """Match target columns to summary rows.
+def pair_snps(a: tuple, b: tuple, names: tuple = ("genotypes", "summary statistics")
+              ) -> tuple[np.ndarray, np.ndarray, int]:
+    """Match the SNPs of two sides, each given as (SNP ids or None, p).
 
-    Returns (target column indices, summary row indices, number of ids that
-    failed to match on either side).  Two positional sides of equal p align
-    by index; two sides with ids by id intersection.  Anything else raises
-    ``DataFormatError`` naming the side without ids.
+    Returns (indices into a, indices into b, number of ids that failed to
+    match on either side).  Two positional sides of equal p pair by index;
+    two sides with ids by id intersection, in sorted id order.  Anything
+    else raises ``DataFormatError`` naming the sides by ``names``.
     """
-    w_pos = _positional(W.snp_ids, W.p)
-    s_pos = _positional(stats.snp_id, stats.p)
-    if w_pos != s_pos:
-        side = "genotypes" if w_pos else "summary statistics"
+    (ids_a, p_a), (ids_b, p_b) = a, b
+    a_pos, b_pos = _positional(ids_a, p_a), _positional(ids_b, p_b)
+    if a_pos != b_pos:
+        side = names[0] if a_pos else names[1]
         raise DataFormatError(f"the {side} carry no SNP ids (none, or the default ids in "
                               "order) and the other side does; cannot align them")
-    if w_pos:
-        if W.p != stats.p:
+    if a_pos:
+        if p_a != p_b:
             raise DataFormatError(
-                f"genotypes and summary statistics carry no SNP ids and differ in SNP "
-                f"count ({W.p} against {stats.p}); cannot align them by position")
-        idx = np.arange(W.p)
+                f"{names[0]} and {names[1]} carry no SNP ids and differ in SNP "
+                f"count ({p_a} against {p_b}); cannot align them by position")
+        idx = np.arange(p_a)
         return idx, idx, 0
-    common, w_idx, s_idx = np.intersect1d(W.snp_ids, stats.snp_id, return_indices=True)
+    common, idx_a, idx_b = np.intersect1d(ids_a, ids_b, return_indices=True)
     if common.shape[0] == 0:
-        raise DataFormatError("no SNP ids in common between genotypes and summary statistics")
-    mismatches = (W.p - common.shape[0]) + (stats.p - common.shape[0])
-    return w_idx, s_idx, int(mismatches)
+        raise DataFormatError(f"no SNP ids in common between {names[0]} and {names[1]}")
+    return idx_a, idx_b, (p_a - common.shape[0]) + (p_b - common.shape[0])
+
+
+def align_snps(W: GenotypeMatrix, stats: SummaryStats) -> tuple[np.ndarray, np.ndarray, int]:
+    """Match target columns to summary rows by ``pair_snps``: (target column
+    indices, summary row indices, number of ids that failed to match)."""
+    return pair_snps((W.snp_ids, W.p), (stats.snp_id, stats.p))
 
 
 def score(
@@ -110,14 +119,15 @@ def score(
     effect = stats.effect[s_idx]
     keep = rule.mask(stats)[s_idx]
     n_selected = int(keep.sum())
+    cols = w_idx[keep]
     if n_selected == 0:
         return PrsVector(
             scores=np.zeros(W.n),
             n_selected=0,
+            columns=cols,
             n_aligned=int(w_idx.shape[0]),
             empty_selection=True,
         )
-    cols = w_idx[keep]
     with np.errstate(over="ignore", invalid="ignore"):
         s = kernels.std_matvec(W.codes, W.col_mean, W.col_sd, effect[keep], indices=cols)
     if not np.all(np.isfinite(s)):
@@ -125,5 +135,6 @@ def score(
     return PrsVector(
         scores=s,
         n_selected=n_selected,
+        columns=cols,
         n_aligned=int(w_idx.shape[0]),
     )

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from crosstrait import experiments, io_files, moments
 from crosstrait.cli import build_parser, main
-from crosstrait.gwas import marginal_gwas
+from crosstrait.gwas import SummaryStats, marginal_gwas
 from crosstrait.synth import (
     CohortSizes,
     TraitArchitecture,
@@ -281,6 +281,101 @@ class TestPipelineCommands:
                    "--phenotype", str(tmp_path / "nope.tsv"),
                    "--out", str(tmp_path / "o.tsv")])
         assert rc == 3
+
+
+class TestEstimateComputesOnlyWhatItCorrects:
+    """``estimate`` corrects all-SNP cosines only, pairs SNPs by the rule
+    ``score`` uses, and refuses a ``--p`` that is not the SNP count used."""
+
+    @pytest.fixture(scope="class")
+    def named(self, tmp_path_factory):
+        """A 50 x 40 genotype TSV with SNP ids rs0..rs39 and the summaries of
+        its scan over all 40 ids, ids 0-29 and ids 10-39."""
+        d = tmp_path_factory.mktemp("named")
+        G = gen_genotypes(50, 40, seed=6)
+        lines = ["\t".join(["sample_id", *(f"rs{j}" for j in range(G.p))])]
+        lines += ["\t".join([f"s{i}", *map(str, row)]) for i, row in enumerate(G.codes)]
+        paths = {name: str(d / f"{name}.tsv") for name in ("geno", "all", "first", "last")}
+        with open(paths["geno"], "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        stats = marginal_gwas(io_files.read_genotypes(paths["geno"]),
+                              np.random.default_rng(6).standard_normal(G.n))
+        for name, rows in (("all", slice(0, 40)), ("first", slice(0, 30)),
+                           ("last", slice(10, 40))):
+            io_files.write_summary_tsv(paths[name], SummaryStats(
+                stats.snp_id[rows], stats.effect[rows], stats.se[rows], stats.tstat[rows],
+                stats.pvalue[rows], stats.n))
+        return paths
+
+    def test_screening_flags_are_not_options(self, small_dataset, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--case", "ae", "--target-geno", small_dataset["target_geno"],
+                  "--target-pheno", small_dataset["target_pheno"],
+                  "--summary-a", small_dataset["summary"], "--n1", "120", "--p", "60",
+                  "--h2a", "1", "--h2e", "1", "--rule", "pvalue", "--cutoff", "0.05"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --rule pvalue --cutoff 0.05" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("a, b, counts", [("all", "first", "40 and 30"),
+                                              ("first", "last", "30 and 30")],
+                             ids=["subset", "shifted"])
+    def test_scores_over_different_snps_refused(self, named, tmp_path, capsys, a, b, counts):
+        out = tmp_path / "est.tsv"
+        rc = main(["estimate", "--case", "ab", "--target-geno", named["geno"],
+                   "--summary-a", named[a], "--summary-b", named[b], "--n1", "50",
+                   "--n2", "50", "--p", "40", "--h2a", "1", "--h2b", "1", "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"error: {named[a]} and {named[b]} pair with different SNPs of the target "
+            f"({counts}); both scores need the same SNPs\n")
+        assert not out.exists()
+
+    def test_summaries_pair_by_id_intersection(self, named, capsys):
+        # ids rs10..rs29 are in both files, with the same effects
+        rc = main(["estimate", "--case", "summary-ab", "--summary-a", named["first"],
+                   "--summary-b", named["last"], "--n1", "50", "--n2", "50", "--p", "20",
+                   "--h2a", "1", "--h2b", "1"])
+        assert rc == 0
+        raw = capsys.readouterr().out.splitlines()[1].split("\t")[1]
+        assert float(raw) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("p_b, ids_b, message", [
+        (120, False, "summary statistics in {a} and summary statistics in {b} carry no SNP "
+                     "ids and differ in SNP count (100 against 120); cannot align them by "
+                     "position"),
+        (100, True, "the summary statistics in {a} carry no SNP ids (none, or the default "
+                    "ids in order) and the other side does; cannot align them"),
+    ], ids=["positional_unequal_p", "positional_against_ids"])
+    def test_summaries_that_do_not_pair_refused(self, tmp_path, capsys, p_b, ids_b, message):
+        paths = {}
+        for name, p in (("a", 100), ("b", p_b)):
+            stats = marginal_gwas(gen_genotypes(30, p, seed=p), np.arange(30.0))
+            if name == "b" and ids_b:
+                stats.snp_id = np.array([f"rs{j}" for j in range(p)])
+            paths[name] = str(tmp_path / f"{name}.tsv")
+            io_files.write_summary_tsv(paths[name], stats)
+        rc = main(["estimate", "--case", "summary-ab", "--summary-a", paths["a"],
+                   "--summary-b", paths["b"], "--n1", "30", "--n2", "30", "--p", "100",
+                   "--h2a", "1", "--h2b", "1"])
+        assert rc == 3
+        assert capsys.readouterr().err == "error: " + message.format(**paths) + "\n"
+
+    @pytest.mark.parametrize("case", ["ae", "ab", "summary-ab"])
+    def test_p_that_is_not_the_snps_used_refused(self, small_dataset, tmp_path, capsys, case):
+        files = {"--target-geno": small_dataset["target_geno"],
+                 "--target-pheno": small_dataset["target_pheno"],
+                 "--summary-a": small_dataset["summary"], "--summary-b": small_dataset["summary"]}
+        needs = {"ae": ("--target-geno", "--target-pheno", "--summary-a"),
+                 "ab": ("--target-geno", "--summary-a", "--summary-b"),
+                 "summary-ab": ("--summary-a", "--summary-b")}[case]
+        out = tmp_path / "est.tsv"
+        rc = main(["estimate", "--case", case, *(x for f in needs for x in (f, files[f])),
+                   "--n1", "120", "--n2", "120", "--n3", "100", "--p", "59", "--h2a", "1",
+                   "--h2b", "1", "--h2e", "1", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: --p is 59, but the raw estimate used 60 SNPs\n")
+        assert not out.exists()
 
 
 class TestValuesTooLargeToSquare:

@@ -112,19 +112,26 @@ def _sha16(path):
         return hashlib.sha256(fh.read()).hexdigest()[:16]
 
 
-def test_file_pipeline_digests_pinned(tmp_path, capsys):
-    """``gwas`` -> ``score`` -> screened ``score`` -> ``estimate`` through the
-    CLI on one generated dataset; p = 481 gives 121 bytes per packed row."""
+def _seed18_inputs(tmp_path, *outputs):
+    """(n, p, paths): the seed-18 discovery and target containers and the
+    alpha and eta phenotypes, written, and paths for ``outputs``."""
     n, p = 120, 481
     arch = TraitArchitecture.shared_causal(p, 60, phi=0.5, h2=0.5, traits=("alpha", "eta"))
     b = gen_independent_cohorts(arch, CohortSizes(n1=n, n3=n), seed=18, traits=("alpha", "eta"))
     P = {k: str(tmp_path / k) for k in
-         ("disc.xtg", "target.xtg", "y_alpha.tsv", "y_eta.tsv", "summary.tsv",
-          "scores_all.tsv", "scores_p.tsv", "estimate.tsv")}
+         ("disc.xtg", "target.xtg", "y_alpha.tsv", "y_eta.tsv", *outputs)}
     io_files.write_genotype_bin(P["disc.xtg"], b.disc_alpha)
     io_files.write_genotype_bin(P["target.xtg"], b.target)
     io_files.write_phenotype_tsv(P["y_alpha.tsv"], b.y_alpha.y)
     io_files.write_phenotype_tsv(P["y_eta.tsv"], b.y_eta.y)
+    return n, p, P
+
+
+def test_file_pipeline_digests_pinned(tmp_path, capsys):
+    """``gwas`` -> ``score`` -> screened ``score`` -> ``estimate`` through the
+    CLI on one generated dataset; p = 481 gives 121 bytes per packed row."""
+    n, p, P = _seed18_inputs(tmp_path, "summary.tsv", "scores_all.tsv", "scores_p.tsv",
+                             "estimate.tsv")
     commands = [
         ["gwas", "--genotypes", P["disc.xtg"], "--phenotype", P["y_alpha.tsv"],
          "--out", P["summary.tsv"]],
@@ -149,6 +156,34 @@ def test_file_pipeline_digests_pinned(tmp_path, capsys):
         "scores_all.tsv": "ae3b0c6d83f4d3bd",
         "scores_p.tsv": "93a02a3652905dc8",
         "estimate.tsv": "d1ec12c5a7038178",
+    })
+
+
+def test_estimate_two_summary_digests_pinned(tmp_path, capsys):
+    """``estimate`` of the two-summary cases on the same seed-18 data: the
+    discovery summary of alpha against a target summary of eta, paired by
+    position, as effects (summary-ab) and as two target scores (ab)."""
+    n, p, P = _seed18_inputs(tmp_path, "summary_a.tsv", "summary_b.tsv", "summary_ab.tsv",
+                             "ab.tsv")
+    design = ["--summary-a", P["summary_a.tsv"], "--summary-b", P["summary_b.tsv"],
+              "--n1", str(n), "--n2", str(n), "--p", str(p), "--h2a", "0.5", "--h2b", "0.5"]
+    commands = [
+        ["gwas", "--genotypes", P["disc.xtg"], "--phenotype", P["y_alpha.tsv"],
+         "--out", P["summary_a.tsv"]],
+        ["gwas", "--genotypes", P["target.xtg"], "--phenotype", P["y_eta.tsv"],
+         "--out", P["summary_b.tsv"]],
+        ["estimate", "--case", "summary-ab", *design, "--out", P["summary_ab.tsv"]],
+        ["estimate", "--case", "ab", "--target-geno", P["target.xtg"], *design,
+         "--out", P["ab.tsv"]],
+    ]
+    for argv in commands:
+        assert main(argv) == 0
+    capsys.readouterr()
+    got = {k: _sha16(P[k]) for k in ("summary_b.tsv", "summary_ab.tsv", "ab.tsv")}
+    assert_digests(got, {
+        "summary_b.tsv": "3901a59135bf3ff3",
+        "summary_ab.tsv": "89d12422e7a1b5e7",
+        "ab.tsv": "036b9f8e0e8f70a4",
     })
 
 

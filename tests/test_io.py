@@ -1331,14 +1331,11 @@ class TestConfigAndManifest:
         assert a != io_files.config_hash({"a": "1", "b": "3"})
 
     def test_manifest_written(self, tmp_path):
-        data = tmp_path / "input.txt"
-        data.write_text("hello")
         path = str(tmp_path / "manifest.txt")
-        m = io_files.write_manifest(path, {"k": "v"}, 42, inputs={"input": str(data)})
+        m = io_files.write_manifest(path, {"k": "v"}, 42)
         text = (tmp_path / "manifest.txt").read_text()
         assert f"config_hash={m.config_hash}" in text
         assert "master_seed=42" in text
-        assert "input_digest:input=" in text
 
     def test_manifest_version_is_package_version(self, tmp_path):
         import crosstrait

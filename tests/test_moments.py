@@ -33,7 +33,6 @@ class TestPredict:
         arch = TraitArchitecture.shared_causal(1000, 200, phi=0.9)
         pred = predict("cov_ae_num", arch, meta())
         assert pred.expected_value == pytest.approx(4.5e7)
-        assert pred.variance_bound is not None and pred.variance_bound > 0
 
     def test_zero_cross_covariance(self):
         arch = TraitArchitecture.shared_causal(1000, 200, phi=0.0)
