@@ -135,9 +135,9 @@ def _raw_score_score(args) -> tuple:
 def _raw_effect_effect(args) -> tuple:
     stats_a = io_files.read_summary_tsv(args.summary_a)
     stats_b = io_files.read_summary_tsv(args.summary_b)
-    ia, ib, _ = pair_snps((stats_a.snp_id, stats_a.p), (stats_b.snp_id, stats_b.p),
-                          (f"summary statistics in {args.summary_a}",
-                           f"summary statistics in {args.summary_b}"))
+    ia, ib = pair_snps((stats_a.snp_id, stats_a.p), (stats_b.snp_id, stats_b.p),
+                       (f"summary statistics in {args.summary_a}",
+                        f"summary statistics in {args.summary_b}"))
     return stats_a.effect[ia], stats_b.effect[ib], ia.shape[0]
 
 

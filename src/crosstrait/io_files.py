@@ -2,11 +2,14 @@
 
 Text tables are tab-separated with a header row; floats are written with 17
 significant digits so that write-then-read reproduces every IEEE double
-bit-exactly.  A table is read and written one chunk of rows at a time, about
-``_TABLE_CHUNK_CHARS`` characters: a chunk is read by columns (one split of
-its lines, then ``float`` over each number column) and written from one row
-template, so no Python call runs per field and no more than one chunk of
-text, and of the Python objects of its fields, is alive at once.  Genotypes
+bit-exactly.  A table is read in one ``np.loadtxt`` pass (numpy's C reader)
+into a structured array, its text columns as str objects turned into str
+arrays, its number columns as float64 and checked as arrays; a refused table
+is walked line by line only to name its first faulty line.  A table is
+written one chunk of rows of about ``_TABLE_CHUNK_CHARS`` characters at a
+time from one row template, so no Python call runs per field and no more
+than one chunk of text, and of the Python objects of its fields, is alive
+at once; default ids are formatted from the row index.  Genotypes
 have a compact binary container (2 bits per code, decoded two bytes per table
 lookup) for large runs, whose codes stay in the file and are read one row
 tile at a time, each tile decoded one column block at a time, and a
@@ -34,7 +37,7 @@ import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from operator import attrgetter
 
 import numpy as np
@@ -73,10 +76,9 @@ def _unpack_pair_lut() -> np.ndarray:
 # that a container's reader reads from the file at once
 _UNPACK_TILE_BYTES = 1 << 19
 
-# characters of a table read per chunk; a written chunk holds this many
-# characters of rows of up to 128 characters (a summary row has about 95).
-# A chunk's field objects take about 8 bytes per character: 0.5 MB at 64 K.
-# Chunks of 256 K held 2 MB and read a summary of p = 12,000 under 5 % faster
+# characters of a written chunk of a table (reads take one pass): rows of up
+# to 128 characters (a summary row has about 95).  A chunk's field objects
+# take about 8 bytes per character: 0.5 MB at 64 K
 _TABLE_CHUNK_CHARS = 1 << 16
 
 
@@ -110,47 +112,42 @@ def atomic_write_text(path: str, text: str) -> None:
         fh.write(text.encode("utf-8"))
 
 
-def _floats(col: list[str]) -> np.ndarray:
-    return np.array(list(map(float, col)))
-
-
-def _strs(col: list[str]) -> np.ndarray:
-    """A str array of a column; ``dtype=str`` keeps an empty chunk from
-    promoting the joined column to float."""
-    return np.array(col, dtype=str)
-
-
-def _finite(col: list[str]) -> np.ndarray:
-    x = _floats(col)
+def _finite(x: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ValueError("is not finite")
     return x
 
 
-def _not_nan(col: list[str]) -> np.ndarray:
-    x = _floats(col)
+def _not_nan(x: np.ndarray) -> np.ndarray:
     if np.isnan(x).any():
         raise ValueError("is NaN")
     return x
 
 
-def _pvalues(col: list[str]) -> np.ndarray:
-    x = _floats(col)
+def _pvalues(x: np.ndarray) -> np.ndarray:
     if not np.all((x > 0.0) & (x <= 1.0)):
         raise ValueError("is not in (0, 1]")
     return x
 
 
 def _ints(least: int):
-    """Parser of a column of integers >= ``least`` ("3.0" reads as 3); each
-    distinct string is checked once."""
-    def parse(col: list[str]) -> list[int]:
-        distinct = list(dict.fromkeys(col))
-        x = _floats(distinct)
+    """Check of a column of integers >= ``least`` ("3.0" reads as 3),
+    returned as int64."""
+    def check(x: np.ndarray) -> np.ndarray:
         if not np.all((x >= least) & (x < 2.0**63) & (x == np.floor(x))):
             raise ValueError(f"is not an integer >= {least}")
-        return list(map(dict(zip(distinct, x.astype(np.int64).tolist())).__getitem__, col))
-    return parse
+        return x.astype(np.int64)
+    return check
+
+
+def _number(field: str) -> float:
+    """A number field as ``np.loadtxt`` parses it: ``float`` of the field
+    stripped of whitespace, refused if it holds ``_`` or a non-ASCII
+    character, which ``float`` would accept (``1_000``, Arabic digits)."""
+    s = field.strip()
+    if "_" in s or not s.isascii():
+        raise ValueError(field)
+    return float(s)
 
 
 def _data_lines(fh):
@@ -193,21 +190,19 @@ def _refuse_repeats(path: str, ids: np.ndarray, column: str, line_of=None) -> No
                               f"repeats line {line_of(i)}")
 
 
-def _read_columns(path: str, header: list[str], parse: dict) -> list:
+def _read_columns(path: str, header: list[str], checks: dict) -> list[np.ndarray]:
     """The columns of a tab-separated table whose first line is ``header``.
 
-    Blank lines are skipped.  Column ``j`` is a list of strings, or
-    ``parse[j](strings)`` for the columns in ``parse``, whose functions
-    return an array or a list, and raise ``ValueError`` for a value they
-    refuse (or, parsing with ``float``, for one that is not a number).  The
-    table is read ``_TABLE_CHUNK_CHARS`` characters of whole lines at a
-    time; each chunk is split and parsed alone, and the chunks of each
-    column are joined at the end.  A line with the wrong number of fields,
-    or with a value in a ``parse`` column that is not a number or is
-    refused, raises ``DataFormatError`` naming the first such line.
+    The rows are read in one ``np.loadtxt`` pass (numpy's C reader, which
+    parses a number as ``float`` does but refuses what ``_number`` refuses)
+    into a structured array; blank lines are skipped.  Column ``j`` is a str array,
+    or for the columns in ``checks`` a float64 array passed through
+    ``checks[j]``, which returns an array and raises ``ValueError`` for a
+    value it refuses.  A line with the wrong number of fields, or with a
+    value in a ``checks`` column that is not a number or is refused, raises
+    ``DataFormatError`` naming the first such line, as does a table with no
+    rows.
     """
-    k = len(header)
-    parts = [[] for _ in range(k)]
     with open(path, "r", encoding="utf-8") as fh:
         head = fh.readline()
         if not head:
@@ -215,53 +210,49 @@ def _read_columns(path: str, header: list[str], parse: dict) -> list:
         cols = head.rstrip("\n").split("\t")
         if cols != header:
             raise DataFormatError(f"{path}:1: expected header {header}, got {cols}")
-        start = 2  # the line number of the chunk's first line
+        first = next(filter("\n".__ne__, iter(fh.readline, "")), None)
+        if first is None:
+            raise DataFormatError(f"{path}:2: no data rows")
+        # text columns are objects, never a guessed U width that would cut ids
+        dtype = [(str(j), np.float64 if j in checks else object) for j in range(len(header))]
         try:
-            # the last, empty chunk gives every column at least one part
-            while True:
-                lines = fh.readlines(_TABLE_CHUNK_CHARS)
-                rows = list(filter(None, "".join(lines).split("\n")))
-                if list(map(str.count, rows, repeat("\t"))).count(k - 1) != len(rows):
-                    raise ValueError("wrong number of fields")
-                fields = "\t".join(rows).split("\t") if rows else []
-                del rows
-                for j in range(k):
-                    col = fields[j::k]
-                    parts[j].append(parse[j](col) if j in parse else col)
-                del fields
-                if not lines:
-                    break
-                start += len(lines)
-        except ValueError:
-            _raise_first_fault(path, header, parse, start)
-            raise
-    return [np.concatenate(p) if isinstance(p[0], np.ndarray) else list(chain.from_iterable(p))
-            for p in parts]
+            table = np.loadtxt(chain((first,), fh), dtype=dtype, delimiter="\t",
+                               comments=None, ndmin=1)
+            columns = []
+            for j in range(len(header)):
+                col = table[str(j)]
+                if j in checks:
+                    columns.append(checks[j](col.copy()))
+                else:
+                    columns.append(col.astype(str))
+                    col[...] = None  # frees its str objects before more columns are made
+            return columns
+        except ValueError as exc:
+            _raise_first_fault(path, header, checks)
+            raise DataFormatError(f"{path}: {exc}") from None
 
 
-def _raise_first_fault(path: str, header: list[str], parse: dict, start: int = 2) -> None:
-    """Walk the lines of a table from line ``start`` on, in order, and raise
-    for the first one with the wrong number of fields, or a non-number or a
-    refused value in a ``parse`` column."""
+def _raise_first_fault(path: str, header: list[str], checks: dict) -> None:
+    """Walk the lines of a table in order, and raise for the first one with
+    the wrong number of fields, or a non-number or a refused value in a
+    ``checks`` column."""
     with open(path, "r", encoding="utf-8") as fh:
         fh.readline()
         for lineno, line in _data_lines(fh):
-            if lineno < start:
-                continue
             fields = line.split("\t")
             if len(fields) != len(header):
                 raise DataFormatError(
                     f"{path}:{lineno}: expected {len(header)} columns, got {len(fields)}"
                 )
-            for j, fn in parse.items():
+            for j, check in checks.items():
                 try:
-                    fn([fields[j]])
+                    x = _number(fields[j])
+                except ValueError:
+                    raise DataFormatError(f"{path}:{lineno}: column {header[j]!r} "
+                                          f"is not a number: {fields[j]!r}") from None
+                try:
+                    check(np.array([x]))
                 except ValueError as exc:
-                    try:
-                        float(fields[j])
-                    except ValueError:
-                        raise DataFormatError(f"{path}:{lineno}: column {header[j]!r} "
-                                              f"is not a number: {fields[j]!r}") from None
                     raise DataFormatError(
                         f"{path}:{lineno}: column {header[j]!r} {exc}: {fields[j]!r}"
                     ) from None
@@ -290,6 +281,13 @@ def _default_sample_ids(n: int) -> list[str]:
     return list(map("sample{:07d}".format, range(n)))
 
 
+def _id_column(ids, n: int, default: str) -> tuple:
+    """(an id column, its field of a row template): ``ids`` as ``%s``, or
+    without ids the row indices, which ``default`` formats as the default
+    ids, so that no id string is built before its chunk."""
+    return (range(n), default) if ids is None else (ids, "%s")
+
+
 # ---------------------------------------------------------------------------
 # summary statistics
 # ---------------------------------------------------------------------------
@@ -299,9 +297,10 @@ SUMMARY_HEADER = ["snp_id", "effect", "se", "tstat", "pvalue", "n"]
 
 def write_summary_tsv(path: str, stats: SummaryStats) -> None:
     """Write a summary TSV; positional SNPs (``snp_id`` None) are written with
-    the default ids, which read back as positional."""
-    ids = default_snp_ids(stats.p) if stats.snp_id is None else stats.snp_id
-    _write_rows(path, SUMMARY_HEADER, f"%s\t%.17g\t%.17g\t%.17g\t%.17g\t{stats.n}\n",
+    the default ids, formatted from the row index, which read back as
+    positional."""
+    ids, id_fmt = _id_column(stats.snp_id, stats.p, "snp%07d")
+    _write_rows(path, SUMMARY_HEADER, f"{id_fmt}\t%.17g\t%.17g\t%.17g\t%.17g\t{stats.n}\n",
                 _rows_of(ids, stats.effect, stats.se, stats.tstat, stats.pvalue))
 
 
@@ -312,11 +311,10 @@ def read_summary_tsv(path: str) -> SummaryStats:
     but not NaN.  A repeated ``snp_id`` is refused."""
     ids, effect, se, tstat, pvalue, ns = _read_columns(
         path, SUMMARY_HEADER,
-        {0: _strs, 1: _finite, 2: _not_nan, 3: _not_nan, 4: _pvalues, 5: _ints(1)})
-    if not len(ids):
-        raise DataFormatError(f"{path}:2: no data rows")
-    if ns.count(ns[0]) != len(ns):
-        row = next(i for i, n in enumerate(ns) if n != ns[0])
+        {1: _finite, 2: _not_nan, 3: _not_nan, 4: _pvalues, 5: _ints(1)})
+    other = np.flatnonzero(ns != ns[0])
+    if other.size:
+        row = int(other[0])
         raise DataFormatError(f"{path}:{_line_of_row(path, row)}: column 'n' is {ns[row]}, "
                               f"but {ns[0]} on the first row")
     _refuse_repeats(path, ids, "snp_id")
@@ -326,7 +324,7 @@ def read_summary_tsv(path: str) -> SummaryStats:
         se=se,
         tstat=tstat,
         pvalue=pvalue,
-        n=ns[0],
+        n=int(ns[0]),
     )
 
 
@@ -335,17 +333,15 @@ def read_summary_tsv(path: str) -> SummaryStats:
 # ---------------------------------------------------------------------------
 
 def write_phenotype_tsv(path: str, y: np.ndarray, sample_ids=None) -> None:
-    if sample_ids is None:
-        sample_ids = _default_sample_ids(len(y))
-    _write_rows(path, ["sample_id", "value"], "%s\t%.17g\n", _rows_of(sample_ids, y))
+    ids, id_fmt = _id_column(sample_ids, len(y), "sample%07d")
+    _write_rows(path, ["sample_id", "value"], id_fmt + "\t%.17g\n", _rows_of(ids, y))
 
 
-def read_phenotype_tsv(path: str) -> tuple[np.ndarray, list[str]]:
-    """The values (finite) and sample ids (distinct) of a phenotype TSV."""
+def read_phenotype_tsv(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """The values (finite) and sample ids (distinct, a str array) of a
+    phenotype TSV."""
     ids, values = _read_columns(path, ["sample_id", "value"], {1: _finite})
-    if not ids:
-        raise DataFormatError(f"{path}:2: no data rows")
-    _refuse_repeats(path, np.array(ids), "sample_id")
+    _refuse_repeats(path, ids, "sample_id")
     return values, ids
 
 
@@ -359,20 +355,19 @@ def read_phenotype_of(path: str, G: GenotypeMatrix, geno_path: str) -> np.ndarra
         raise DataFormatError(
             f"{path}: {y.shape[0]} phenotype rows, but {geno_path} holds {G.n} samples")
     want = np.asarray(_default_sample_ids(G.n) if G.sample_ids is None else G.sample_ids)
-    bad = np.flatnonzero(np.asarray(ids) != want)
+    bad = np.flatnonzero(ids != want)
     if bad.size:
         i = int(bad[0])
         note = "" if G.sample_ids is not None else ", as it stores no sample ids"
         raise DataFormatError(
-            f"{path}:{_line_of_row(path, i)}: sample id {ids[i]!r}, but sample {i + 1} "
+            f"{path}:{_line_of_row(path, i)}: sample id {str(ids[i])!r}, but sample {i + 1} "
             f"of {geno_path} is {str(want[i])!r}{note}")
     return y
 
 
 def write_scores_tsv(path: str, scores: np.ndarray, sample_ids=None) -> None:
-    if sample_ids is None:
-        sample_ids = _default_sample_ids(len(scores))
-    _write_rows(path, ["sample_id", "score"], "%s\t%.17g\n", _rows_of(sample_ids, scores))
+    ids, id_fmt = _id_column(sample_ids, len(scores), "sample%07d")
+    _write_rows(path, ["sample_id", "score"], id_fmt + "\t%.17g\n", _rows_of(ids, scores))
 
 
 # ---------------------------------------------------------------------------

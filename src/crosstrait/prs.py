@@ -65,7 +65,6 @@ class PrsVector:
     scores: np.ndarray
     n_selected: int
     columns: np.ndarray
-    n_aligned: int | None = None
     empty_selection: bool = False
 
 
@@ -75,13 +74,13 @@ def _positional(ids: np.ndarray | None, p: int) -> bool:
 
 
 def pair_snps(a: tuple, b: tuple, names: tuple = ("genotypes", "summary statistics")
-              ) -> tuple[np.ndarray, np.ndarray, int]:
+              ) -> tuple[np.ndarray, np.ndarray]:
     """Match the SNPs of two sides, each given as (SNP ids or None, p).
 
-    Returns (indices into a, indices into b, number of ids that failed to
-    match on either side).  Two positional sides of equal p pair by index;
-    two sides with ids by id intersection, in sorted id order.  Anything
-    else raises ``DataFormatError`` naming the sides by ``names``.
+    Returns (indices into a, indices into b).  Two positional sides of
+    equal p pair by index; two sides with ids by id intersection, in sorted
+    id order.  Anything else raises ``DataFormatError`` naming the sides by
+    ``names``.
     """
     (ids_a, p_a), (ids_b, p_b) = a, b
     a_pos, b_pos = _positional(ids_a, p_a), _positional(ids_b, p_b)
@@ -95,16 +94,16 @@ def pair_snps(a: tuple, b: tuple, names: tuple = ("genotypes", "summary statisti
                 f"{names[0]} and {names[1]} carry no SNP ids and differ in SNP "
                 f"count ({p_a} against {p_b}); cannot align them by position")
         idx = np.arange(p_a)
-        return idx, idx, 0
-    common, idx_a, idx_b = np.intersect1d(ids_a, ids_b, return_indices=True)
-    if common.shape[0] == 0:
+        return idx, idx
+    _, idx_a, idx_b = np.intersect1d(ids_a, ids_b, return_indices=True)
+    if idx_a.shape[0] == 0:
         raise DataFormatError(f"no SNP ids in common between {names[0]} and {names[1]}")
-    return idx_a, idx_b, (p_a - common.shape[0]) + (p_b - common.shape[0])
+    return idx_a, idx_b
 
 
-def align_snps(W: GenotypeMatrix, stats: SummaryStats) -> tuple[np.ndarray, np.ndarray, int]:
+def align_snps(W: GenotypeMatrix, stats: SummaryStats) -> tuple[np.ndarray, np.ndarray]:
     """Match target columns to summary rows by ``pair_snps``: (target column
-    indices, summary row indices, number of ids that failed to match)."""
+    indices, summary row indices)."""
     return pair_snps((W.snp_ids, W.p), (stats.snp_id, stats.p))
 
 
@@ -115,7 +114,7 @@ def score(
 ) -> PrsVector:
     """Build the (optionally screened) risk score on the target samples; a
     score that is not finite (an effect too large to weight) is refused."""
-    w_idx, s_idx, _ = align_snps(W, stats)
+    w_idx, s_idx = align_snps(W, stats)
     effect = stats.effect[s_idx]
     keep = rule.mask(stats)[s_idx]
     n_selected = int(keep.sum())
@@ -125,7 +124,6 @@ def score(
             scores=np.zeros(W.n),
             n_selected=0,
             columns=cols,
-            n_aligned=int(w_idx.shape[0]),
             empty_selection=True,
         )
     with np.errstate(over="ignore", invalid="ignore"):
@@ -136,5 +134,4 @@ def score(
         scores=s,
         n_selected=n_selected,
         columns=cols,
-        n_aligned=int(w_idx.shape[0]),
     )

@@ -2,6 +2,7 @@ import os
 import re
 import tempfile
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -417,8 +418,101 @@ class TestSummaryTsv:
             io_files.read_summary_tsv(str(path))
 
 
-# characters per read chunk (at most 128 give one row per written chunk):
-# one line per read, a few characters, a few rows, and the default
+# summary ids of 1 to 40 characters: no tab or line end, no lone surrogate
+# (not UTF-8), and no NUL, which a str array drops from the end of an id
+SNP_IDS = st.text(st.characters(blacklist_categories=("Cs",),
+                                blacklist_characters="\t\n\r\x00"), min_size=1, max_size=40)
+TINY = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308]
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_summary_round_trip_bitwise_with_any_ids(data):
+    """``write_summary_tsv`` then ``read_summary_tsv`` gives back every id and
+    every bit: subnormals and signed zeros anywhere, infinities in ``se`` and
+    ``tstat``, and p-values down to the least subnormal."""
+    k = data.draw(st.integers(1, 30))
+    column = lambda values: data.draw(st.lists(values, min_size=k, max_size=k))  # noqa: E731
+    stats = SummaryStats(
+        snp_id=np.array(data.draw(st.lists(SNP_IDS, min_size=k, max_size=k, unique=True))),
+        effect=np.array(column(st.floats(allow_nan=False, allow_infinity=False)
+                               | st.sampled_from(TINY))),
+        se=np.array(column(st.floats(allow_nan=False) | st.sampled_from(TINY))),
+        tstat=np.array(column(st.sampled_from([np.inf, -np.inf]) | st.floats(allow_nan=False))),
+        pvalue=np.array(column(st.floats(min_value=5e-324, max_value=1.0)
+                               | st.sampled_from([5e-324, 1.0]))),
+        n=data.draw(st.integers(1, 2**53)))  # n is read as a float64
+    with tempfile.TemporaryDirectory() as d:
+        io_files.write_summary_tsv(f"{d}/s.tsv", stats)
+        back = io_files.read_summary_tsv(f"{d}/s.tsv")
+    assert back.snp_id.dtype == stats.snp_id.dtype
+    assert back.snp_id.tolist() == stats.snp_id.tolist()
+    for f in ("effect", "se", "tstat", "pvalue"):
+        assert np.array_equal(bits(getattr(back, f)), bits(getattr(stats, f)))
+    assert back.n == stats.n
+
+
+class TestReaderThroughCli:
+    """What the table reader accepts and refuses, seen through ``score`` on a
+    genotype TSV whose SNPs carry ids."""
+
+    IDS = ["rs1", "rs2", "rs3", "rs4"]
+
+    def score(self, tmp_path, edit=lambda lines: lines, ids=IDS):
+        """Exit code and scores of ``score`` on a summary whose lines (with
+        their ends) ``edit`` may change; ``ids`` name the SNPs of both files."""
+        G = gen_genotypes(12, len(ids), seed=5)
+        geno, out = str(tmp_path / "geno.tsv"), tmp_path / "scores.tsv"
+        write_genotype_tsv(geno, G, ids)
+        stats = SummaryStats(snp_id=np.array(ids), effect=np.array([0.5, -0.25, 1.5, 0.125]),
+                             se=np.full(4, 0.1), tstat=np.array([5.0, -2.5, 15.0, 1.25]),
+                             pvalue=np.array([1e-6, 0.01, 1e-40, 0.2]), n=2000)
+        summary = tmp_path / "summary.tsv"
+        io_files.write_summary_tsv(str(summary), stats)
+        summary.write_bytes("".join(edit(summary.read_text().splitlines(True))).encode())
+        rc = main(["score", "--genotypes", geno, "--summary", str(summary), "--out", str(out)])
+        return rc, out.read_bytes() if out.exists() else None
+
+    @pytest.mark.parametrize("edit", [
+        lambda lines: [line.replace("\n", "\r\n") for line in lines],
+        lambda lines: [lines[0], "\n", *(line + "\n" for line in lines[1:])],
+        # a space on each side of every number; the id keeps none
+        lambda lines: [lines[0], *(line.replace("\t", " \t ").replace(" \t ", "\t", 1)
+                                   for line in lines[1:])],
+        lambda lines: [lines[0], *(line.replace("\t2000\n", "\t2000.0\n") for line in lines[1:])],
+    ], ids=["crlf_line_ends", "blank_lines_between_rows", "spaces_around_numbers",
+            "n_written_as_a_float"])
+    def test_accepted_edits_score_the_same_bytes(self, tmp_path, edit):
+        plain = self.score(tmp_path)
+        assert plain[0] == 0
+        assert self.score(tmp_path, edit) == plain
+
+    def test_ids_holding_hash_and_quote(self, tmp_path):
+        # the ids sort as IDS do, so the score sums its SNPs in the same order
+        ids = ['#rs1"', '#rs2"', '#rs3"', '#rs4"']
+        plain = self.score(tmp_path)
+        assert self.score(tmp_path, ids=ids) == plain
+        assert io_files.read_summary_tsv(str(tmp_path / "summary.tsv")).snp_id.tolist() == ids
+
+    def test_empty_body_exits_3_without_a_warning(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out = self.score(tmp_path, lambda lines: [lines[0], "\n", "\r\n"])
+        assert (rc, out) == (3, None)
+        assert f"{tmp_path / 'summary.tsv'}:2: no data rows" in capsys.readouterr().err
+
+    def test_underscore_in_a_number_is_refused(self, tmp_path, capsys):
+        """``float`` reads ``1_000`` as 1000; numpy's reader, and so a table,
+        refuses it."""
+        rc, out = self.score(tmp_path, lambda lines: [*lines[:3], lines[3].replace(
+            "\t2000\n", "\t2_000\n"), *lines[4:]])
+        assert (rc, out) == (3, None)
+        assert (f"{tmp_path / 'summary.tsv'}:4: column 'n' is not a number: '2_000'"
+                in capsys.readouterr().err)
+
+
+# characters per written chunk (at most 128 give one row per chunk), which
+# a read ignores: a few characters, a few rows, and the default
 CHUNKS = st.sampled_from([1, 3, 7, 200, 300, 1000, io_files._TABLE_CHUNK_CHARS])
 
 
@@ -447,8 +541,8 @@ def summary_texts(draw):
 
 
 class TestTableChunks:
-    """A table is read and written one chunk at a time; the chunk size moves
-    no value, no byte and no line number."""
+    """A table is written one chunk at a time and read in one pass; the chunk
+    size moves no value, no byte and no line number."""
 
     @given(summary_texts(), CHUNKS)
     @settings(max_examples=200, deadline=None)
@@ -508,8 +602,8 @@ class TestTableChunks:
 
 
 class TestTableMemory:
-    """A table's reader and writer hold one chunk of text and of field
-    objects, beside the columns themselves."""
+    """A table's writer holds one chunk of text and of field objects beside
+    the columns, and its reader little more than the columns."""
 
     P = 20_000
 
@@ -530,15 +624,25 @@ class TestTableMemory:
         io_files.write_summary_tsv(path, self.summary())
         assert traced_peak(lambda: io_files.read_summary_tsv(path)) < 300 * self.P
 
-    def test_read_summary_parses_ids_per_chunk_below_190_bytes_per_snp(self, tmp_path):
-        """The ``snp_id`` column is a str array per chunk, not a list of str
-        objects until the end; the ids read back with the writer's dtype."""
+    def test_read_summary_ids_as_str_array_below_190_bytes_per_snp(self, tmp_path):
+        """The ``snp_id`` column is a str array, its str objects freed before
+        the number columns are copied; the ids read back with the writer's
+        dtype."""
         stats = self.summary()
         path = str(tmp_path / "s.tsv")
         io_files.write_summary_tsv(path, stats)
         assert traced_peak(lambda: io_files.read_summary_tsv(path)) < 190 * self.P
         ids = io_files.read_summary_tsv(path).snp_id
         assert ids.dtype == stats.snp_id.dtype and np.array_equal(ids, stats.snp_id)
+
+    def test_positional_write_formats_ids_below_40_bytes_per_snp(self, tmp_path):
+        """A summary without ids is written with the default ids formatted
+        from the row index: no array of p ids is built."""
+        stats = self.summary()
+        stats.snp_id = None
+        default_snp_ids.cache_clear()
+        path = str(tmp_path / "s.tsv")
+        assert traced_peak(lambda: io_files.write_summary_tsv(path, stats)) < 40 * self.P
 
     @pytest.mark.parametrize("argv", [
         ["gwas", "--genotypes", "{geno}", "--phenotype", "{pheno}", "--out", "{out}"],
