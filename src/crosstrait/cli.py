@@ -54,24 +54,18 @@ _META_FLAGS = {
 }
 
 
-def _meta_flags(parser: argparse.ArgumentParser) -> None:
-    for flag, name in _META_FLAGS.items():
-        # sizes are integers, heritabilities and genetic shares floats
-        parser.add_argument(f"--{flag}", type=float if name.startswith("h") else int)
-
-
-def _meta_from_args(args, parser) -> DesignMeta:
-    """The design of ``--case`` from the flags; a flag its factor needs is
-    required, and the degenerate-regime check also uses n2/n3 when given."""
-    tag = _ALIASES[args.case]
-    required = CASES[tag].required
-    missing = [f for f, name in _META_FLAGS.items() if name in required and getattr(args, f) is None]
+def _design_flags(args, parser, read=()) -> dict:
+    """DesignMeta field -> value of each design flag given.  A flag the factor
+    of ``--case`` needs is required, unless its field is in ``read`` (the
+    sizes ``estimate`` reads from its files)."""
+    required = CASES[_ALIASES[args.case]].required
+    missing = [f for f, name in _META_FLAGS.items()
+               if name in required and name not in read and getattr(args, f) is None]
     if missing:
         parser.error(
             f"case {args.case!r} requires {' '.join('--' + f for f in missing)}"
         )
-    given = {name: v for f, name in _META_FLAGS.items() if (v := getattr(args, f)) is not None}
-    return DesignMeta(case_tag=tag, **given)
+    return {name: v for f, name in _META_FLAGS.items() if (v := getattr(args, f)) is not None}
 
 
 def _screen_rule(args) -> ScreenRule:
@@ -116,20 +110,23 @@ def cmd_score(args, parser):
 def _raw_phenotype_score(args) -> tuple:
     W = io_files.read_genotypes(args.target_geno)
     y = io_files.read_phenotype_of(args.target_pheno, W, args.target_geno)
-    prs_a = score(W, io_files.read_summary_tsv(args.summary_a))
-    return y, prs_a.scores, prs_a.n_selected
+    stats_a = io_files.read_summary_tsv(args.summary_a)
+    prs_a = score(W, stats_a)
+    return y, prs_a.scores, {"p": prs_a.n_selected, "n1": stats_a.n, "n3": W.n}
 
 
 def _raw_score_score(args) -> tuple:
     """Both scores over the same SNPs of the target, or refused."""
     W = io_files.read_genotypes(args.target_geno)
-    prs_a = score(W, io_files.read_summary_tsv(args.summary_a))
-    prs_b = score(W, io_files.read_summary_tsv(args.summary_b))
+    stats_a = io_files.read_summary_tsv(args.summary_a)
+    stats_b = io_files.read_summary_tsv(args.summary_b)
+    prs_a, prs_b = score(W, stats_a), score(W, stats_b)
     if not np.array_equal(prs_a.columns, prs_b.columns):
         raise DataFormatError(
             f"{args.summary_a} and {args.summary_b} pair with different SNPs of the target "
             f"({prs_a.n_selected} and {prs_b.n_selected}); both scores need the same SNPs")
-    return prs_b.scores, prs_a.scores, prs_a.n_selected
+    return prs_b.scores, prs_a.scores, {"p": prs_a.n_selected, "n1": stats_a.n,
+                                        "n2": stats_b.n, "n3": W.n}
 
 
 def _raw_effect_effect(args) -> tuple:
@@ -138,71 +135,76 @@ def _raw_effect_effect(args) -> tuple:
     ia, ib = pair_snps((stats_a.snp_id, stats_a.p), (stats_b.snp_id, stats_b.p),
                        (f"summary statistics in {args.summary_a}",
                         f"summary statistics in {args.summary_b}"))
-    return stats_a.effect[ia], stats_b.effect[ib], ia.shape[0]
+    return stats_a.effect[ia], stats_b.effect[ib], {"p": ia.shape[0], "n1": stats_a.n,
+                                                    "n2": stats_b.n}
 
 
-# raw estimator -> (input-file flags it reads, the two vectors of its cosine
-# and the number of SNPs they span, from files)
+# raw estimator -> (input-file flags it reads, the two vectors of its cosine and
+# the design sizes its files give: p, the SNPs they span, and sample counts)
 _RAW = {
     PHENOTYPE_SCORE: (("target_geno", "target_pheno", "summary_a"), _raw_phenotype_score),
     SCORE_SCORE: (("target_geno", "summary_a", "summary_b"), _raw_score_score),
     EFFECT_EFFECT: (("summary_a", "summary_b"), _raw_effect_effect),
 }
+# design size -> the input-file flag whose sample count it is
+_SIZE_FILES = {"n1": "summary_a", "n2": "summary_b", "n3": "target_geno"}
 
 
-def cmd_estimate(args, parser):
-    case = args.case
-    meta = _meta_from_args(args, parser)
-    files, raw_fn = _RAW[CASES[meta.case_tag].estimator]
-    if not all(getattr(args, f) for f in files):
-        parser.error(f"case {case!r} needs {' '.join('--' + f.replace('_', '-') for f in files)}")
-    u, v, p_used = raw_fn(args)
-    if args.p != p_used:
-        raise ParameterError(f"--p is {args.p}, but the raw estimate used {p_used} SNPs")
-    est = correct(raw_cosine(u, v), meta)
+def _report(args, est, lead: dict) -> int:
+    """Print ``lead`` (column -> value) and ``est`` under their header, and to
+    ``--out`` when given; ``--strict`` refuses a design in the degenerate regime."""
     if args.strict and est.regime_flag == DEGENERATE:
         raise DegenerateRegimeRefusal(
-            f"design is in the degenerate regime (case {case}); refusing under --strict"
+            f"design is in the degenerate regime (case {args.case}); refusing under --strict"
         )
-    line = (
-        f"{case}\t{io_files.fmt(est.raw)}\t{io_files.fmt(est.bias_factor)}"
-        f"\t{io_files.fmt(est.corrected)}\t{est.flag}"
-    )
-    print("case\traw\tfactor\tcorrected\tregime_flag")
-    print(line)
-    if args.out:
-        io_files.atomic_write_text(
-            args.out, "case\traw\tfactor\tcorrected\tregime_flag\n" + line + "\n"
-        )
+    row = {**lead, "raw": io_files.fmt(est.raw), "factor": io_files.fmt(est.bias_factor),
+           "corrected": io_files.fmt(est.corrected), "regime_flag": est.flag}
+    text = "\t".join(row) + "\n" + "\t".join(row.values()) + "\n"
+    print(text, end="")
+    if getattr(args, "out", None):
+        io_files.atomic_write_text(args.out, text)
     return 0
 
 
+def cmd_estimate(args, parser):
+    """n1, n2, n3 and p come from the files, less the ``--ns`` shared samples
+    for the case's ``shared`` sizes; a size flag that is given must agree."""
+    tag = _ALIASES[args.case]
+    design = _design_flags(args, parser, read=(*_SIZE_FILES, "p"))
+    files, raw_fn = _RAW[CASES[tag].estimator]
+    if not all(getattr(args, f) for f in files):
+        parser.error(f"case {args.case!r} needs --{' --'.join(files).replace('_', '-')}")
+    u, v, sizes = raw_fn(args)
+    for f, value in sizes.items():
+        source = (f"the raw estimate used {value} SNPs" if f == "p"
+                  else f"{getattr(args, _SIZE_FILES[f])} holds {value} samples")
+        if f in CASES[tag].shared:
+            value -= args.ns
+            source += f", {value} of them not among the --ns {args.ns} shared"
+            if value < 1:
+                raise ParameterError(f"--ns is {args.ns}, but {source}")
+        given = design.setdefault(f, value)
+        if given != value:
+            raise ParameterError(f"--{f} is {given}, but {source}")
+    est = correct(raw_cosine(u, v), DesignMeta(case_tag=tag, **design))
+    return _report(args, est, {"case": args.case})
+
+
 def cmd_correct(args, parser):
-    case = args.case
     if args.raw is None and args.r2 is None:
         parser.error("one of --raw or --r2 is required")
+    if args.r2 is not None and args.case != "ae":
+        parser.error("--r2 correction applies to case 'ae' (square of its factor)")
+    design = _design_flags(args, parser)
     if args.r2 is not None:
-        if case != "ae":
-            parser.error("--r2 correction applies to case 'ae' (square of its factor)")
-        for f in ("n1", "p", "h2a", "h2e"):
-            if getattr(args, f) is None:
-                parser.error(f"--r2 correction requires --n1 --p --h2a --h2e (missing --{f})")
         res = correct_partial_r2(args.r2, args.n1, args.p, args.h2a, args.h2e)
         flag = "out_of_range" if res.out_of_range else "ok"
         print("r2_raw\tfactor\tr2_corrected\tflag")
         print(f"{io_files.fmt(res.r2_raw)}\t{io_files.fmt(res.factor)}"
               f"\t{io_files.fmt(res.r2_corrected)}\t{flag}")
         return 0
-    meta = _meta_from_args(args, parser)
-    est = correct(args.raw, meta)
-    if args.strict and est.regime_flag == DEGENERATE:
-        raise DegenerateRegimeRefusal(
-            f"design is in the degenerate regime (case {case}); refusing under --strict"
-        )
-    print("raw\tfactor\tcorrected\tregime_flag")
-    print(f"{io_files.fmt(est.raw)}\t{io_files.fmt(est.bias_factor)}"
-          f"\t{io_files.fmt(est.corrected)}\t{est.flag}")
-    return 0
+    meta = DesignMeta(case_tag=_ALIASES[args.case], **design)
+    return _report(args, correct(args.raw, meta), {})
 
 
 def cmd_moments(args, parser):
@@ -273,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--out")
     p_est.add_argument("--strict", action="store_true",
                        help="exit 4 instead of correcting in the degenerate regime")
-    _meta_flags(p_est)
     p_est.set_defaults(func=cmd_estimate)
 
     p_cor = sub.add_parser("correct", help="apply a closed-form bias correction")
@@ -282,25 +283,25 @@ def build_parser() -> argparse.ArgumentParser:
                        help="partial R^2 to correct (case ae)")
     p_cor.add_argument("--case", required=True, choices=sorted(_ALIASES))
     p_cor.add_argument("--strict", action="store_true")
-    _meta_flags(p_cor)
     p_cor.set_defaults(func=cmd_correct)
+    for p_design in (p_est, p_cor):
+        for flag, name in _META_FLAGS.items():
+            # sizes are integers, heritabilities and genetic shares floats
+            p_design.add_argument(f"--{flag}", type=float if name.startswith("h") else int)
 
     p_mom = sub.add_parser("moments", help="Monte-Carlo check of moment oracles")
     p_mom.add_argument("--tag", required=True, nargs="+", choices=list(moments.ALL_TAGS))
     p_mom.add_argument("--n1", type=int, required=True)
-    p_mom.add_argument("--n2", type=int, default=0)
-    p_mom.add_argument("--n3", type=int, default=0)
-    p_mom.add_argument("--ns", type=int, default=0)
+    for flag in ("--n2", "--n3", "--ns"):
+        p_mom.add_argument(flag, type=int, default=0)
     p_mom.add_argument("--p", type=int, required=True)
     p_mom.add_argument("--m", type=int, required=True)
     p_mom.add_argument("--rho", type=float, default=0.5, help="shared-effect correlation")
     p_mom.add_argument("--sigma2", type=float, default=1.0)
     p_mom.add_argument("--h2", type=float, default=1.0)
     p_mom.add_argument("--rho-eps", type=float, default=0.0)
-    p_mom.add_argument("--q-a1", type=int, default=None)
-    p_mom.add_argument("--q-a2", type=int, default=None)
-    p_mom.add_argument("--q-b1", type=int, default=None)
-    p_mom.add_argument("--q-b2", type=int, default=None)
+    for flag in ("--q-a1", "--q-a2", "--q-b1", "--q-b2"):
+        p_mom.add_argument(flag, type=int, default=None)
     p_mom.add_argument("--replicates", type=int, default=200)
     p_mom.add_argument("--seed", type=int, default=0)
     p_mom.add_argument("--out")
@@ -317,15 +318,11 @@ def main(argv=None) -> int:
     experiments._keep_freed_memory()
     try:
         return args.func(args, parser)
-    except DegenerateRegimeRefusal as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (ParameterError, CorrectionUnavailableError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (CrosstraitError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        if isinstance(exc, DegenerateRegimeRefusal):
+            return 4
+        return 2 if isinstance(exc, (ParameterError, CorrectionUnavailableError)) else 3
 
 
 if __name__ == "__main__":

@@ -304,7 +304,8 @@ class Case:
     ``required`` lists the DesignMeta fields the factor cannot do without.
     ``degenerate(meta)`` is the regime check; it is assessed only when every
     size in ``regime_sizes`` was supplied.  ``alias`` is the CLI ``--case``
-    name (None: the case has none).
+    name (None: the case has none).  ``shared`` names the sizes that exclude
+    the n_s shared samples their cohorts also hold.
     """
 
     alias: str | None
@@ -314,6 +315,7 @@ class Case:
     regime_sizes: tuple
     degenerate: Callable
     screened: bool = False
+    shared: tuple = ()
 
 
 _AE = ("n1", "p", "h2_alpha", "h2_eta")
@@ -337,10 +339,12 @@ CASES = {
                         ("n2", "n3"), lambda m: m.p**2 >= m.n1 * m.n2 * m.n3, screened=True),
     "overlap_case_i": Case("overlap-i", PHENOTYPE_SCORE, _AE + ("n3", "n_s", "h_alpha_eta"),
                            overlap_factor_case_i,
-                           ("n3",), lambda m: m.p >= (m.n1 + m.n_s) * (m.n3 + m.n_s)),
+                           ("n3",), lambda m: m.p >= (m.n1 + m.n_s) * (m.n3 + m.n_s),
+                           shared=("n1", "n3")),
     "overlap_case_ii": Case("overlap-ii", SCORE_SCORE, _AB + ("n_s", "h_alpha_beta"),
                             overlap_factor_case_ii,
-                            ("n2", "n3"), lambda m: m.p >= (m.n1 + m.n_s) * (m.n2 + m.n_s) * m.n3),
+                            ("n2", "n3"), lambda m: m.p >= (m.n1 + m.n_s) * (m.n2 + m.n_s) * m.n3,
+                            shared=("n1", "n2")),
     "case_iii": Case("iii", EFFECT_EFFECT, _SHARED_AB, _factor_case_iii, (), lambda m: False),
     "case_iv": Case("iv", SCORE_SCORE, _SHARED_AB, _factor_case_iv, (), lambda m: False),
     "case_v": Case("v", SCORE_SCORE, _AB, _factor_case_v,

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import kernels
 from .errors import CrosstraitError, DegenerateScoreError, ExperimentError, ParameterError
-from .estimators import DesignMeta, ScreenCounts, bias_factor, correct, raw_cosine
+from .estimators import CASES, DesignMeta, ScreenCounts, bias_factor, correct, raw_cosine
 from .gwas import marginal_gwas, screen_metrics, threshold_select
 from .prs import ScreenRule
 from .rng import substream
@@ -408,14 +408,14 @@ def _fig3_build(config, m, phi) -> dict:
 
 # fig4 overlap case -> alpha and the trait whose cohort shares the n_s samples
 # with alpha's discovery (eta's target or beta's discovery), the overlap pair,
-# the genetic-share pair, the cohort-size fields it draws, those of them that
-# hold the n_s shared samples, its estimator and its design case
-_Fig4Case = namedtuple("_Fig4Case", "traits pair share sizes shared estimator case_tag")
+# the genetic-share pair, the cohort-size fields it draws, its estimator and
+# its design case, whose ``shared`` fields hold the n_s shared samples
+_Fig4Case = namedtuple("_Fig4Case", "traits pair share sizes estimator case_tag")
 _FIG4_CASES = {
-    "i": _Fig4Case(("alpha", "eta"), "discovery_target", "ae", ("n1", "n3"), ("n1", "n3"),
+    "i": _Fig4Case(("alpha", "eta"), "discovery_target", "ae", ("n1", "n3"),
                    "G_S_ae", "overlap_case_i"),
     "ii": _Fig4Case(("alpha", "beta"), "discovery_discovery", "ab", ("n1", "n2", "n3"),
-                    ("n1", "n2"), "G_S_ab", "overlap_case_ii"),
+                    "G_S_ab", "overlap_case_ii"),
 }
 
 
@@ -428,7 +428,7 @@ def _fig4_build(config, m, phi) -> dict:
         spec = _FIG4_CASES[case]
         _refuse_short_cohorts(f"overlap case {case}",
                               {f: getattr(config, f) for f in (*spec.sizes, "n_s")},
-                              dict.fromkeys(spec.sizes, 2), spec.shared)
+                              dict.fromkeys(spec.sizes, 2), CASES[spec.case_tag].shared)
         arch = TraitArchitecture.shared_causal(
             config.p, m, phi=phi, sigma2=config.sigma2, h2=config.h2, traits=spec.traits)
         design = OverlapDesign(n_s=config.n_s, pair=spec.pair, rho_eps=config.rho_eps)

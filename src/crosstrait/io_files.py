@@ -107,6 +107,16 @@ def _atomic_file(path: str):
         raise
 
 
+@contextmanager
+def _open_text(path: str):
+    """``path`` open to read as UTF-8 text; bytes that are not UTF-8 are refused."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def atomic_write_text(path: str, text: str) -> None:
     with _atomic_file(path) as fh:
         fh.write(text.encode("utf-8"))
@@ -131,10 +141,10 @@ def _pvalues(x: np.ndarray) -> np.ndarray:
 
 
 def _ints(least: int):
-    """Check of a column of integers >= ``least`` ("3.0" reads as 3),
-    returned as int64."""
+    """Check of a column of integers >= ``least`` and below 2^53, which a float64
+    holds exactly ("3.0" reads as 3), returned as int64."""
     def check(x: np.ndarray) -> np.ndarray:
-        if not np.all((x >= least) & (x < 2.0**63) & (x == np.floor(x))):
+        if not np.all((x >= least) & (x < 2.0**53) & (x == np.floor(x))):
             raise ValueError(f"is not an integer >= {least}")
         return x.astype(np.int64)
     return check
@@ -160,7 +170,7 @@ def _data_lines(fh):
 
 def _line_of_row(path: str, row: int) -> int:
     """The line number of data row ``row`` (from 0) of a table."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         fh.readline()
         return next(islice(_data_lines(fh), row, None))[0]
 
@@ -203,7 +213,7 @@ def _read_columns(path: str, header: list[str], checks: dict) -> list[np.ndarray
     ``DataFormatError`` naming the first such line, as does a table with no
     rows.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         head = fh.readline()
         if not head:
             raise DataFormatError(f"{path}:1: empty file")
@@ -236,7 +246,7 @@ def _raise_first_fault(path: str, header: list[str], checks: dict) -> None:
     """Walk the lines of a table in order, and raise for the first one with
     the wrong number of fields, or a non-number or a refused value in a
     ``checks`` column."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         fh.readline()
         for lineno, line in _data_lines(fh):
             fields = line.split("\t")
@@ -275,10 +285,6 @@ def _rows_of(*columns):
     step = _chunk_rows()
     for a in range(0, len(columns[0]), step):
         yield from zip(*(np.asarray(c[a:a + step]).tolist() for c in columns))
-
-
-def _default_sample_ids(n: int) -> list[str]:
-    return list(map("sample{:07d}".format, range(n)))
 
 
 def _id_column(ids, n: int, default: str) -> tuple:
@@ -354,7 +360,8 @@ def read_phenotype_of(path: str, G: GenotypeMatrix, geno_path: str) -> np.ndarra
     if y.shape[0] != G.n:
         raise DataFormatError(
             f"{path}: {y.shape[0]} phenotype rows, but {geno_path} holds {G.n} samples")
-    want = np.asarray(_default_sample_ids(G.n) if G.sample_ids is None else G.sample_ids)
+    want = (np.char.mod("sample%07d", np.arange(G.n)) if G.sample_ids is None
+            else np.asarray(G.sample_ids))
     bad = np.flatnonzero(ids != want)
     if bad.size:
         i = int(bad[0])
@@ -598,7 +605,7 @@ def read_genotype_tsv(path: str) -> GenotypeMatrix:
     A code outside {0, 1, 2} and a repeated SNP or sample id are refused, as
     are what ``GenotypeMatrix.from_counts`` refuses.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if header[:1] != ["sample_id"]:
             raise DataFormatError(f"{path}:1: first column must be sample_id")
@@ -680,7 +687,7 @@ def write_moment_report_tsv(path: str, reports: list[MomentCheckReport]) -> None
 def parse_config(path: str) -> dict:
     """Flat key=value config file; '#' starts a comment line."""
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             s = line.strip()
             if not s or s.startswith("#"):

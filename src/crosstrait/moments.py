@@ -51,7 +51,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ParameterError
-from .estimators import DesignMeta, ScreenCounts
+from .estimators import CASES, DesignMeta, ScreenCounts
 from .experiments import _map_tasks, _refuse_short_cohorts, resolve_workers
 from .rng import substream
 from .synth import (
@@ -105,9 +105,13 @@ TAG_COHORTS = {
     **dict.fromkeys(OVERLAP_I_TAGS, _ALPHA_ETA),
     **dict.fromkeys(OVERLAP_II_TAGS, _ALPHA_BETA_ETA),
 }
-# the fields of the cohorts of an overlap family that also hold the n_s
-# shared samples; their sizes count them
-_SHARED_COHORTS = {"overlap_i": ("n1", "n3"), "overlap_ii": ("n1", "n2")}
+# quantity tag -> the family whose replicates simulate it
+_FAMILY_OF = {**dict.fromkeys(INDEP_TAGS, "indep"), **dict.fromkeys(SCREENED_TAGS, "screened"),
+              **dict.fromkeys(OVERLAP_I_TAGS, "overlap_i"),
+              **dict.fromkeys(OVERLAP_II_TAGS, "overlap_ii")}
+# overlap family -> its design case, whose ``shared`` fields name the cohorts
+# that also hold the n_s shared samples
+_OVERLAP_CASES = {"overlap_i": "overlap_case_i", "overlap_ii": "overlap_case_ii"}
 
 
 @dataclass
@@ -361,19 +365,9 @@ def _drawn_sizes(tags: list[str], meta: DesignMeta) -> dict:
     """The size of each cohort block that the family of ``tags`` draws: the
     fields of their ``TAG_COHORTS``, and n_s in an overlap family."""
     fields = {f for t in tags for f in TAG_COHORTS[t]}
-    if _family_of(tags[0]) in _SHARED_COHORTS:
+    if _FAMILY_OF[tags[0]] in _OVERLAP_CASES:
         fields.add("n_s")
     return {f: getattr(meta, f) or 0 for f in sorted(fields)}
-
-
-def _family_of(tag: str) -> str:
-    if tag in INDEP_TAGS:
-        return "indep"
-    if tag in SCREENED_TAGS:
-        return "screened"
-    if tag in OVERLAP_I_TAGS:
-        return "overlap_i"
-    return "overlap_ii"
 
 
 def monte_carlo_check_many(
@@ -403,15 +397,16 @@ def monte_carlo_check_many(
     for t in tags:
         if t not in ALL_TAGS:
             raise ParameterError(f"unsupported quantity tag {t!r}")
+        case = _OVERLAP_CASES.get(_FAMILY_OF[t])
         _refuse_short_cohorts(t, _drawn_sizes([t], meta), TAG_COHORTS[t],
-                              _SHARED_COHORTS.get(_family_of(t), ()))
+                              CASES[case].shared if case else ())
 
     sel_a = sel_b = None
-    if any(_family_of(t) == "screened" for t in tags):
+    if any(_FAMILY_OF[t] == "screened" for t in tags):
         if selection is None:
             raise ParameterError("screened tags need selection=(q_a1, q_a2, q_b1, q_b2)")
         screen, sel_a, sel_b = screen_counts_for_fixed_selection(arch, *selection)
-        beta = [t for t in tags if _family_of(t) == "screened" and "n2" in TAG_COHORTS[t]]
+        beta = [t for t in tags if _FAMILY_OF[t] == "screened" and "n2" in TAG_COHORTS[t]]
         if beta and not sel_b.shape[0]:
             raise ParameterError(f"{beta[0]} needs a beta selection (q_b1 + q_b2 > 0)")
 
@@ -422,7 +417,7 @@ def monte_carlo_check_many(
 
     families: dict[str, list[str]] = {}
     for t in tags:
-        families.setdefault(_family_of(t), []).append(t)
+        families.setdefault(_FAMILY_OF[t], []).append(t)
 
     def simulate(task):
         family, rep = task

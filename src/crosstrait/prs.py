@@ -56,16 +56,22 @@ RULE_NONE = ScreenRule()
 class PrsVector:
     """Risk scores for the target samples.
 
-    ``columns`` are the target columns it weights, in pairing order.
-    ``empty_selection`` flags an all-zero score produced by a screen that
-    removed every SNP; correlation estimators must treat such a score as
+    ``columns`` are the target columns it weights, in pairing order.  A
+    screen that removed every SNP leaves an all-zero score (an empty
+    selection); correlation estimators must treat such a score as
     degenerate rather than dividing by its zero norm.
     """
 
     scores: np.ndarray
-    n_selected: int
     columns: np.ndarray
-    empty_selection: bool = False
+
+    @property
+    def n_selected(self) -> int:
+        return self.columns.shape[0]
+
+    @property
+    def empty_selection(self) -> bool:
+        return self.n_selected == 0
 
 
 def _positional(ids: np.ndarray | None, p: int) -> bool:
@@ -115,23 +121,13 @@ def score(
     """Build the (optionally screened) risk score on the target samples; a
     score that is not finite (an effect too large to weight) is refused."""
     w_idx, s_idx = align_snps(W, stats)
-    effect = stats.effect[s_idx]
     keep = rule.mask(stats)[s_idx]
-    n_selected = int(keep.sum())
     cols = w_idx[keep]
-    if n_selected == 0:
-        return PrsVector(
-            scores=np.zeros(W.n),
-            n_selected=0,
-            columns=cols,
-            empty_selection=True,
-        )
+    if not cols.size:
+        return PrsVector(scores=np.zeros(W.n), columns=cols)
     with np.errstate(over="ignore", invalid="ignore"):
-        s = kernels.std_matvec(W.codes, W.col_mean, W.col_sd, effect[keep], indices=cols)
+        s = kernels.std_matvec(W.codes, W.col_mean, W.col_sd, stats.effect[s_idx[keep]],
+                               indices=cols)
     if not np.all(np.isfinite(s)):
         raise ParameterError("risk score is not finite (an effect too large to weight)")
-    return PrsVector(
-        scores=s,
-        n_selected=n_selected,
-        columns=cols,
-    )
+    return PrsVector(scores=s, columns=cols)

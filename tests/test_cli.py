@@ -323,7 +323,7 @@ class TestEstimateComputesOnlyWhatItCorrects:
         out = tmp_path / "est.tsv"
         rc = main(["estimate", "--case", "ab", "--target-geno", named["geno"],
                    "--summary-a", named[a], "--summary-b", named[b], "--n1", "50",
-                   "--n2", "50", "--p", "40", "--h2a", "1", "--h2b", "1", "--out", str(out)])
+                   "--n2", "50", "--h2a", "1", "--h2b", "1", "--out", str(out)])
         assert rc == 3
         assert capsys.readouterr().err == (
             f"error: {named[a]} and {named[b]} pair with different SNPs of the target "
@@ -376,6 +376,124 @@ class TestEstimateComputesOnlyWhatItCorrects:
         assert capsys.readouterr().err == (
             "error: --p is 59, but the raw estimate used 60 SNPs\n")
         assert not out.exists()
+
+
+# --case alias -> (input-file flags, the size flags that agree with the files
+# of TestEstimateReadsSizesFromFiles, the other design flags)
+FILE_CASES = {
+    "ae": (("target_geno", "target_pheno", "summary_a"), ["--n1", "120", "--n3", "100"],
+           ["--h2a", "0.5", "--h2e", "0.5"]),
+    "ab": (("target_geno", "summary_a", "summary_b"),
+           ["--n1", "120", "--n2", "100", "--n3", "100"], ["--h2a", "0.5", "--h2b", "0.5"]),
+    "summary-ab": (("summary_a", "summary_b"), ["--n1", "120", "--n2", "100"],
+                   ["--h2a", "0.5", "--h2b", "0.5"]),
+    "overlap-i": (("target_geno", "target_pheno", "summary_a"), ["--n1", "90", "--n3", "70"],
+                  ["--ns", "30", "--h2a", "0.5", "--h2e", "0.5", "--hae", "0.8"]),
+    "overlap-ii": (("target_geno", "summary_a", "summary_b"),
+                   ["--n1", "90", "--n2", "70", "--n3", "100"],
+                   ["--ns", "30", "--h2a", "0.5", "--h2b", "0.5", "--hab", "0.8"]),
+    "iii": (("summary_a", "summary_b"), ["--n1", "120", "--n2", "100"],
+            ["--h2a", "0.5", "--h2b", "0.5", "--hab", "0.8"]),
+    "iv": (("target_geno", "summary_a", "summary_b"),
+           ["--n1", "120", "--n2", "100", "--n3", "100"],
+           ["--h2a", "0.5", "--h2b", "0.5", "--hab", "0.8"]),
+    "v": (("target_geno", "summary_a", "summary_b"),
+          ["--n1", "120", "--n2", "100", "--n3", "100"], ["--h2a", "0.5", "--h2b", "0.5"]),
+}
+
+
+class TestEstimateReadsSizesFromFiles:
+    """``estimate`` takes p from the SNPs it used, n1 and n2 from the
+    summaries' ``n`` and n3 from the target's samples, less ``--ns`` for the
+    cohorts that hold the shared samples; a size flag must agree."""
+
+    @pytest.fixture(scope="class")
+    def files(self, small_dataset, tmp_path_factory):
+        """small_dataset's files (summary a: n = 120, target: 100 samples,
+        p = 60) and summary b, the target's own scan (n = 100)."""
+        summary_b = str(tmp_path_factory.mktemp("sizes") / "eta.sumstats.tsv")
+        W = io_files.read_genotypes(small_dataset["target_geno"])
+        y = io_files.read_phenotype_of(small_dataset["target_pheno"], W,
+                                       small_dataset["target_geno"])
+        io_files.write_summary_tsv(summary_b, marginal_gwas(W, y))
+        return {"target_geno": small_dataset["target_geno"],
+                "target_pheno": small_dataset["target_pheno"],
+                "summary_a": small_dataset["summary"], "summary_b": summary_b}
+
+    @staticmethod
+    def argv(files, case, *flags):
+        needs = FILE_CASES[case][0]
+        return ["estimate", "--case", case, *flags,
+                *(x for f in needs for x in ("--" + f.replace("_", "-"), files[f]))]
+
+    @pytest.mark.parametrize("case", sorted(FILE_CASES))
+    def test_no_size_flag_gives_the_bytes_of_agreeing_flags(self, files, tmp_path, capsys,
+                                                           case):
+        _, sizes, design = FILE_CASES[case]
+        outputs = []
+        for name, flags in (("flagged", [*sizes, "--p", "60"]), ("read", [])):
+            out = tmp_path / f"{name}.tsv"
+            assert main(self.argv(files, case, *flags, *design, "--out", str(out))) == 0
+            outputs.append((capsys.readouterr().out, out.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][1].decode() == outputs[0][0]
+
+    @pytest.mark.parametrize("case, flag, value, source", [
+        ("ae", "--n1", "2000", "{summary_a} holds 120 samples"),
+        ("ae", "--n3", "20", "{target_geno} holds 100 samples"),
+        ("ab", "--n2", "120", "{summary_b} holds 100 samples"),
+        ("summary-ab", "--n1", "100", "{summary_a} holds 120 samples"),
+        ("overlap-i", "--n1", "120",
+         "{summary_a} holds 120 samples, 90 of them not among the --ns 30 shared"),
+        ("overlap-ii", "--n2", "100",
+         "{summary_b} holds 100 samples, 70 of them not among the --ns 30 shared"),
+        ("overlap-ii", "--n3", "70", "{target_geno} holds 100 samples"),
+    ])
+    def test_disagreeing_size_flag_refused(self, files, tmp_path, capsys, case, flag, value,
+                                           source):
+        out = tmp_path / "est.tsv"
+        rc = main(self.argv(files, case, flag, value, *FILE_CASES[case][2], "--out", str(out)))
+        assert rc == 2
+        assert capsys.readouterr() == ("", f"error: {flag} is {value}, but "
+                                           f"{source.format(**files)}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case, ns, source", [
+        ("overlap-i", "100", "{target_geno} holds 100 samples, 0"),
+        ("overlap-i", "130", "{summary_a} holds 120 samples, -10"),
+        ("overlap-ii", "100", "{summary_b} holds 100 samples, 0"),
+    ])
+    def test_ns_at_or_above_a_files_count_refused(self, files, tmp_path, capsys, case, ns,
+                                                  source):
+        design = [x for x in FILE_CASES[case][2] if x != "30"]
+        design.insert(design.index("--ns") + 1, ns)
+        out = tmp_path / "est.tsv"
+        assert main(self.argv(files, case, *design, "--out", str(out))) == 2
+        assert capsys.readouterr().err == (
+            f"error: --ns is {ns}, but {source.format(**files)} of them not among the "
+            f"--ns {ns} shared\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_target_samples_feed_the_regime_check(self, tmp_path, capsys, strict):
+        # p = 40 >= n1 * n3 = 36: degenerate, with n3 read from the target
+        P = {k: str(tmp_path / k) for k in ("disc.xtg", "target.xtg", "y.tsv", "sum.tsv")}
+        target = gen_genotypes(6, 40, seed=8)
+        io_files.write_genotype_bin(P["target.xtg"], target)
+        io_files.write_phenotype_tsv(P["y.tsv"], np.arange(6.0))
+        io_files.write_summary_tsv(P["sum.tsv"],
+                                   marginal_gwas(gen_genotypes(6, 40, seed=9), np.arange(6.0)))
+        rc = main(["estimate", "--case", "ae", "--target-geno", P["target.xtg"],
+                   "--target-pheno", P["y.tsv"], "--summary-a", P["sum.tsv"], "--h2a", "1",
+                   "--h2e", "1", *(["--strict"] if strict else [])])
+        out, err = capsys.readouterr()
+        if strict:
+            assert (rc, out) == (4, "")
+            assert err == ("error: design is in the degenerate regime (case ae); "
+                           "refusing under --strict\n")
+        else:
+            assert rc == 0
+            assert out.splitlines()[1].split("\t")[4].startswith("degenerate_regime")
 
 
 class TestValuesTooLargeToSquare:

@@ -370,6 +370,71 @@ class TestSummaryN:
     def test_cli_scores_a_constant_n(self, tmp_path):
         assert score_summary(tmp_path, "60", "60.0", "60", "60")[1] == 0
 
+    @pytest.mark.parametrize("n, rc", [("9007199254740991", 0), ("9007199254740992", 3),
+                                       ("9007199254740993", 3)])
+    def test_cli_refuses_n_a_float64_cannot_hold(self, tmp_path, capsys, n, rc):
+        # 2^53 + 1 reads as the float64 2^53: only n below 2^53 reads back exactly
+        summary, got = score_summary(tmp_path, n, n, n, n)
+        assert got == rc
+        if rc:
+            assert capsys.readouterr().err == (
+                f"error: {summary}:2: column 'n' is not an integer >= 1: {n!r}\n")
+
+
+class TestTextThatIsNotUtf8:
+    """A text input holding a byte that is not UTF-8 exits 3 naming its path,
+    for each text reader: summary, phenotype and genotype tables, and configs."""
+
+    def files(self, tmp_path):
+        G = gen_genotypes(10, 5, seed=2)
+        P = {k: str(tmp_path / k) for k in ("geno.xtg", "pheno.tsv", "summary.tsv")}
+        io_files.write_genotype_bin(P["geno.xtg"], G)
+        io_files.write_phenotype_tsv(P["pheno.tsv"], np.arange(10.0))
+        io_files.write_summary_tsv(P["summary.tsv"], marginal_gwas(G, np.arange(10.0)))
+        return P
+
+    @staticmethod
+    def spoiled(path, line):
+        """``path`` with byte 0xff put at the start of its line ``line``."""
+        with open(path, "rb") as fh:
+            lines = fh.read().split(b"\n")
+        lines[line - 1] = b"\xff" + lines[line - 1]
+        with open(path, "wb") as fh:
+            fh.write(b"\n".join(lines))
+        return path
+
+    @pytest.mark.parametrize("which, line", [("summary.tsv", 1), ("summary.tsv", 4),
+                                             ("pheno.tsv", 5)])
+    def test_table_refused(self, tmp_path, capsys, which, line):
+        P = self.files(tmp_path)
+        bad = self.spoiled(P[which], line)
+        out = str(tmp_path / "out.tsv")
+        argv = (["score", "--genotypes", P["geno.xtg"], "--summary", bad, "--out", out]
+                if which == "summary.tsv" else
+                ["gwas", "--genotypes", P["geno.xtg"], "--phenotype", bad, "--out", out])
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text (invalid start byte)\n"
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("content", [bytes(range(256)), b"sample_id\trs1\ns1\t\xff\n"],
+                             ids=["binary", "genotype_tsv"])
+    def test_genotypes_refused(self, tmp_path, capsys, content):
+        P = self.files(tmp_path)
+        geno = tmp_path / "geno.bin"
+        geno.write_bytes(content)
+        out = str(tmp_path / "scores.tsv")
+        assert main(["score", "--genotypes", str(geno), "--summary", P["summary.tsv"],
+                     "--out", out]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {geno}: not UTF-8 text (")
+        assert not os.path.exists(out)
+
+    def test_config_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_bytes(b"scenario=fig2_all_snp\n# \xff\np=40\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == f"error: {cfg}: not UTF-8 text (invalid start byte)\n"
+        assert not (tmp_path / "o").exists()
+
 
 @pytest.mark.parametrize("table, j", [("replicates", 3), ("aggregates", 5)])
 @pytest.mark.parametrize("bad", ["-1", "1.5", "nan", "inf"])
@@ -441,7 +506,7 @@ def test_summary_round_trip_bitwise_with_any_ids(data):
         tstat=np.array(column(st.sampled_from([np.inf, -np.inf]) | st.floats(allow_nan=False))),
         pvalue=np.array(column(st.floats(min_value=5e-324, max_value=1.0)
                                | st.sampled_from([5e-324, 1.0]))),
-        n=data.draw(st.integers(1, 2**53)))  # n is read as a float64
+        n=data.draw(st.integers(1, 2**53 - 1)))  # a float64 holds these exactly
     with tempfile.TemporaryDirectory() as d:
         io_files.write_summary_tsv(f"{d}/s.tsv", stats)
         back = io_files.read_summary_tsv(f"{d}/s.tsv")
