@@ -54,18 +54,27 @@ _META_FLAGS = {
 }
 
 
-def _design_flags(args, parser, read=()) -> dict:
+def _design_flags(args, parser, read=(), files=()) -> dict:
     """DesignMeta field -> value of each design flag given.  A flag the factor
     of ``--case`` needs is required, unless its field is in ``read`` (the
-    sizes ``estimate`` reads from its files)."""
-    required = CASES[_ALIASES[args.case]].required
+    sizes ``estimate`` reads from its files), and so is each input-file flag
+    in ``files``.  A flag whose field the case uses neither in its factor nor
+    in its regime check is refused: the number would change nothing."""
+    case = CASES[_ALIASES[args.case]]
     missing = [f for f, name in _META_FLAGS.items()
-               if name in required and name not in read and getattr(args, f) is None]
+               if name in case.required and name not in read and getattr(args, f) is None]
     if missing:
         parser.error(
             f"case {args.case!r} requires {' '.join('--' + f for f in missing)}"
         )
-    return {name: v for f, name in _META_FLAGS.items() if (v := getattr(args, f)) is not None}
+    if not all(getattr(args, f) for f in files):
+        parser.error(f"case {args.case!r} needs --{' --'.join(files).replace('_', '-')}")
+    given = {name: v for f, name in _META_FLAGS.items() if (v := getattr(args, f)) is not None}
+    unused = [f for f, name in _META_FLAGS.items()
+              if name in given and name not in case.required + case.regime_sizes]
+    if unused:
+        parser.error(f"case {args.case!r} does not use {' '.join('--' + f for f in unused)}")
+    return given
 
 
 def _screen_rule(args) -> ScreenRule:
@@ -170,10 +179,8 @@ def cmd_estimate(args, parser):
     """n1, n2, n3 and p come from the files, less the ``--ns`` shared samples
     for the case's ``shared`` sizes; a size flag that is given must agree."""
     tag = _ALIASES[args.case]
-    design = _design_flags(args, parser, read=(*_SIZE_FILES, "p"))
     files, raw_fn = _RAW[CASES[tag].estimator]
-    if not all(getattr(args, f) for f in files):
-        parser.error(f"case {args.case!r} needs --{' --'.join(files).replace('_', '-')}")
+    design = _design_flags(args, parser, read=(*_SIZE_FILES, "p"), files=files)
     u, v, sizes = raw_fn(args)
     for f, value in sizes.items():
         source = (f"the raw estimate used {value} SNPs" if f == "p"

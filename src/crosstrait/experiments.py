@@ -409,7 +409,8 @@ def _fig3_build(config, m, phi) -> dict:
 # fig4 overlap case -> alpha and the trait whose cohort shares the n_s samples
 # with alpha's discovery (eta's target or beta's discovery), the overlap pair,
 # the genetic-share pair, the cohort-size fields it draws, its estimator and
-# its design case, whose ``shared`` fields hold the n_s shared samples
+# its design case, whose ``shared`` fields hold the n_s shared samples; the
+# overlap families of ``moments`` draw these same records
 _Fig4Case = namedtuple("_Fig4Case", "traits pair share sizes estimator case_tag")
 _FIG4_CASES = {
     "i": _Fig4Case(("alpha", "eta"), "discovery_target", "ae", ("n1", "n3"),
@@ -419,6 +420,14 @@ _FIG4_CASES = {
 }
 
 
+def _refuse_short_case(who: str, spec: _Fig4Case, sizes_of) -> None:
+    """Refuse, naming ``who``, the overlap case ``spec`` when the sizes of
+    ``sizes_of`` (a config or a DesignMeta) give it a cohort of fewer than 2
+    samples, counting the shared ones, or a block of 1 sample."""
+    _refuse_short_cohorts(who, {f: getattr(sizes_of, f) or 0 for f in (*spec.sizes, "n_s")},
+                          dict.fromkeys(spec.sizes, 2), CASES[spec.case_tag].shared)
+
+
 def _fig4_build(config, m, phi) -> dict:
     """(architecture, overlap design, genetic share) of each overlap case;
     a case with a cohort of fewer than 2 samples, counting the shared ones,
@@ -426,9 +435,7 @@ def _fig4_build(config, m, phi) -> dict:
     cases = {}
     for case in config.overlap_cases:
         spec = _FIG4_CASES[case]
-        _refuse_short_cohorts(f"overlap case {case}",
-                              {f: getattr(config, f) for f in (*spec.sizes, "n_s")},
-                              dict.fromkeys(spec.sizes, 2), CASES[spec.case_tag].shared)
+        _refuse_short_case(f"overlap case {case}", spec, config)
         arch = TraitArchitecture.shared_causal(
             config.p, m, phi=phi, sigma2=config.sigma2, h2=config.h2, traits=spec.traits)
         design = OverlapDesign(n_s=config.n_s, pair=spec.pair, rho_eps=config.rho_eps)

@@ -144,8 +144,10 @@ def _ints(least: int):
     """Check of a column of integers >= ``least`` and below 2^53, which a float64
     holds exactly ("3.0" reads as 3), returned as int64."""
     def check(x: np.ndarray) -> np.ndarray:
-        if not np.all((x >= least) & (x < 2.0**53) & (x == np.floor(x))):
+        if not np.all(np.isfinite(x) & (x >= least) & (x == np.floor(x))):
             raise ValueError(f"is not an integer >= {least}")
+        if not np.all(x < 2.0**53):
+            raise ValueError("is 2^53 or more, which a float64 does not hold exactly")
         return x.astype(np.int64)
     return check
 

@@ -22,25 +22,24 @@ subset (the first q1 causal and first q2 null indices), because a selection
 driven by the same scan that produced the effects adds a winner's-curse
 term the first-moment formulas do not model.
 
-Quantity tags
--------------
-cov_ae_num             y_eta' W X' y_alpha                  (phenotype x score)
-var_alpha_den          |W X' y_alpha|^2
-var_eta_den            |y_eta|^2
-cov_ab_num             (W Z' y_beta)' (W X' y_alpha)        (score x score)
-var_beta_den           |W Z' y_beta|^2
-summary_ab_num         (X' y_alpha)' (Z' y_beta)            (summary x summary)
-summary_alpha_den      |X' y_alpha|^2
-summary_beta_den       |Z' y_beta|^2
-screened_cov_ae_num    as cov_ae_num restricted to the selected columns
-screened_var_alpha_den as var_alpha_den restricted
-screened_cov_ab_num    as cov_ab_num, both scores restricted
-screened_var_beta_den  as var_beta_den restricted
-overlap_i_cov_ae_num   discovery and target share n_s samples
-overlap_i_var_alpha_den / overlap_i_var_eta_den
-overlap_ii_cov_ab_num  the two discoveries share n_s samples, independent target
-overlap_ii_var_alpha_den / overlap_ii_var_beta_den
-(matrices X, Z, W are implicitly standardized in all of the above)
+Families and forms
+------------------
+A form is the inner product of two vectors (``_FORMS``): the target
+phenotype y_eta, the discovery scans t_alpha = X' y_alpha and t_beta =
+Z' y_beta, or their scores s_alpha = W t_alpha and s_beta = W t_beta on the
+target (X, Z, W implicitly standardized).  So cov_ae_num is y_eta' s_alpha
+(phenotype x score), cov_ab_num s_beta' s_alpha (score x score) and
+summary_ab_num t_alpha' t_beta (summary x summary); a ``_den`` form is a
+vector's squared norm.
+
+A quantity tag is a form, prefixed by its family's name and "_" in every
+family but ``indep``.  A family draws one set of cohorts per replicate and
+builds each of its forms from them; ``_FAMILY_FORMS``, the one table the
+tags come from, lists them.  ``indep`` draws independent cohorts, and
+``screened`` the same with its scores restricted to the selected columns.
+``overlap_i`` (discovery and target share n_s samples) and ``overlap_ii``
+(the two discoveries share them) take their pair, cohorts and design case
+from fig4's cases i and ii.
 """
 
 from __future__ import annotations
@@ -51,8 +50,14 @@ import numpy as np
 
 from . import kernels
 from .errors import ParameterError
-from .estimators import CASES, DesignMeta, ScreenCounts
-from .experiments import _map_tasks, _refuse_short_cohorts, resolve_workers
+from .estimators import DesignMeta, ScreenCounts
+from .experiments import (
+    _FIG4_CASES,
+    _map_tasks,
+    _refuse_short_case,
+    _refuse_short_cohorts,
+    resolve_workers,
+)
 from .rng import substream
 from .synth import (
     CohortSizes,
@@ -62,56 +67,38 @@ from .synth import (
     scan_independent_cohorts,
 )
 
-INDEP_TAGS = (
-    "cov_ae_num",
-    "var_alpha_den",
-    "var_eta_den",
-    "cov_ab_num",
-    "var_beta_den",
-    "summary_ab_num",
-    "summary_alpha_den",
-    "summary_beta_den",
-)
-SCREENED_TAGS = (
-    "screened_cov_ae_num",
-    "screened_var_alpha_den",
-    "screened_cov_ab_num",
-    "screened_var_beta_den",
-)
-OVERLAP_I_TAGS = ("overlap_i_cov_ae_num", "overlap_i_var_alpha_den", "overlap_i_var_eta_den")
-OVERLAP_II_TAGS = ("overlap_ii_cov_ab_num", "overlap_ii_var_alpha_den", "overlap_ii_var_beta_den")
-ALL_TAGS = INDEP_TAGS + SCREENED_TAGS + OVERLAP_I_TAGS + OVERLAP_II_TAGS
+# moment family -> its forms: the one table the quantity tags come from
+_FAMILY_FORMS = {
+    "indep": ("cov_ae_num", "var_alpha_den", "var_eta_den", "cov_ab_num", "var_beta_den",
+              "summary_ab_num", "summary_alpha_den", "summary_beta_den"),
+    "screened": ("cov_ae_num", "var_alpha_den", "cov_ab_num", "var_beta_den"),
+    "overlap_i": ("cov_ae_num", "var_alpha_den", "var_eta_den"),
+    "overlap_ii": ("cov_ab_num", "var_alpha_den", "var_beta_den"),
+}
+# quantity tag -> (family, form); the independent family's tags are bare forms
+_TAGS = {(form if fam == "indep" else f"{fam}_{form}"): (fam, form)
+         for fam, forms in _FAMILY_FORMS.items() for form in forms}
+ALL_TAGS = tuple(_TAGS)
+INDEP_TAGS, SCREENED_TAGS, OVERLAP_I_TAGS, OVERLAP_II_TAGS = (
+    tuple(t for t, (fam, _) in _TAGS.items() if fam == family) for family in _FAMILY_FORMS)
 Z_THRESHOLD = 4.0
 
-# the cohort-size fields of the cohorts each tag's family draws, with the
-# least size of each (as in ``experiments.Scenario.cohorts``); an independent
-# family always scans the alpha discovery cohort, and draws the beta one (n2)
-# only for a tag that needs it
-_ALPHA_ETA = {"n1": 2, "n3": 2}
-_ALPHA_BETA_ETA = {"n1": 2, "n2": 2, "n3": 2}
-TAG_COHORTS = {
-    "cov_ae_num": _ALPHA_ETA,
-    "var_alpha_den": _ALPHA_ETA,
-    "var_eta_den": _ALPHA_ETA,
-    "cov_ab_num": _ALPHA_BETA_ETA,
-    "var_beta_den": _ALPHA_BETA_ETA,
-    "summary_ab_num": {"n1": 2, "n2": 2},
-    "summary_alpha_den": {"n1": 2},
-    "summary_beta_den": {"n1": 2, "n2": 2},
-    "screened_cov_ae_num": _ALPHA_ETA,
-    "screened_var_alpha_den": _ALPHA_ETA,
-    "screened_cov_ab_num": _ALPHA_BETA_ETA,
-    "screened_var_beta_den": _ALPHA_BETA_ETA,
-    **dict.fromkeys(OVERLAP_I_TAGS, _ALPHA_ETA),
-    **dict.fromkeys(OVERLAP_II_TAGS, _ALPHA_BETA_ETA),
+# overlap family -> the record of the fig4 case it draws
+_OVERLAP = {f"overlap_{case}": spec for case, spec in _FIG4_CASES.items()}
+# form -> the two vectors of its inner product
+_FORMS = {
+    "cov_ae_num": ("y_eta", "s_alpha"),
+    "var_alpha_den": ("s_alpha", "s_alpha"),
+    "var_eta_den": ("y_eta", "y_eta"),
+    "cov_ab_num": ("s_beta", "s_alpha"),
+    "var_beta_den": ("s_beta", "s_beta"),
+    "summary_ab_num": ("t_alpha", "t_beta"),
+    "summary_alpha_den": ("t_alpha", "t_alpha"),
+    "summary_beta_den": ("t_beta", "t_beta"),
 }
-# quantity tag -> the family whose replicates simulate it
-_FAMILY_OF = {**dict.fromkeys(INDEP_TAGS, "indep"), **dict.fromkeys(SCREENED_TAGS, "screened"),
-              **dict.fromkeys(OVERLAP_I_TAGS, "overlap_i"),
-              **dict.fromkeys(OVERLAP_II_TAGS, "overlap_ii")}
-# overlap family -> its design case, whose ``shared`` fields name the cohorts
-# that also hold the n_s shared samples
-_OVERLAP_CASES = {"overlap_i": "overlap_case_i", "overlap_ii": "overlap_case_ii"}
+# vector -> the cohort-size fields of the cohorts it is built from
+_VECTOR_COHORTS = {"y_eta": ("n3",), "t_alpha": ("n1",), "t_beta": ("n2",),
+                   "s_alpha": ("n1", "n3"), "s_beta": ("n2", "n3")}
 
 
 @dataclass
@@ -260,11 +247,7 @@ def screen_counts_for_fixed_selection(
 ) -> tuple[ScreenCounts, np.ndarray, np.ndarray]:
     """ScreenCounts plus the index sets for the deterministic prefix screen."""
     sel_a = _fixed_selection(arch, "alpha", q_alpha1, q_alpha2)
-    sel_b = (
-        _fixed_selection(arch, "beta", q_beta1, q_beta2)
-        if (q_beta1 or q_beta2)
-        else np.empty(0, dtype=np.intp)
-    )
+    sel_b = _fixed_selection(arch, "beta", q_beta1, q_beta2)
     shared_ae = np.intersect1d(arch.causal_sets["alpha"], arch.causal_sets["eta"])
     shared_ab = np.intersect1d(arch.causal_sets["alpha"], arch.causal_sets["beta"])
     counts = ScreenCounts(
@@ -287,6 +270,13 @@ def _scan(X, y) -> np.ndarray:
     return kernels.std_crossprod(X.codes, X.col_mean, X.col_sd, y)
 
 
+def _cohorts(tags) -> list:
+    """The sorted cohort-size fields an independent family draws for ``tags``:
+    n1, whose alpha discovery it always scans, and those of their vectors."""
+    return sorted({"n1", *(f for t in tags for v in _FORMS[_TAGS[t][1]]
+                           for f in _VECTOR_COHORTS[v])})
+
+
 def _simulate_family(
     family: str,
     tags: list[str],
@@ -294,80 +284,44 @@ def _simulate_family(
     meta: DesignMeta,
     rep_seed: int,
     rho_eps: float,
-    screen: ScreenCounts | None,
-    sel_a: np.ndarray | None,
-    sel_b: np.ndarray | None,
+    selection: dict | None,
 ) -> dict[str, float]:
-    """One replicate of every quantity of a family.
+    """One replicate of every quantity of ``tags``, all of one family.
 
-    The independent families scan each discovery cohort as it is drawn
-    (``scan_independent_cohorts``).  Two all-SNP scores on the same target
-    are built in one ``kernels.std_matvec`` call with (p, 2) weights; each
-    column is bitwise equal to its single-vector score.  Every inner product
-    is a ``kernels.dot``, so no BLAS thread count moves a bit.
+    Independent cohorts are scanned as they are drawn; an overlap family
+    draws its fig4 case, then scans.  The screened family restricts each
+    score to its ``selection`` (trait -> columns); all-SNP scores are built
+    in one ``kernels.std_matvec`` call with (p, k) weights, each column
+    bitwise equal to its single-vector score.  Each tag is the
+    ``kernels.dot`` of its form's vectors, so no BLAS thread count moves a bit.
     """
-    sizes = CohortSizes(**{f: n for f, n in _drawn_sizes(tags, meta).items() if f != "n_s"})
-    out: dict[str, float] = {}
-    if family in ("indep", "screened"):
-        need_beta = any("n2" in TAG_COHORTS[t] for t in tags)
-        traits = ("alpha", "beta", "eta") if need_beta else ("alpha", "eta")
+    spec = _OVERLAP.get(family)
+    fields = _cohorts(tags) if spec is None else spec.sizes
+    sizes = CohortSizes(**{f: getattr(meta, f) or 0 for f in fields})
+    if spec is None:
+        traits = ("alpha", "beta", "eta") if "n2" in fields else ("alpha", "eta")
         b, scans = scan_independent_cohorts(arch, sizes, rep_seed, traits, _scan)
-        W, t_a, t_b = b.target, scans["alpha"], scans.get("beta")
-        if family == "indep":
-            wanted = set(tags)
-            if wanted & {"cov_ab_num", "var_beta_den"}:
-                s_a, s_b = kernels.std_matvec(
-                    W.codes, W.col_mean, W.col_sd, np.column_stack([t_a, t_b])).T
-                out["cov_ab_num"] = kernels.dot(s_b, s_a)
-                out["var_beta_den"] = kernels.dot(s_b, s_b)
-            elif wanted & {"cov_ae_num", "var_alpha_den"}:
-                s_a = kernels.std_matvec(W.codes, W.col_mean, W.col_sd, t_a)
-            if wanted & {"cov_ae_num", "var_alpha_den", "cov_ab_num", "var_beta_den"}:
-                out["cov_ae_num"] = kernels.dot(b.y_eta.y, s_a)
-                out["var_alpha_den"] = kernels.dot(s_a, s_a)
-            if b.y_eta is not None:
-                out["var_eta_den"] = kernels.dot(b.y_eta.y, b.y_eta.y)
-            out["summary_alpha_den"] = kernels.dot(t_a, t_a)
-            if need_beta:
-                out["summary_beta_den"] = kernels.dot(t_b, t_b)
-                out["summary_ab_num"] = kernels.dot(t_a, t_b)
-        else:
-            s_a = kernels.std_matvec(W.codes, W.col_mean, W.col_sd, t_a[sel_a], indices=sel_a)
-            out["screened_cov_ae_num"] = kernels.dot(b.y_eta.y, s_a)
-            out["screened_var_alpha_den"] = kernels.dot(s_a, s_a)
-            if need_beta and sel_b is not None and sel_b.shape[0]:
-                s_b = kernels.std_matvec(W.codes, W.col_mean, W.col_sd, t_b[sel_b], indices=sel_b)
-                out["screened_cov_ab_num"] = kernels.dot(s_b, s_a)
-                out["screened_var_beta_den"] = kernels.dot(s_b, s_b)
-    elif family == "overlap_i":
-        design = OverlapDesign(n_s=meta.n_s, pair="discovery_target", rho_eps=rho_eps)
-        b = gen_overlapping_cohorts(design, arch, sizes, rep_seed)
-        W = b.target
-        s = kernels.std_matvec(W.codes, W.col_mean, W.col_sd, _scan(b.disc_alpha, b.y_alpha.y))
-        out["overlap_i_cov_ae_num"] = kernels.dot(b.y_eta.y, s)
-        out["overlap_i_var_alpha_den"] = kernels.dot(s, s)
-        out["overlap_i_var_eta_den"] = kernels.dot(b.y_eta.y, b.y_eta.y)
-    elif family == "overlap_ii":
-        design = OverlapDesign(n_s=meta.n_s, pair="discovery_discovery", rho_eps=rho_eps)
-        b = gen_overlapping_cohorts(design, arch, sizes, rep_seed)
-        W = b.target
-        t_a, t_b = _scan(b.disc_alpha, b.y_alpha.y), _scan(b.disc_beta, b.y_beta.y)
-        s_a, s_b = kernels.std_matvec(W.codes, W.col_mean, W.col_sd, np.column_stack([t_a, t_b])).T
-        out["overlap_ii_cov_ab_num"] = kernels.dot(s_a, s_b)
-        out["overlap_ii_var_alpha_den"] = kernels.dot(s_a, s_a)
-        out["overlap_ii_var_beta_den"] = kernels.dot(s_b, s_b)
     else:
-        raise ParameterError(f"unknown family {family!r}")
-    return out
-
-
-def _drawn_sizes(tags: list[str], meta: DesignMeta) -> dict:
-    """The size of each cohort block that the family of ``tags`` draws: the
-    fields of their ``TAG_COHORTS``, and n_s in an overlap family."""
-    fields = {f for t in tags for f in TAG_COHORTS[t]}
-    if _FAMILY_OF[tags[0]] in _OVERLAP_CASES:
-        fields.add("n_s")
-    return {f: getattr(meta, f) or 0 for f in sorted(fields)}
+        design = OverlapDesign(n_s=meta.n_s, pair=spec.pair, rho_eps=rho_eps)
+        b = gen_overlapping_cohorts(design, arch, sizes, rep_seed)
+        scans = {t: _scan(getattr(b, f"disc_{t}"), getattr(b, f"y_{t}").y)
+                 for t in spec.traits if t != "eta"}
+    vec = {f"t_{t}": scan for t, scan in scans.items()}
+    if b.y_eta is not None:
+        vec["y_eta"] = b.y_eta.y
+    wanted = {v for t in tags for v in _FORMS[_TAGS[t][1]]}
+    scored = [t for t in ("alpha", "beta") if f"s_{t}" in wanted]
+    W = b.target
+    if selection is not None:
+        for t in scored:
+            idx = selection[t]
+            vec[f"s_{t}"] = kernels.std_matvec(W.codes, W.col_mean, W.col_sd,
+                                               vec[f"t_{t}"][idx], indices=idx)
+    elif scored:
+        s = kernels.std_matvec(W.codes, W.col_mean, W.col_sd,
+                               np.column_stack([vec[f"t_{t}"] for t in scored]))
+        vec.update((f"s_{t}", col) for t, col in zip(scored, s.T))
+    return {t: kernels.dot(*(vec[v] for v in _FORMS[_TAGS[t][1]])) for t in tags}
 
 
 def monte_carlo_check_many(
@@ -377,7 +331,6 @@ def monte_carlo_check_many(
     replicates: int,
     seed: int,
     rho_eps: float = 0.0,
-    screen: ScreenCounts | None = None,
     selection: tuple[int, int, int, int] | None = None,
 ) -> list[MomentCheckReport]:
     """Check several quantities against their predictions, sharing draws.
@@ -395,36 +348,35 @@ def monte_carlo_check_many(
     if replicates < 30:
         raise ParameterError("need at least 30 replicates for a meaningful z")
     for t in tags:
-        if t not in ALL_TAGS:
+        if t not in _TAGS:
             raise ParameterError(f"unsupported quantity tag {t!r}")
-        case = _OVERLAP_CASES.get(_FAMILY_OF[t])
-        _refuse_short_cohorts(t, _drawn_sizes([t], meta), TAG_COHORTS[t],
-                              CASES[case].shared if case else ())
+        if (spec := _OVERLAP.get(_TAGS[t][0])) is not None:
+            _refuse_short_case(t, spec, meta)
+        else:
+            fields = _cohorts([t])
+            _refuse_short_cohorts(t, {f: getattr(meta, f) or 0 for f in fields},
+                                  dict.fromkeys(fields, 2))
 
-    sel_a = sel_b = None
-    if any(_FAMILY_OF[t] == "screened" for t in tags):
+    screen = chosen = None
+    screened = [t for t in tags if _TAGS[t][0] == "screened"]
+    if screened:
         if selection is None:
             raise ParameterError("screened tags need selection=(q_a1, q_a2, q_b1, q_b2)")
         screen, sel_a, sel_b = screen_counts_for_fixed_selection(arch, *selection)
-        beta = [t for t in tags if _FAMILY_OF[t] == "screened" and "n2" in TAG_COHORTS[t]]
+        chosen = {"alpha": sel_a, "beta": sel_b}
+        beta = [t for t in screened if "n2" in _cohorts([t])]
         if beta and not sel_b.shape[0]:
             raise ParameterError(f"{beta[0]} needs a beta selection (q_b1 + q_b2 > 0)")
 
-    # error cross-covariance implied by rho_eps, for the overlap predictions
-    sd_ea = np.sqrt(arch.sigma2_eps("alpha"))
-    cross_ae = rho_eps * sd_ea * np.sqrt(arch.sigma2_eps("eta"))
-    cross_ab = rho_eps * sd_ea * np.sqrt(arch.sigma2_eps("beta"))
-
     families: dict[str, list[str]] = {}
     for t in tags:
-        families.setdefault(_FAMILY_OF[t], []).append(t)
+        families.setdefault(_TAGS[t][0], []).append(t)
 
     def simulate(task):
         family, rep = task
         rep_seed = substream(seed, f"moments/{family}", rep).integers(2**63)
-        return _simulate_family(
-            family, families[family], arch, meta, int(rep_seed), rho_eps, screen, sel_a, sel_b
-        )
+        return _simulate_family(family, families[family], arch, meta, int(rep_seed), rho_eps,
+                                chosen if family == "screened" else None)
 
     tasks = [(family, rep) for family in families for rep in range(replicates)]
     samples = _map_tasks(simulate, tasks, resolve_workers(None, len(tasks)))
@@ -435,7 +387,10 @@ def monte_carlo_check_many(
 
     reports = []
     for t in tags:
-        cross = cross_ae if t == "overlap_i_cov_ae_num" else cross_ab if t == "overlap_ii_cov_ab_num" else None
+        # an overlap prediction's error cross-covariance, as rho_eps implies it
+        spec = _OVERLAP.get(_TAGS[t][0])
+        cross = None if spec is None else (rho_eps * np.sqrt(arch.sigma2_eps("alpha"))
+                                           * np.sqrt(arch.sigma2_eps(spec.traits[1])))
         pred = predict(t, arch, meta, screen=screen, sigma_eps_cross=cross)
         v = values[t]
         mean = float(np.mean(v))

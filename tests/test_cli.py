@@ -167,6 +167,13 @@ class TestCaseTable:
             assert exc.value.code == 2
             assert f"--{missing}" in capsys.readouterr().err.split("requires")[-1]
 
+    def test_correct_refuses_a_flag_the_case_does_not_use(self, capsys):
+        argv = ["correct", "--raw", "0.37", "--case", "ae"] + design_argv(CASES["ae"][1])
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--ns", "5"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("error: case 'ae' does not use --ns\n")
+
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_correct_raw_output_pinned(self, case, capsys):
         _, given, line = CASES[case]
@@ -365,13 +372,16 @@ class TestEstimateComputesOnlyWhatItCorrects:
         files = {"--target-geno": small_dataset["target_geno"],
                  "--target-pheno": small_dataset["target_pheno"],
                  "--summary-a": small_dataset["summary"], "--summary-b": small_dataset["summary"]}
-        needs = {"ae": ("--target-geno", "--target-pheno", "--summary-a"),
-                 "ab": ("--target-geno", "--summary-a", "--summary-b"),
-                 "summary-ab": ("--summary-a", "--summary-b")}[case]
+        needs, design = {
+            "ae": (("--target-geno", "--target-pheno", "--summary-a"),
+                   ["--n3", "100", "--h2e", "1"]),
+            "ab": (("--target-geno", "--summary-a", "--summary-b"),
+                   ["--n2", "120", "--n3", "100", "--h2b", "1"]),
+            "summary-ab": (("--summary-a", "--summary-b"), ["--n2", "120", "--h2b", "1"]),
+        }[case]
         out = tmp_path / "est.tsv"
         rc = main(["estimate", "--case", case, *(x for f in needs for x in (f, files[f])),
-                   "--n1", "120", "--n2", "120", "--n3", "100", "--p", "59", "--h2a", "1",
-                   "--h2b", "1", "--h2e", "1", "--out", str(out)])
+                   "--n1", "120", "--p", "59", "--h2a", "1", *design, "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err == (
             "error: --p is 59, but the raw estimate used 60 SNPs\n")
@@ -392,13 +402,12 @@ FILE_CASES = {
     "overlap-ii": (("target_geno", "summary_a", "summary_b"),
                    ["--n1", "90", "--n2", "70", "--n3", "100"],
                    ["--ns", "30", "--h2a", "0.5", "--h2b", "0.5", "--hab", "0.8"]),
-    "iii": (("summary_a", "summary_b"), ["--n1", "120", "--n2", "100"],
+    "iii": (("summary_a", "summary_b"), ["--n1", "120"],
             ["--h2a", "0.5", "--h2b", "0.5", "--hab", "0.8"]),
-    "iv": (("target_geno", "summary_a", "summary_b"),
-           ["--n1", "120", "--n2", "100", "--n3", "100"],
+    "iv": (("target_geno", "summary_a", "summary_b"), ["--n1", "120"],
            ["--h2a", "0.5", "--h2b", "0.5", "--hab", "0.8"]),
-    "v": (("target_geno", "summary_a", "summary_b"),
-          ["--n1", "120", "--n2", "100", "--n3", "100"], ["--h2a", "0.5", "--h2b", "0.5"]),
+    "v": (("target_geno", "summary_a", "summary_b"), ["--n1", "120", "--n2", "100"],
+          ["--h2a", "0.5", "--h2b", "0.5"]),
 }
 
 
@@ -456,6 +465,21 @@ class TestEstimateReadsSizesFromFiles:
         assert rc == 2
         assert capsys.readouterr() == ("", f"error: {flag} is {value}, but "
                                            f"{source.format(**files)}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case, flag, value", [
+        ("summary-ab", "--n3", "20"), ("summary-ab", "--ns", "5"), ("ae", "--hae", "0.5"),
+        ("iii", "--n2", "100"),
+    ])
+    def test_flag_the_case_does_not_use_refused(self, files, tmp_path, capsys, case, flag,
+                                                value):
+        # a dropped --ns would let a user believe overlap was corrected
+        out = tmp_path / "est.tsv"
+        with pytest.raises(SystemExit) as exc:
+            main(self.argv(files, case, flag, value, *FILE_CASES[case][2], "--out", str(out)))
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: case {case!r} does not use {flag}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("case, ns, source", [

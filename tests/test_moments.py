@@ -243,6 +243,21 @@ class TestRunner:
         assert got[0] == got[1]
 
     @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_a_tags_bits_do_not_depend_on_the_tags_asked_with_it(self, monkeypatch, workers):
+        # a family builds only the vectors its tags need, e.g. one score
+        # alone or two stacked in one call; each tag keeps its bits either way
+        monkeypatch.setenv(WORKERS_ENV, workers)
+
+        def bits(tags):
+            return [(r.quantity_tag, r.predicted.hex(), r.empirical_mean.hex(),
+                     r.empirical_se.hex())
+                    for r in monte_carlo_check_many(tags, self.ARCH, self.META, 30, 5,
+                                                    rho_eps=0.3, selection=(6, 10, 5, 8))]
+
+        together = bits(list(ALL_TAGS))
+        assert [b for tag in ALL_TAGS for b in bits([tag])] == together
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
     def test_a_family_that_raises_propagates(self, monkeypatch, workers):
         simulate = moments._simulate_family
 
