@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -79,6 +80,8 @@ def _design_flags(args, parser, read=(), files=()) -> dict:
 
 def _screen_rule(args) -> ScreenRule:
     if args.rule == "none":
+        if args.cutoff is not None:
+            raise ParameterError("--cutoff needs --rule pvalue or --rule effect")
         return RULE_NONE
     if args.cutoff is None:
         raise ParameterError("--cutoff is required with --rule pvalue/effect")
@@ -86,7 +89,7 @@ def _screen_rule(args) -> ScreenRule:
     return ScreenRule(kind, args.cutoff)
 
 
-def cmd_simulate(args, parser):
+def cmd_simulate(args):
     raw = io_files.parse_config(args.config)
     config = experiments.ExperimentConfig.from_dict(raw)
     if args.seed is not None:
@@ -97,7 +100,7 @@ def cmd_simulate(args, parser):
     return 0
 
 
-def cmd_gwas(args, parser):
+def cmd_gwas(args):
     G = io_files.read_genotypes(args.genotypes)
     y = io_files.read_phenotype_of(args.phenotype, G, args.genotypes)
     stats = marginal_gwas(G, y, standardize_y=not args.no_standardize_y)
@@ -106,10 +109,11 @@ def cmd_gwas(args, parser):
     return 0
 
 
-def cmd_score(args, parser):
+def cmd_score(args):
+    rule = _screen_rule(args)
     G = io_files.read_genotypes(args.genotypes)
     stats = io_files.read_summary_tsv(args.summary)
-    prs = score(G, stats, _screen_rule(args))
+    prs = score(G, stats, rule)
     io_files.write_scores_tsv(args.out, prs.scores, G.sample_ids)
     note = " (empty selection)" if prs.empty_selection else ""
     print(f"scored {G.n} samples from {prs.n_selected} SNPs{note} -> {args.out}")
@@ -214,22 +218,17 @@ def cmd_correct(args, parser):
     return _report(args, correct(args.raw, meta), {})
 
 
-def cmd_moments(args, parser):
+def cmd_moments(args):
     from .synth import TraitArchitecture
 
     arch = TraitArchitecture.shared_causal(
         args.p, args.m, phi=args.rho, sigma2=args.sigma2, h2=args.h2
     )
-    meta = DesignMeta(
-        case_tag="indep_ae", p=args.p, n1=args.n1, n2=args.n2, n3=args.n3, n_s=args.ns,
-        h2_alpha=args.h2, h2_beta=args.h2, h2_eta=args.h2,
-    )
-    selection = None
-    if args.q_a1 is not None:
-        selection = (args.q_a1, args.q_a2 or 0, args.q_b1 or 0, args.q_b2 or 0)
+    q = (args.q_a1, args.q_a2, args.q_b1, args.q_b2)
+    selection = None if q == (None,) * 4 else tuple(v or 0 for v in q)
     reports = moments.monte_carlo_check_many(
-        args.tag, arch, meta, args.replicates, args.seed,
-        rho_eps=args.rho_eps, selection=selection,
+        args.tag, arch, args.replicates, args.seed, n1=args.n1, n2=args.n2, n3=args.n3,
+        n_s=args.ns, rho_eps=args.rho_eps, selection=selection,
     )
     print("\t".join(io_files.MOMENT_HEADER))
     for r in reports:
@@ -282,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--out")
     p_est.add_argument("--strict", action="store_true",
                        help="exit 4 instead of correcting in the degenerate regime")
-    p_est.set_defaults(func=cmd_estimate)
+    p_est.set_defaults(func=partial(cmd_estimate, parser=p_est))
 
     p_cor = sub.add_parser("correct", help="apply a closed-form bias correction")
     p_cor.add_argument("--raw", type=float, default=None)
@@ -290,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="partial R^2 to correct (case ae)")
     p_cor.add_argument("--case", required=True, choices=sorted(_ALIASES))
     p_cor.add_argument("--strict", action="store_true")
-    p_cor.set_defaults(func=cmd_correct)
+    p_cor.set_defaults(func=partial(cmd_correct, parser=p_cor))
     for p_design in (p_est, p_cor):
         for flag, name in _META_FLAGS.items():
             # sizes are integers, heritabilities and genetic shares floats
@@ -324,7 +323,7 @@ def main(argv=None) -> int:
     # per row tile, which glibc's defaults would map and fault in each time
     experiments._keep_freed_memory()
     try:
-        return args.func(args, parser)
+        return args.func(args)
     except (CrosstraitError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, DegenerateRegimeRefusal):

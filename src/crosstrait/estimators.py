@@ -54,7 +54,8 @@ DEGENERATE = "degenerate_regime"
 
 @dataclass(frozen=True)
 class DesignMeta:
-    """Sizes and variance shares of the estimation design.
+    """The design of a correction: its case, sizes and variance shares, which
+    the case's bias factor and regime check read.
 
     ``h_alpha_eta`` / ``h_alpha_beta`` are the genetic shares of the
     phenotypic correlation on shared samples; they are required by the

@@ -96,6 +96,8 @@ class ExperimentConfig:
             raise ParameterError("replicates must be >= 1")
         if set(self.overlap_cases) - {"i", "ii"}:
             raise ParameterError("overlap_cases entries must be 'i' or 'ii'")
+        if self.master_seed < 0:
+            raise ParameterError(f"master_seed must be >= 0, not {self.master_seed}")
 
     _GRID_KEYS = ("phi_grid", "sparsity_grid", "thresholds")
     _FLOAT_KEYS = ("sigma2", "h2", "rho_eps", "sigma2_eps")
@@ -420,11 +422,11 @@ _FIG4_CASES = {
 }
 
 
-def _refuse_short_case(who: str, spec: _Fig4Case, sizes_of) -> None:
-    """Refuse, naming ``who``, the overlap case ``spec`` when the sizes of
-    ``sizes_of`` (a config or a DesignMeta) give it a cohort of fewer than 2
-    samples, counting the shared ones, or a block of 1 sample."""
-    _refuse_short_cohorts(who, {f: getattr(sizes_of, f) or 0 for f in (*spec.sizes, "n_s")},
+def _refuse_short_case(who: str, spec: _Fig4Case, sizes: dict) -> None:
+    """Refuse, naming ``who``, the overlap case ``spec`` when ``sizes`` (field
+    -> size, with every field of the case and n_s) give it a cohort of fewer
+    than 2 samples, counting the shared ones, or a block of 1 sample."""
+    _refuse_short_cohorts(who, {f: sizes[f] for f in (*spec.sizes, "n_s")},
                           dict.fromkeys(spec.sizes, 2), CASES[spec.case_tag].shared)
 
 
@@ -435,7 +437,7 @@ def _fig4_build(config, m, phi) -> dict:
     cases = {}
     for case in config.overlap_cases:
         spec = _FIG4_CASES[case]
-        _refuse_short_case(f"overlap case {case}", spec, config)
+        _refuse_short_case(f"overlap case {case}", spec, vars(config))
         arch = TraitArchitecture.shared_causal(
             config.p, m, phi=phi, sigma2=config.sigma2, h2=config.h2, traits=spec.traits)
         design = OverlapDesign(n_s=config.n_s, pair=spec.pair, rho_eps=config.rho_eps)
@@ -479,21 +481,21 @@ def _fig1_build(config, m, phi) -> dict:
 
 
 def _rep_fig1(config, point, rep):
+    """Screen metrics of alpha's scan, and its effect at the first null SNP,
+    which ``_fig1_build`` keeps at every sparsity."""
     pid = point["point_id"]
     arch = point["arch"]
-    p_total = arch.p
     bundle, scans = _independent_scans(config, point, rep)
     stats = scans["alpha"]
+    metrics = screen_metrics(stats, bundle.effects["alpha"])
     rows = []
-    if point["m"] < p_total:
-        metrics = screen_metrics(stats, bundle.effects["alpha"])
-        for name, value in (("auc", metrics.auc), ("power", metrics.power),
-                            ("enrichment", metrics.enrichment), ("beta_mse", metrics.beta_mse)):
-            rows.append(ReplicateRow(config.scenario, pid, name, rep, value,
-                                     float("nan"), float("nan")))
-        probe = int(np.setdiff1d(np.arange(p_total), arch.causal_sets["alpha"])[0])
-        rows.append(ReplicateRow(config.scenario, pid, "bhat_null_probe", rep,
-                                 float(stats.effect[probe]), float("nan"), float("nan")))
+    for name, value in (("auc", metrics.auc), ("power", metrics.power),
+                        ("enrichment", metrics.enrichment), ("beta_mse", metrics.beta_mse)):
+        rows.append(ReplicateRow(config.scenario, pid, name, rep, value,
+                                 float("nan"), float("nan")))
+    probe = int(np.setdiff1d(np.arange(arch.p), arch.causal_sets["alpha"])[0])
+    rows.append(ReplicateRow(config.scenario, pid, "bhat_null_probe", rep,
+                             float(stats.effect[probe]), float("nan"), float("nan")))
     return rows
 
 

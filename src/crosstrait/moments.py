@@ -8,6 +8,12 @@ scan, score) and reports the z-score of the empirical mean against the
 prediction.  These checks are the ground truth the estimator factors are
 tested against: each bias factor equals a ratio of these moments.
 
+Both take the cohort sizes they read as keywords (n1, n2, n3 and the n_s
+shared samples, 0 when not given); p, the heritabilities and the effect
+model are the ``TraitArchitecture``'s.  ``monte_carlo_check_many`` refuses
+an input that no tag asked for reads: a nonzero n2, n3, n_s or rho_eps, a
+selection, or the beta half of one.
+
 Conventions
 -----------
 All quantities are the *unscaled* quadratic forms, i.e. the marginal-effect
@@ -50,7 +56,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ParameterError
-from .estimators import DesignMeta, ScreenCounts
+from .estimators import ScreenCounts
 from .experiments import (
     _FIG4_CASES,
     _map_tasks,
@@ -108,7 +114,7 @@ class MomentPrediction:
 
 
 def _sigma_eps_cross(
-    arch: TraitArchitecture, meta: DesignMeta, pair: str, override: float | None
+    arch: TraitArchitecture, pair: str, h: float | None, override: float | None
 ) -> float:
     """Error cross-covariance on shared samples.
 
@@ -118,34 +124,33 @@ def _sigma_eps_cross(
     if override is not None:
         return override
     if pair == "ae":
-        h = meta.h_alpha_eta
-        m, s = arch.m_alpha_eta, arch.sigma_alpha_eta
+        name, m, s = "h_alpha_eta", arch.m_alpha_eta, arch.sigma_alpha_eta
     else:
-        h = meta.h_alpha_beta
-        m, s = arch.m_alpha_beta, arch.sigma_alpha_beta
+        name, m, s = "h_alpha_beta", arch.m_alpha_beta, arch.sigma_alpha_beta
     if h is None:
         if s == 0.0:
             return 0.0
-        raise ParameterError(
-            f"overlap prediction needs h_alpha_{pair[1:]} or an explicit sigma_eps_cross"
-        )
+        raise ParameterError(f"overlap prediction needs {name} or an explicit sigma_eps_cross")
+    if not 0.0 < h <= 1.0:
+        raise ParameterError(f"{name} must lie in (0, 1]")
     return m * s * (1.0 / h - 1.0)
 
 
 def predict(
     quantity_tag: str,
     arch: TraitArchitecture,
-    meta: DesignMeta,
+    *, n1: int, n2: int = 0, n3: int = 0, n_s: int = 0,
     screen: ScreenCounts | None = None,
     sigma_eps_cross: float | None = None,
+    h_alpha_eta: float | None = None, h_alpha_beta: float | None = None,
 ) -> MomentPrediction:
-    """Exact first-moment formula for one quadratic form."""
+    """Exact first-moment formula for one quadratic form, at cohort sizes n1,
+    n2, n3 and n_s shared samples; p and the effect model are ``arch``'s.
+    An overlap numerator without ``sigma_eps_cross`` derives it from its
+    pair's genetic share, ``h_alpha_eta`` or ``h_alpha_beta``."""
     if quantity_tag not in ALL_TAGS:
         raise ParameterError(f"unsupported quantity tag {quantity_tag!r}")
-    n1 = meta.n1
-    n2 = meta.n2 or 0
-    n3 = meta.n3 or 0
-    ns = meta.n_s
+    ns = n_s
     p = arch.p
     m_a, m_b, m_e = arch.m_alpha, arch.m_beta, arch.m_eta
     m_ae, m_ab = arch.m_alpha_eta, arch.m_alpha_beta
@@ -185,7 +190,7 @@ def predict(
             ev = (n2 * n3 * m_b * q2 + n2 * n3 * c.q_beta1 * (m_b + n2)) * s2_b + n2 * n3 * c.q_beta * e_b
     elif quantity_tag in OVERLAP_I_TAGS:
         if quantity_tag == "overlap_i_cov_ae_num":
-            e_cross = _sigma_eps_cross(arch, meta, "ae", sigma_eps_cross)
+            e_cross = _sigma_eps_cross(arch, "ae", h_alpha_eta, sigma_eps_cross)
             ev = (n3 + ns) * (n1 + ns) * m_ae * s_ae + ns * m_ae * p * s_ae + ns * p * e_cross
         elif quantity_tag == "overlap_i_var_eta_den":
             ev = (n3 + ns) * (m_e * s2_e + e_e)
@@ -200,7 +205,7 @@ def predict(
             )
     else:  # OVERLAP_II_TAGS: shared discovery rows, independent target
         if quantity_tag == "overlap_ii_cov_ab_num":
-            e_cross = _sigma_eps_cross(arch, meta, "ab", sigma_eps_cross)
+            e_cross = _sigma_eps_cross(arch, "ab", h_alpha_beta, sigma_eps_cross)
             ev = (n1 + ns) * (n2 + ns) * n3 * m_ab * s_ab + ns * n3 * m_ab * p * s_ab + ns * n3 * p * e_cross
         elif quantity_tag == "overlap_ii_var_alpha_den":
             ev = (
@@ -281,12 +286,13 @@ def _simulate_family(
     family: str,
     tags: list[str],
     arch: TraitArchitecture,
-    meta: DesignMeta,
+    sizes: dict,
     rep_seed: int,
     rho_eps: float,
     selection: dict | None,
 ) -> dict[str, float]:
-    """One replicate of every quantity of ``tags``, all of one family.
+    """One replicate of every quantity of ``tags``, all of one family, at the
+    cohort sizes ``sizes`` (field -> size).
 
     Independent cohorts are scanned as they are drawn; an overlap family
     draws its fig4 case, then scans.  The screened family restricts each
@@ -297,13 +303,13 @@ def _simulate_family(
     """
     spec = _OVERLAP.get(family)
     fields = _cohorts(tags) if spec is None else spec.sizes
-    sizes = CohortSizes(**{f: getattr(meta, f) or 0 for f in fields})
+    cohorts = CohortSizes(**{f: sizes[f] for f in fields})
     if spec is None:
         traits = ("alpha", "beta", "eta") if "n2" in fields else ("alpha", "eta")
-        b, scans = scan_independent_cohorts(arch, sizes, rep_seed, traits, _scan)
+        b, scans = scan_independent_cohorts(arch, cohorts, rep_seed, traits, _scan)
     else:
-        design = OverlapDesign(n_s=meta.n_s, pair=spec.pair, rho_eps=rho_eps)
-        b = gen_overlapping_cohorts(design, arch, sizes, rep_seed)
+        design = OverlapDesign(n_s=sizes["n_s"], pair=spec.pair, rho_eps=rho_eps)
+        b = gen_overlapping_cohorts(design, arch, cohorts, rep_seed)
         scans = {t: _scan(getattr(b, f"disc_{t}"), getattr(b, f"y_{t}").y)
                  for t in spec.traits if t != "eta"}
     vec = {f"t_{t}": scan for t, scan in scans.items()}
@@ -327,9 +333,9 @@ def _simulate_family(
 def monte_carlo_check_many(
     tags: list[str],
     arch: TraitArchitecture,
-    meta: DesignMeta,
     replicates: int,
     seed: int,
+    *, n1: int, n2: int = 0, n3: int = 0, n_s: int = 0,
     rho_eps: float = 0.0,
     selection: tuple[int, int, int, int] | None = None,
 ) -> list[MomentCheckReport]:
@@ -337,8 +343,13 @@ def monte_carlo_check_many(
 
     A quantity passes when its |z| is below ``Z_THRESHOLD``.
 
-    ``selection`` gives (q_alpha1, q_alpha2, q_beta1, q_beta2) for the
-    deterministic screen behind the screened quantities.  Replicates of one
+    The cohorts have n1, n2 and n3 samples, and an overlap family shares
+    n_s more; p and the effect model are ``arch``'s.  ``rho_eps`` is the
+    error correlation on an overlap family's shared samples.  ``selection``
+    gives (q_alpha1, q_alpha2, q_beta1, q_beta2) for the deterministic
+    screen behind the screened quantities.  A nonzero size, ``rho_eps``,
+    ``selection`` or beta half of it that no tag of ``tags`` reads is
+    refused, as is a negative seed.  Replicates of one
     family share a simulation, so checking a whole family costs one run.
     The replicates run as tasks of ``experiments.run``'s runner, on
     $CROSSTRAIT_WORKERS threads, else one per usable core but no more than
@@ -347,24 +358,39 @@ def monte_carlo_check_many(
     """
     if replicates < 30:
         raise ParameterError("need at least 30 replicates for a meaningful z")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, not {seed}")
+    sizes = {"n1": n1, "n2": n2, "n3": n3, "n_s": n_s}
+    read = set()  # the inputs some tag reads; n1 is always read
     for t in tags:
         if t not in _TAGS:
             raise ParameterError(f"unsupported quantity tag {t!r}")
         if (spec := _OVERLAP.get(_TAGS[t][0])) is not None:
-            _refuse_short_case(t, spec, meta)
+            _refuse_short_case(t, spec, sizes)
+            read.update(spec.sizes, ("n_s", "rho_eps"))
         else:
             fields = _cohorts([t])
-            _refuse_short_cohorts(t, {f: getattr(meta, f) or 0 for f in fields},
-                                  dict.fromkeys(fields, 2))
+            _refuse_short_cohorts(t, {f: sizes[f] for f in fields}, dict.fromkeys(fields, 2))
+            read.update(fields)
+    screened = [t for t in tags if _TAGS[t][0] == "screened"]
+    beta = [t for t in screened if "n2" in _cohorts([t])]
+    if screened:
+        read.add("selection")
+    if beta:
+        read.add("q_b1, q_b2 of selection")
+    given = {"n2": n2, "n3": n3, "n_s": n_s, "rho_eps": rho_eps,
+             "selection": selection is not None,
+             "q_b1, q_b2 of selection": selection is not None and any(selection[2:])}
+    unread = [name for name, value in given.items() if value and name not in read]
+    if unread:
+        raise ParameterError(f"no tag asked for ({' '.join(tags)}) reads {', '.join(unread)}")
 
     screen = chosen = None
-    screened = [t for t in tags if _TAGS[t][0] == "screened"]
     if screened:
         if selection is None:
             raise ParameterError("screened tags need selection=(q_a1, q_a2, q_b1, q_b2)")
         screen, sel_a, sel_b = screen_counts_for_fixed_selection(arch, *selection)
         chosen = {"alpha": sel_a, "beta": sel_b}
-        beta = [t for t in screened if "n2" in _cohorts([t])]
         if beta and not sel_b.shape[0]:
             raise ParameterError(f"{beta[0]} needs a beta selection (q_b1 + q_b2 > 0)")
 
@@ -375,7 +401,7 @@ def monte_carlo_check_many(
     def simulate(task):
         family, rep = task
         rep_seed = substream(seed, f"moments/{family}", rep).integers(2**63)
-        return _simulate_family(family, families[family], arch, meta, int(rep_seed), rho_eps,
+        return _simulate_family(family, families[family], arch, sizes, int(rep_seed), rho_eps,
                                 chosen if family == "screened" else None)
 
     tasks = [(family, rep) for family in families for rep in range(replicates)]
@@ -391,7 +417,8 @@ def monte_carlo_check_many(
         spec = _OVERLAP.get(_TAGS[t][0])
         cross = None if spec is None else (rho_eps * np.sqrt(arch.sigma2_eps("alpha"))
                                            * np.sqrt(arch.sigma2_eps(spec.traits[1])))
-        pred = predict(t, arch, meta, screen=screen, sigma_eps_cross=cross)
+        pred = predict(t, arch, n1=n1, n2=n2, n3=n3, n_s=n_s, screen=screen,
+                       sigma_eps_cross=cross)
         v = values[t]
         mean = float(np.mean(v))
         se = float(np.std(v, ddof=1) / np.sqrt(replicates))

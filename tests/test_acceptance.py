@@ -201,10 +201,8 @@ def test_criterion_08_overlap_discovery_pair_full():
 
 def test_criterion_09_moment_oracles():
     arch = TraitArchitecture.shared_causal(1000, 200, phi=0.6, h2=0.8)
-    meta = DesignMeta(case_tag="indep_ae", p=1000, n1=500, n2=500, n3=500, n_s=250,
-                      h2_alpha=0.8, h2_beta=0.8, h2_eta=0.8)
     reports = monte_carlo_check_many(
-        list(ALL_TAGS), arch, meta, replicates=200, seed=9,
+        list(ALL_TAGS), arch, replicates=200, seed=9, n1=500, n2=500, n3=500, n_s=250,
         rho_eps=0.3, selection=(120, 200, 100, 150),
     )
     worst = max(reports, key=lambda r: abs(r.z))

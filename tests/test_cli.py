@@ -19,7 +19,7 @@ from crosstrait.synth import (
     gen_genotypes,
     gen_independent_cohorts,
 )
-from tables import read_replicates, read_scores
+from tables import moment_inputs, read_replicates, read_scores
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +174,16 @@ class TestCaseTable:
         assert exc.value.code == 2
         assert capsys.readouterr().err.endswith("error: case 'ae' does not use --ns\n")
 
+    def test_correct_usage_error_names_its_subcommand(self, capsys):
+        argv = ["correct", "--raw", "0.3", "--case", "ae", "--n1", "100", "--p", "50",
+                "--h2a", "1", "--h2e", "1", "--hae", "0.5"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("usage: crosstrait correct ")
+        assert err[-1] == "crosstrait correct: error: case 'ae' does not use --hae"
+
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_correct_raw_output_pinned(self, case, capsys):
         _, given, line = CASES[case]
@@ -191,6 +201,13 @@ class TestCaseTable:
             main(["estimate", "--case", case] + design_argv(DESIGN))
         assert exc.value.code == 2
         assert f"needs {files}" in capsys.readouterr().err
+
+    def test_estimate_usage_error_names_its_subcommand(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["estimate", "--case", "ae", "--h2a", "1"])
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("usage: crosstrait estimate ")
+        assert err[-1] == "crosstrait estimate: error: case 'ae' requires --h2e"
 
 
 class TestPipelineCommands:
@@ -211,6 +228,14 @@ class TestPipelineCommands:
         scores, _ = read_scores(out_scores)
         assert scores.shape == (100,)
         assert np.linalg.norm(scores) > 0
+
+    def test_score_cutoff_without_rule_refused(self, small_dataset, tmp_path, capsys):
+        out = tmp_path / "scores.tsv"
+        rc = main(["score", "--genotypes", small_dataset["target_geno"],
+                   "--summary", small_dataset["summary"], "--cutoff", "0.05", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: --cutoff needs --rule pvalue or --rule effect\n"
+        assert not out.exists()
 
     def test_estimate_ae(self, small_dataset, tmp_path, capsys):
         out = str(tmp_path / "est.tsv")
@@ -686,25 +711,31 @@ MOMENT_SIZES = {"--n1": "40", "--n2": "40", "--n3": "40", "--ns": "10"}
 
 
 def moments_argv(tag, sizes):
+    """``moments`` for ``tag`` at ``sizes``, with the selection it reads."""
     argv = ["moments", "--tag", tag, "--p", "60", "--m", "10", "--replicates", "30",
             "--seed", "1"]
-    if tag in moments.SCREENED_TAGS:
-        argv += ["--q-a1", "3", "--q-a2", "3", "--q-b1", "3", "--q-b2", "3"]
+    read = moment_inputs([tag])
+    if "selection" in read:
+        argv += ["--q-a1", "3", "--q-a2", "3"]
+    if "q_b" in read:
+        argv += ["--q-b1", "3", "--q-b2", "3"]
     return argv + [x for flag, size in sizes.items() for x in (flag, size)]
 
 
 class TestFuzzedMomentSizes:
-    """``moments`` with one cohort size omitted, 0 or 1 either runs or is
-    refused as a usage error (exit 2, or argparse's exit for a missing
-    ``--n1``) before any task; it raises nothing."""
+    """``moments`` at the cohort sizes its tag reads, with one size omitted,
+    0 or 1, either runs or is refused as a usage error (exit 2, or
+    argparse's exit for a missing ``--n1``) before any task; it raises
+    nothing."""
 
     @given(st.sampled_from(moments.ALL_TAGS), st.sampled_from(sorted(MOMENT_SIZES)),
            st.sampled_from([None, "0", "1"]))
     @settings(max_examples=60, deadline=None)
     def test_one_size_changed(self, tag, flag, size):
-        sizes = dict(MOMENT_SIZES)
+        read = moment_inputs([tag])
+        sizes = {f: n for f, n in MOMENT_SIZES.items() if f[2:].replace("ns", "n_s") in read}
         if size is None:
-            del sizes[flag]
+            sizes.pop(flag, None)
         else:
             sizes[flag] = size
         try:
@@ -738,6 +769,36 @@ class TestMomentsCommand:
         assert main(argv) == 2
         assert capsys.readouterr().err == (
             "error: screened_cov_ab_num needs a beta selection (q_b1 + q_b2 > 0)\n")
+
+    @pytest.mark.parametrize("tags, flags, name", [
+        (["cov_ae_num", "var_eta_den"], ["--n2", "300"], "n2"),
+        (["summary_alpha_den"], ["--n3", "300"], "n3"),
+        (["cov_ae_num", "var_eta_den"], ["--ns", "60"], "n_s"),
+        (["cov_ae_num", "var_eta_den"], ["--rho-eps", "0.2"], "rho_eps"),
+        (["cov_ae_num", "var_eta_den"], ["--q-a1", "20", "--q-a2", "40"], "selection"),
+        (["screened_cov_ae_num"], ["--q-a1", "20", "--q-b1", "20"],
+         "q_b1, q_b2 of selection"),
+    ], ids=["n2", "n3", "ns", "rho_eps", "selection", "beta_half"])
+    def test_an_input_no_tag_reads_is_refused(self, tmp_path, capsys, monkeypatch, tags,
+                                              flags, name):
+        # the motivating command: each flag would leave every output byte as it is
+        monkeypatch.setattr(moments, "_simulate_family", None)  # no task starts
+        out = tmp_path / "report.tsv"
+        argv = ["moments", "--tag", *tags, "--n1", "300", "--p", "400", "--m", "40",
+                "--replicates", "30", "--seed", "1", "--out", str(out)]
+        argv += [] if tags == ["summary_alpha_den"] else ["--n3", "300"]
+        assert main(argv + flags) == 2
+        assert capsys.readouterr() == ("", f"error: no tag asked for ({' '.join(tags)}) "
+                                           f"reads {name}\n")
+        assert not out.exists()
+
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "report.tsv"
+        rc = main(["moments", "--tag", "cov_ae_num", "--n1", "100", "--n3", "100", "--p", "60",
+                   "--m", "10", "--replicates", "30", "--seed", "-1", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, not -1\n"
+        assert not out.exists()
 
     def test_single_tag_report(self, tmp_path, capsys):
         out = str(tmp_path / "report.tsv")
@@ -806,6 +867,16 @@ class TestSimulateCommand:
         source, value = ("workers", int(flag)) if flag is not None else ("$CROSSTRAIT_WORKERS", env)
         assert (f"error: {source} must be an integer >= 1, got {value!r}\n"
                 == capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, where):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("scenario=fig2_all_snp\np=80\nn1=60\nn3=60\nm=20\nphi_grid=0.5\n"
+                       + ("master_seed=-1\n" if where == "config" else ""))
+        argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        assert main(argv + (["--seed", "-1"] if where == "flag" else [])) == 2
+        assert capsys.readouterr().err == "error: master_seed must be >= 0, not -1\n"
         assert not (tmp_path / "o").exists()
 
     def test_bad_config_key(self, tmp_path):

@@ -24,7 +24,6 @@ from crosstrait.experiments import (
     resolve_workers,
     run,
 )
-from crosstrait.estimators import DesignMeta
 from crosstrait.gwas import marginal_gwas
 from crosstrait.moments import INDEP_TAGS, monte_carlo_check_many
 from crosstrait.prs import ScreenRule, score
@@ -303,9 +302,8 @@ class TestThreadPool:
         if scenario == "moments_indep":
             monkeypatch.setenv(WORKERS_ENV, "1")
             arch = TraitArchitecture.shared_causal(120, 30, phi=0.5, h2=0.8)
-            meta = DesignMeta(case_tag="indep_ae", p=120, n1=100, n2=100, n3=100,
-                              h2_alpha=0.8, h2_beta=0.8, h2_eta=0.8)
-            monte_carlo_check_many(list(INDEP_TAGS), arch, meta, replicates=30, seed=1)
+            monte_carlo_check_many(list(INDEP_TAGS), arch, replicates=30, seed=1,
+                                   n1=100, n2=100, n3=100)
             reps = 30
         else:
             run(tiny_fig2(scenario=scenario, sparsity_grid=(0.1,), replicates=2), workers=1)

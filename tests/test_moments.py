@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -7,7 +8,7 @@ import pytest
 
 from crosstrait import moments
 from crosstrait.errors import ParameterError
-from crosstrait.estimators import DesignMeta, ScreenCounts
+from crosstrait.estimators import ScreenCounts
 from crosstrait.experiments import WORKERS_ENV
 from crosstrait.moments import (
     ALL_TAGS,
@@ -20,41 +21,40 @@ from crosstrait.moments import (
     screen_counts_for_fixed_selection,
 )
 from crosstrait.synth import TraitArchitecture
+from tables import moment_inputs
 
 
-def meta(n1=500, n2=500, n3=500, ns=0, p=1000, h2=1.0):
-    return DesignMeta(case_tag="indep_ae", p=p, n1=n1, n2=n2, n3=n3, n_s=ns,
-                      h2_alpha=h2, h2_beta=h2, h2_eta=h2)
+SIZES = {"n1": 500, "n2": 500, "n3": 500}
 
 
 class TestPredict:
     def test_covariance_numerator_value(self):
         # n1 * n3 * m_ae * sigma_ae = 500 * 500 * 200 * 0.9, by hand: 4.5e7
         arch = TraitArchitecture.shared_causal(1000, 200, phi=0.9)
-        pred = predict("cov_ae_num", arch, meta())
+        pred = predict("cov_ae_num", arch, **SIZES)
         assert pred.expected_value == pytest.approx(4.5e7)
 
     def test_zero_cross_covariance(self):
         arch = TraitArchitecture.shared_causal(1000, 200, phi=0.0)
-        assert predict("cov_ae_num", arch, meta()).expected_value == 0.0
+        assert predict("cov_ae_num", arch, **SIZES).expected_value == 0.0
 
     def test_score_denominator_value(self):
         # (500*500*200*800 + 500*500*200*700) * 1 = 7.5e10, evaluated twice by
         # hand from the two-term closed form at sigma2_eps = 0
         arch = TraitArchitecture.shared_causal(1000, 200, phi=0.5, h2=1.0)
-        pred = predict("var_alpha_den", arch, meta())
+        pred = predict("var_alpha_den", arch, **SIZES)
         assert pred.expected_value == pytest.approx(7.5e10)
 
     def test_phenotype_denominator_with_noise(self):
         # n3 * (m sigma2 + sigma2_eps); h2 = 0.5 makes sigma2_eps = m sigma2
         arch = TraitArchitecture.shared_causal(1000, 200, phi=0.5, h2=0.5)
-        pred = predict("var_eta_den", arch, meta())
+        pred = predict("var_eta_den", arch, **SIZES)
         assert pred.expected_value == pytest.approx(500 * (200 + 200))
 
     def test_summary_denominator_equals_collapsed_form(self):
         # the two-term display collapses to n1 * m * (n1 + p) at full h2
         arch = TraitArchitecture.shared_causal(1000, 200, phi=0.5)
-        pred = predict("summary_alpha_den", arch, meta())
+        pred = predict("summary_alpha_den", arch, **SIZES)
         assert pred.expected_value == pytest.approx(500 * 200 * 1500)
 
     def test_screened_reduces_to_unscreened_at_full_selection(self):
@@ -70,15 +70,13 @@ class TestPredict:
             ("screened_cov_ab_num", "cov_ab_num"),
             ("screened_var_beta_den", "var_beta_den"),
         ):
-            a = predict(screened, arch, meta(), screen=counts).expected_value
-            b = predict(plain, arch, meta()).expected_value
+            a = predict(screened, arch, **SIZES, screen=counts).expected_value
+            b = predict(plain, arch, **SIZES).expected_value
             assert abs(a - b) <= 1e-12 * max(abs(b), 1.0)
 
     def test_overlap_reduces_to_independent_at_zero_overlap(self):
         arch = TraitArchitecture.shared_causal(1000, 200, phi=0.6, h2=0.7)
-        m0 = DesignMeta(case_tag="indep_ae", p=1000, n1=500, n2=400, n3=300, n_s=0,
-                        h2_alpha=0.7, h2_beta=0.7, h2_eta=0.7,
-                        h_alpha_eta=1.0, h_alpha_beta=1.0)
+        m0 = {"n1": 500, "n2": 400, "n3": 300}
         pairs = (
             ("overlap_i_cov_ae_num", "cov_ae_num"),
             ("overlap_i_var_alpha_den", "var_alpha_den"),
@@ -88,19 +86,28 @@ class TestPredict:
             ("overlap_ii_var_beta_den", "var_beta_den"),
         )
         for overlap, plain in pairs:
-            a = predict(overlap, arch, m0, sigma_eps_cross=0.0).expected_value
-            b = predict(plain, arch, m0).expected_value
+            a = predict(overlap, arch, **m0, sigma_eps_cross=0.0).expected_value
+            b = predict(plain, arch, **m0).expected_value
             assert abs(a - b) <= 1e-12 * max(abs(b), 1.0)
 
     def test_unsupported_tag(self):
         arch = TraitArchitecture.shared_causal(100, 10, phi=0.5)
         with pytest.raises(ParameterError):
-            predict("nope", arch, meta())
+            predict("nope", arch, **SIZES)
+
+    @pytest.mark.parametrize("tag, shares, message", [
+        ("overlap_i_cov_ae_num", {}, "needs h_alpha_eta or an explicit sigma_eps_cross"),
+        ("overlap_ii_cov_ab_num", {"h_alpha_beta": 0.0}, "h_alpha_beta must lie in (0, 1]"),
+    ])
+    def test_overlap_numerator_needs_a_share_in_range(self, tag, shares, message):
+        arch = TraitArchitecture.shared_causal(100, 10, phi=0.5)
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            predict(tag, arch, **SIZES, n_s=10, **shares)
 
     def test_screened_requires_counts(self):
         arch = TraitArchitecture.shared_causal(100, 10, phi=0.5)
         with pytest.raises(ParameterError):
-            predict("screened_cov_ae_num", arch, meta())
+            predict("screened_cov_ae_num", arch, **SIZES)
 
 
 class TestFixedSelection:
@@ -122,45 +129,42 @@ class TestMonteCarloCheck:
     # reduced-size smoke runs of the oracle harness; the full grid at the
     # reference scale runs in the acceptance suite
     ARCH = TraitArchitecture.shared_causal(400, 80, phi=0.6, h2=0.8)
-    META = DesignMeta(case_tag="indep_ae", p=400, n1=200, n2=150, n3=250, n_s=0,
-                      h2_alpha=0.8, h2_beta=0.8, h2_eta=0.8)
+    AE = {"n1": 200, "n3": 250}  # the sizes an alpha-eta tag reads
 
     def test_independent_family(self):
         reports = monte_carlo_check_many(
             ["cov_ae_num", "var_alpha_den", "var_eta_den", "summary_ab_num"],
-            self.ARCH, self.META, replicates=60, seed=1,
+            self.ARCH, replicates=60, seed=1, **self.AE, n2=150,
         )
         for r in reports:
             assert r.passed, f"{r.quantity_tag}: z={r.z:.2f}"
 
     def test_zero_covariance_case(self):
         arch = TraitArchitecture.shared_causal(400, 80, phi=0.0, h2=0.8)
-        (r,) = monte_carlo_check_many(["cov_ae_num"], arch, self.META, replicates=60, seed=2)
+        (r,) = monte_carlo_check_many(["cov_ae_num"], arch, replicates=60, seed=2, **self.AE)
         assert r.predicted == 0.0
         assert abs(r.z) < 4
 
     def test_screened_family(self):
         reports = monte_carlo_check_many(
             ["screened_cov_ae_num", "screened_var_alpha_den"],
-            self.ARCH, self.META, replicates=60, seed=3, selection=(50, 100, 0, 0),
+            self.ARCH, replicates=60, seed=3, **self.AE, selection=(50, 100, 0, 0),
         )
         for r in reports:
             assert r.passed, f"{r.quantity_tag}: z={r.z:.2f}"
 
     def test_overlap_families(self):
-        m = DesignMeta(case_tag="indep_ae", p=400, n1=150, n2=120, n3=150, n_s=100,
-                       h2_alpha=0.8, h2_beta=0.8, h2_eta=0.8)
         reports = monte_carlo_check_many(
             ["overlap_i_cov_ae_num", "overlap_i_var_alpha_den",
              "overlap_ii_cov_ab_num", "overlap_ii_var_beta_den"],
-            self.ARCH, m, replicates=60, seed=4, rho_eps=0.4,
+            self.ARCH, replicates=60, seed=4, n1=150, n2=120, n3=150, n_s=100, rho_eps=0.4,
         )
         for r in reports:
             assert r.passed, f"{r.quantity_tag}: z={r.z:.2f}"
 
     def test_minimum_replicates_enforced(self):
         with pytest.raises(ParameterError):
-            monte_carlo_check_many(["cov_ae_num"], self.ARCH, self.META, replicates=5, seed=0)
+            monte_carlo_check_many(["cov_ae_num"], self.ARCH, replicates=5, seed=0, **self.AE)
 
     def test_all_tags_have_a_formula(self):
         counts = ScreenCounts(
@@ -168,11 +172,9 @@ class TestMonteCarloCheck:
             q_alpha=100, q_alpha1=40, q_alpha_eta=40, q_alpha_beta=30,
             q_beta=90, q_beta1=30,
         )
-        m = DesignMeta(case_tag="indep_ae", p=400, n1=200, n2=150, n3=250, n_s=50,
-                       h2_alpha=0.8, h2_beta=0.8, h2_eta=0.8,
-                       h_alpha_eta=0.9, h_alpha_beta=0.9)
         for tag in ALL_TAGS:
-            pred = predict(tag, self.ARCH, m, screen=counts)
+            pred = predict(tag, self.ARCH, n1=200, n2=150, n3=250, n_s=50, screen=counts,
+                           h_alpha_eta=0.9, h_alpha_beta=0.9)
             assert np.isfinite(pred.expected_value)
 
 
@@ -210,25 +212,30 @@ PINNED_HEX = {
 }
 FAMILY_TAGS = {"indep": INDEP_TAGS, "screened": SCREENED_TAGS,
                "overlap_i": OVERLAP_I_TAGS, "overlap_ii": OVERLAP_II_TAGS}
-FAMILY_KWARGS = {"screened": {"selection": (6, 10, 5, 8)},
-                 "overlap_i": {"rho_eps": 0.3}, "overlap_ii": {"rho_eps": 0.3}}
+# the small design of the pinned and runner checks
+DESIGN = {"n1": 40, "n2": 30, "n3": 35, "n_s": 10, "rho_eps": 0.3, "selection": (6, 10, 5, 8)}
+
+
+def design_for(tags):
+    """The inputs of ``DESIGN`` that ``tags`` read."""
+    read = moment_inputs(tags)
+    kw = {name: value for name, value in DESIGN.items() if name in read}
+    if "q_b" not in read and "selection" in kw:
+        kw["selection"] = (*kw["selection"][:2], 0, 0)
+    return kw
 
 
 @pytest.mark.parametrize("family", sorted(PINNED_HEX))
 def test_monte_carlo_bits_pinned(family):
     arch = TraitArchitecture.shared_causal(80, 16, phi=0.6, h2=0.8)
-    m = DesignMeta(case_tag="indep_ae", p=80, n1=40, n2=30, n3=35, n_s=10,
-                   h2_alpha=0.8, h2_beta=0.8, h2_eta=0.8, h_alpha_eta=0.9, h_alpha_beta=0.9)
-    reports = monte_carlo_check_many(list(FAMILY_TAGS[family]), arch, m, 30, 5,
-                                     **FAMILY_KWARGS.get(family, {}))
+    reports = monte_carlo_check_many(list(FAMILY_TAGS[family]), arch, 30, 5,
+                                     **design_for(FAMILY_TAGS[family]))
     got = {r.quantity_tag: (r.predicted.hex(), r.empirical_mean.hex()) for r in reports}
     assert got == PINNED_HEX[family]
 
 
 class TestRunner:
     ARCH = TraitArchitecture.shared_causal(80, 16, phi=0.6, h2=0.8)
-    META = DesignMeta(case_tag="indep_ae", p=80, n1=40, n2=30, n3=35, n_s=10,
-                      h2_alpha=0.8, h2_beta=0.8, h2_eta=0.8, h_alpha_eta=0.9, h_alpha_beta=0.9)
     TAGS = ["cov_ae_num", "summary_ab_num", "screened_var_alpha_den", "overlap_i_cov_ae_num",
             "overlap_ii_var_beta_den"]
 
@@ -236,8 +243,7 @@ class TestRunner:
         got = []
         for workers in ("1", "2"):
             monkeypatch.setenv(WORKERS_ENV, workers)
-            reports = monte_carlo_check_many(self.TAGS, self.ARCH, self.META, 30, 5,
-                                             rho_eps=0.3, selection=(6, 10, 5, 8))
+            reports = monte_carlo_check_many(self.TAGS, self.ARCH, 30, 5, **design_for(self.TAGS))
             got.append([(r.quantity_tag, r.empirical_mean.hex(), r.empirical_se.hex())
                         for r in reports])
         assert got[0] == got[1]
@@ -251,8 +257,7 @@ class TestRunner:
         def bits(tags):
             return [(r.quantity_tag, r.predicted.hex(), r.empirical_mean.hex(),
                      r.empirical_se.hex())
-                    for r in monte_carlo_check_many(tags, self.ARCH, self.META, 30, 5,
-                                                    rho_eps=0.3, selection=(6, 10, 5, 8))]
+                    for r in monte_carlo_check_many(tags, self.ARCH, 30, 5, **design_for(tags))]
 
         together = bits(list(ALL_TAGS))
         assert [b for tag in ALL_TAGS for b in bits([tag])] == together
@@ -269,18 +274,14 @@ class TestRunner:
         monkeypatch.setenv(WORKERS_ENV, workers)
         monkeypatch.setattr(moments, "_simulate_family", buggy)
         with pytest.raises(RuntimeError, match="bug in a family"):
-            monte_carlo_check_many(self.TAGS, self.ARCH, self.META, 30, 5,
-                                   rho_eps=0.3, selection=(6, 10, 5, 8))
+            monte_carlo_check_many(self.TAGS, self.ARCH, 30, 5, **design_for(self.TAGS))
 
 
 MOMENT_BITS = """
-from crosstrait.estimators import DesignMeta
 from crosstrait.moments import INDEP_TAGS, monte_carlo_check_many
 from crosstrait.synth import TraitArchitecture
 arch = TraitArchitecture.shared_causal(10050, 100, phi=0.6, h2=0.8)
-m = DesignMeta(case_tag="indep_ae", p=10050, n1=21, n2=22, n3=23,
-               h2_alpha=0.8, h2_beta=0.8, h2_eta=0.8)
-for r in monte_carlo_check_many(list(INDEP_TAGS), arch, m, 30, 6):
+for r in monte_carlo_check_many(list(INDEP_TAGS), arch, 30, 6, n1=21, n2=22, n3=23):
     print(r.quantity_tag, r.empirical_mean.hex())
 """
 

@@ -221,15 +221,12 @@ class TestScoreVarianceGrowth:
     def test_score_norm_tracks_moment_formula(self):
         # |score|^2 * n1^2 should match the closed-form expectation of the
         # unscaled quadratic form within Monte-Carlo error
-        from crosstrait.estimators import DesignMeta
         from crosstrait.moments import predict
 
         n1 = n3 = 400
         p, m = 800, 160
         arch = TraitArchitecture.shared_causal(p, m, phi=0.0, traits=("alpha", "eta"))
-        meta = DesignMeta(case_tag="indep_ae", p=p, n1=n1, n3=n3,
-                          h2_alpha=1.0, h2_eta=1.0)
-        pred = predict("var_alpha_den", arch, meta).expected_value
+        pred = predict("var_alpha_den", arch, n1=n1, n3=n3).expected_value
         vals = []
         for rep in range(40):
             b = gen_independent_cohorts(arch, CohortSizes(n1=n1, n3=n3),
